@@ -19,14 +19,12 @@ from .errors import (
 )
 from .field import (
     Field,
-    Spectrum,
     TorusSpec,
     apply_power_laplacian,
     from_values,
     grid_coordinates,
     integrate,
     integrate_exp,
-    inverse_transform,
     l2_inner,
     l2_norm,
     lincomb,

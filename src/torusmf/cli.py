@@ -66,11 +66,13 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
-def _expand_config(argv: list[str]) -> list[str]:
+def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Splice `key = value` lines from --config in as flags after the command.
 
-    Explicit command-line flags still win because argparse keeps the last
-    occurrence of a repeated option.
+    A key is a flag name without dashes (`lambda`) or a dest as config.echo
+    records it (`lam`); the echoed `command` and `None` (unset) values are
+    skipped.  Explicit command-line flags still win because argparse keeps
+    the last occurrence of a repeated option.
     """
     if "--config" not in argv:
         return argv
@@ -78,6 +80,9 @@ def _expand_config(argv: list[str]) -> list[str]:
     if idx + 1 >= len(argv):
         raise ValueError("--config requires a path")
     path = Path(argv[idx + 1])
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dest_flags = {a.dest: a.option_strings[-1] for sub in subparsers.choices.values()
+                  for a in sub._actions if a.option_strings}
     flags: list[str] = []
     for raw in path.read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -86,7 +91,9 @@ def _expand_config(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise ValueError(f"bad config line (want key = value): {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        flags.extend([f"--{key.replace('_', '-')}", value])
+        if key == "command" or value == "None":
+            continue
+        flags.extend([dest_flags.get(key, f"--{key.replace('_', '-')}"), value])
     rest = argv[:idx] + argv[idx + 2:]
     if not rest:
         raise ValueError("--config needs a subcommand")
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--lambda-grid", dest="lambda_grid", default="0.25,0.5,1.0")
     p.add_argument("--n-seeds", dest="n_seeds", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker threads for independent solves")
     p.set_defaults(func=cmd_nonexist)
 
@@ -355,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _expand_config(argv)
+        argv = _expand_config(argv, parser)
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:

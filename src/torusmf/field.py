@@ -5,10 +5,12 @@ is identified with its trigonometric interpolant through the FFT, so all the
 calculus used elsewhere -- fractional powers of the (negative) Laplacian,
 Sobolev seminorms, quadrature of smooth integrands -- is spectral.  Fourier
 coefficients follow the series convention f(x) = sum_k c(k) exp(2*pi*i k.x)
-with integer wave vectors k in [-n/2, n/2) per axis.
+with integer wave vectors k in [-n/2, n/2) per axis.  Fields are real, so
+only the half spectrum of the real FFT (last-axis k in [0, n/2]) is stored:
+c(-k) = conj(c(k)) holds by construction.
 
-Fields and spectra are immutable after construction; every operation here is
-a pure function and safe to call concurrently.
+Fields are immutable after construction; every operation here is a pure
+function and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -90,28 +92,6 @@ class Field:
         object.__setattr__(self, "_cache", {})
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Fourier coefficients of a real field, in FFT layout (c = fftn(values)/N)."""
-
-    spec: TorusSpec
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.shape != self.spec.shape:
-            raise ValueError("coefficient array shape does not match grid")
-        # Hermitian symmetry c(-k) = conj(c(k)) is what makes the field real.
-        mirrored = np.roll(np.flip(c), shift=(1,) * self.spec.dim, axis=range(self.spec.dim))
-        scale = float(np.max(np.abs(c))) + 1.0
-        if np.max(np.abs(c - np.conj(mirrored))) > 1e-10 * scale:
-            raise ValueError("coefficients violate Hermitian symmetry")
-        if c.flags.writeable:
-            c = c.copy() if not c.flags.owndata else c
-            c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
-
-
 def zero_field(spec: TorusSpec) -> Field:
     return Field(spec, np.zeros(spec.shape), mean_zero=True)
 
@@ -153,7 +133,7 @@ def grid_coordinates(spec: TorusSpec):
     return np.meshgrid(*([x] * spec.dim), indexing="ij", sparse=True)
 
 
-def _check_same_spec(f: Field | Spectrum, g: Field | Spectrum) -> None:
+def _check_same_spec(f: Field, g: Field) -> None:
     if f.spec != g.spec:
         raise ValueError(f"grid spec mismatch: {f.spec} vs {g.spec}")
 
@@ -166,53 +146,51 @@ def _require_mean_zero(f: Field, what: str) -> None:
         raise ValueError(f"{what} requires a mean-zero field; project_mean_zero first")
 
 
-@functools.lru_cache(maxsize=16)
-def _ksq(spec: TorusSpec) -> np.ndarray:
-    """|k|^2 over integer wave vectors, FFT layout (Nyquist included as -n/2)."""
-    k = np.fft.fftfreq(spec.n, d=1.0 / spec.n)
-    axes = np.meshgrid(*([k] * spec.dim), indexing="ij", sparse=True)
-    total = np.zeros(spec.shape)
-    for a in axes:
-        total = total + a**2
-    total.flags.writeable = False
-    return total
-
-
 @functools.lru_cache(maxsize=64)
 def _multiplier(spec: TorusSpec, s: float) -> np.ndarray:
-    """(4 pi^2 |k|^2)**s with the k=0 entry zeroed (mean-zero sector only)."""
-    base = FOUR_PI_SQ * _ksq(spec)
+    """(4 pi^2 |k|^2)**s on the rfftn half grid (last axis k >= 0), k=0 entry zeroed."""
+    k = np.fft.fftfreq(spec.n, d=1.0 / spec.n)
+    axes = np.meshgrid(*([k] * (spec.dim - 1) + [np.abs(k[:spec.n // 2 + 1])]),
+                       indexing="ij", sparse=True)
+    base = FOUR_PI_SQ * sum(a**2 for a in axes)
     if s >= 0:
         mult = base**s
         mult.flat[0] = 0.0
     else:
-        mult = np.zeros(spec.shape)
+        mult = np.zeros(base.shape)
         np.divide(1.0, base**(-s), out=mult, where=base > 0)
     mult.flags.writeable = False
     return mult
 
 
-def transform(f: Field) -> Spectrum:
-    """Normalized FFT; cached on the field, so repeated use is free."""
+@functools.lru_cache(maxsize=16)
+def _sobolev_weight(spec: TorusSpec) -> np.ndarray:
+    """H^m multiplier times each half-grid mode's multiplicity in the full spectrum:
+    2 (the mode and its conjugate), but 1 on the last-axis k=0 and k=n/2 planes."""
+    weight = 2.0 * _multiplier(spec, float(spec.m))
+    weight[..., 0] *= 0.5
+    weight[..., -1] *= 0.5
+    weight.flags.writeable = False
+    return weight
+
+
+def transform(f: Field) -> np.ndarray:
+    """Normalized real FFT (rfftn(values)/N, read-only); cached on the field."""
     cached = f._cache.get("spectrum")
     if cached is None:
-        c = np.fft.fftn(f.values) / f.spec.npoints
-        cached = Spectrum(f.spec, c)
+        cached = np.fft.rfftn(f.values) / f.spec.npoints
+        cached.flags.writeable = False
         f._cache["spectrum"] = cached
     return cached
 
 
-def inverse_transform(s: Spectrum) -> Field:
-    vals = np.fft.ifftn(s.coefficients * s.spec.npoints)
-    out = np.ascontiguousarray(vals.real)
-    c0 = abs(complex(s.coefficients.flat[0]))
-    mz = c0 <= MEAN_ZERO_RTOL * (1.0 + float(np.max(np.abs(out))))
-    return Field(s.spec, out, mean_zero=mz)
+def _inverse_rfft(c: np.ndarray, spec: TorusSpec) -> np.ndarray:
+    """Grid values from an unnormalized half spectrum (the inverse of rfftn)."""
+    return np.fft.irfftn(c, s=spec.shape, axes=tuple(range(spec.dim)))
 
 
 def _apply_multiplier(f: Field, mult: np.ndarray) -> np.ndarray:
-    c = transform(f).coefficients
-    return np.ascontiguousarray(np.fft.ifftn(c * mult * f.spec.npoints).real)
+    return _inverse_rfft(transform(f) * mult * f.spec.npoints, f.spec)
 
 
 def apply_power_laplacian(f: Field, s: float) -> Field:
@@ -232,10 +210,14 @@ def solve_poisson_power(f: Field, s: float) -> Field:
 
 
 def sobolev_norm_sq(f: Field) -> float:
-    """Squared H^m seminorm: sum over k of (4 pi^2 |k|^2)^m |c(k)|^2."""
-    _require_mean_zero(f, "sobolev_norm_sq")
-    c = transform(f).coefficients
-    return float(np.sum(_multiplier(f.spec, float(f.spec.m)) * np.abs(c) ** 2))
+    """Squared H^m seminorm: sum over k of (4 pi^2 |k|^2)^m |c(k)|^2; cached on the field."""
+    cached = f._cache.get("norm_sq")
+    if cached is None:
+        _require_mean_zero(f, "sobolev_norm_sq")
+        c = transform(f)
+        cached = float(np.vdot(_sobolev_weight(f.spec) * c, c).real)
+        f._cache["norm_sq"] = cached
+    return cached
 
 
 def sobolev_inner(f: Field, g: Field) -> float:
@@ -243,9 +225,7 @@ def sobolev_inner(f: Field, g: Field) -> float:
     _check_same_spec(f, g)
     _require_mean_zero(f, "sobolev_inner")
     _require_mean_zero(g, "sobolev_inner")
-    cf = transform(f).coefficients
-    cg = transform(g).coefficients
-    return float(np.real(np.sum(_multiplier(f.spec, float(f.spec.m)) * cf * np.conj(cg))))
+    return float(np.vdot(_sobolev_weight(f.spec) * transform(f), transform(g)).real)
 
 
 def integrate(f: Field) -> float:
@@ -273,9 +253,13 @@ def integrate_exp(f: Field, c: float) -> float:
 
 def log_integrate_exp(f: Field, c: float) -> float:
     """log of the grid mean of exp(c*f), via max-subtraction (never overflows)."""
-    t = c * f.values
-    tmax = float(t.max())
-    return tmax + math.log(float(np.exp(t - tmax).mean()))
+    return float(_log_mean_exp(c * f.values.reshape(-1)))
+
+
+def _log_mean_exp(t: np.ndarray) -> np.ndarray:
+    """log of the mean of exp(t) over the last axis, via max-subtraction."""
+    tmax = t.max(axis=-1)
+    return tmax + np.log(np.exp(t - tmax[..., None]).mean(axis=-1))
 
 
 def upsample(f: Field, n_new: int) -> Field:

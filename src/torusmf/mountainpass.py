@@ -19,10 +19,12 @@ from .bubble import BubbleParams, bubble_field, default_alpha, required_resoluti
 from .field import (
     Field,
     TorusSpec,
+    _log_mean_exp,
     from_values,
     lincomb,
     project_mean_zero,
     scaled,
+    sobolev_inner,
     sobolev_norm_sq,
     solve_poisson_power,
     zero_field,
@@ -188,10 +190,10 @@ def _respace(nodes: list[Field], energies: list[float], lam: float) -> tuple[lis
     """
     p = len(nodes) - 1
     weights = []
-    for i in range(p):
-        d = lincomb(1.0, nodes[i + 1], -1.0, nodes[i])
-        weights.append(abs(energies[i + 1] - energies[i])
-                       + _RESPACE_NORM_WEIGHT * math.sqrt(sobolev_norm_sq(d)) + 1e-30)
+    for a, b, ea, eb in zip(nodes, nodes[1:], energies, energies[1:]):
+        # ||b - a||^2 from the cached norms and one inner product: no transform
+        dsq = sobolev_norm_sq(a) + sobolev_norm_sq(b) - 2.0 * sobolev_inner(a, b)
+        weights.append(abs(eb - ea) + _RESPACE_NORM_WEIGHT * math.sqrt(max(dsq, 0.0)) + 1e-30)
     cum = np.concatenate([[0.0], np.cumsum(weights)])
     targets = np.linspace(0.0, cum[-1], p + 1)
     new_nodes = [nodes[0]]
@@ -207,10 +209,6 @@ def _respace(nodes: list[Field], energies: list[float], lam: float) -> tuple[lis
     return new_nodes, new_energies
 
 
-def _midpoint_energy(a: Field, b: Field, lam: float) -> float:
-    return energy_value(lincomb(0.5, a, 0.5, b), lam)
-
-
 _SEGMENT_TS = (0.25, 0.5, 0.75)
 _FINE_TS = tuple(float(t) for t in np.geomspace(1.0 / 256.0, 0.5, 8)) + (0.75, 0.875)
 
@@ -224,26 +222,38 @@ def _segment_ts(i: int, nseg: int) -> tuple[float, ...]:
     return _SEGMENT_TS
 
 
-def _segment_crest(a: Field, b: Field, lam: float, ts) -> float:
-    return max(energy_value(lincomb(1.0 - t, a, t, b), lam) for t in ts)
+def _segment_energies(a: Field, b: Field, lam: float, ts) -> np.ndarray:
+    """I((1-t) a + t b) at each t, without building a field or taking a transform.
+
+    The H^m seminorm is a Hilbert norm, so ||(1-t) a + t b||^2 is a quadratic
+    in t with the coefficients ||a||^2, <a, b> and ||b||^2; only the log mass
+    needs grid values, and all ts share one batched log-sum-exp.
+    """
+    t = np.asarray(ts, dtype=np.float64)
+    s = 1.0 - t
+    aa, bb, ab = sobolev_norm_sq(a), sobolev_norm_sq(b), sobolev_inner(a, b)
+    dirichlet = 0.5 * (s * s * aa + 2.0 * s * t * ab + t * t * bb)
+    vals = s[:, None] * a.values.reshape(-1) + t[:, None] * b.values.reshape(-1)
+    m = a.spec.m
+    return dirichlet - lam / (2.0 * m) * _log_mean_exp(2.0 * m * vals)
 
 
 def _sampled_supremum(nodes: list[Field], energies: list[float], lam: float):
-    """Max of node energies and segment samples; returns (energy, field_or_None, seg).
+    """Max of node energies and segment samples; returns (energy, seg, t).
 
-    field is None when a node already attains the supremum.
+    seg is -1 when a node already attains the supremum; otherwise the sample
+    is (1 - t) nodes[seg] + t nodes[seg + 1].
     """
     nseg = len(nodes) - 1
     best_e = max(energies)
-    best_field = None
-    best_seg = -1
+    best_seg, best_t = -1, 0.0
     for i in range(nseg):
-        for t in _segment_ts(i, nseg):
-            cand = lincomb(1.0 - t, nodes[i], t, nodes[i + 1])
-            e = energy_value(cand, lam)
-            if e > best_e:
-                best_e, best_field, best_seg = e, cand, i
-    return best_e, best_field, best_seg
+        ts = _segment_ts(i, nseg)
+        es = _segment_energies(nodes[i], nodes[i + 1], lam, ts)
+        j = int(np.argmax(es))
+        if es[j] > best_e:
+            best_e, best_seg, best_t = float(es[j]), i, ts[j]
+    return best_e, best_seg, best_t
 
 
 def relax_path(path: PathState, sweeps: int, *, initial_step: float = 1.0,
@@ -273,11 +283,11 @@ def relax_path(path: PathState, sweeps: int, *, initial_step: float = 1.0,
     def crest_free(i: int, cand: Field, ceiling: float) -> bool:
         slack = 1e-9 * (1.0 + abs(ceiling))
         nseg = len(nodes) - 1
-        left = _segment_crest(nodes[i - 1], cand, lam, _segment_ts(i - 1, nseg))
+        left = np.max(_segment_energies(nodes[i - 1], cand, lam, _segment_ts(i - 1, nseg)))
         if left > ceiling + slack:
             return False
-        right = _segment_crest(cand, nodes[i + 1], lam, _segment_ts(i, nseg))
-        return right <= ceiling + slack
+        right = np.max(_segment_energies(cand, nodes[i + 1], lam, _segment_ts(i, nseg)))
+        return bool(right <= ceiling + slack)
 
     for _ in range(sweeps):
         capture()
@@ -329,11 +339,11 @@ def _path_supremum(path: PathState) -> tuple[Field, float]:
     lam = path.lam
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
-    top_e, top_field, _ = _sampled_supremum(nodes, energies, lam)
-    if top_field is None:
+    top_e, seg, t = _sampled_supremum(nodes, energies, lam)
+    if seg < 0:
         imax = int(np.argmax(energies))
         return nodes[imax], float(energies[imax])
-    return top_field, float(top_e)
+    return lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1]), float(top_e)
 
 
 def _capture_insert(nodes: list[Field], energies: list[float], lam: float,
@@ -347,10 +357,10 @@ def _capture_insert(nodes: list[Field], energies: list[float], lam: float,
     the current max (pruning creates a new chord).
     """
     for _ in range(rounds):
-        top_e, top_field, seg = _sampled_supremum(nodes, energies, lam)
-        if top_field is None or top_e <= max(energies) + 1e-9 * (1.0 + abs(top_e)):
+        top_e, seg, t = _sampled_supremum(nodes, energies, lam)
+        if seg < 0 or top_e <= max(energies) + 1e-9 * (1.0 + abs(top_e)):
             break
-        nodes.insert(seg + 1, top_field)
+        nodes.insert(seg + 1, lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1]))
         energies.insert(seg + 1, top_e)
         if len(nodes) > max_nodes:
             interior = range(1, len(nodes) - 1)

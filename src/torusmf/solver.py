@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh, minres
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, minres
 
 from .errors import SingularHessianError
 from .field import (
     Field,
     TorusSpec,
+    _inverse_rfft,
     _multiplier,
     l2_norm,
     lincomb,
@@ -64,7 +65,7 @@ class Branch:
 def _half_power_spectral(spec: TorusSpec, arr: np.ndarray, sign: float) -> np.ndarray:
     """Apply (4 pi^2 |k|^2)^(sign*m/2) to a raw array, zeroing the mean mode."""
     mult = _multiplier(spec, sign * spec.m / 2.0)
-    return np.fft.ifftn(np.fft.fftn(arr) * mult).real
+    return _inverse_rfft(np.fft.rfftn(arr) * mult, spec)
 
 
 def _preconditioned_system(u: Field, lam: float):
@@ -109,7 +110,7 @@ def smallest_hessian_eigenvalue(u: Field, lam: float, *, k: int = 1, tol: float 
 def _probe_singular(u: Field, lam: float, context: str) -> None:
     try:
         low = smallest_hessian_eigenvalue(u, lam)
-    except Exception:
+    except ArpackNoConvergence:
         return
     if abs(low) < _SINGULAR_EIG_TOL:
         raise SingularHessianError(low)
@@ -247,16 +248,15 @@ def continuation(start: SolveResult, lam_end: float, dlam0: float,
 def random_low_mode_field(spec: TorusSpec, rng: np.random.Generator,
                           target_norm: float, max_wavenumber: int = 2) -> Field:
     """Random band-limited mean-zero field scaled to an H^m norm target."""
-    raw = rng.standard_normal(spec.shape)
-    c = np.fft.fftn(raw)
+    c = np.fft.rfftn(rng.standard_normal(spec.shape))
     k = np.abs(np.fft.fftfreq(spec.n, d=1.0 / spec.n))
-    keep = np.ones(spec.shape, dtype=bool)
+    keep = np.ones(c.shape, dtype=bool)
     for axis in range(spec.dim):
-        view = k.reshape([-1 if a == axis else 1 for a in range(spec.dim)])
-        keep &= view <= max_wavenumber
+        ks = k[:c.shape[axis]]  # the last (half) axis holds k = 0 .. n/2
+        keep &= ks.reshape([-1 if a == axis else 1 for a in range(spec.dim)]) <= max_wavenumber
     c[~keep] = 0.0
     c.flat[0] = 0.0
-    vals = np.fft.ifftn(c).real
+    vals = _inverse_rfft(c, spec)
     f = Field(spec, vals - vals.mean(), mean_zero=True)
     norm = math.sqrt(sobolev_norm_sq(f))
     if norm == 0.0:

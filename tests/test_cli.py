@@ -162,6 +162,42 @@ class TestConfigFile:
         rc = cli(tmp_path, "constants", "--config", str(cfg), "--m", "2")
         assert rc == 0
 
+    @pytest.mark.parametrize("command,flags", [
+        ("constants", ["--m", "2"]),
+        ("bubble", ["--lambda", "14", "--sigma-list", "1e2,1e3,1e4"]),
+        ("quant", ["--lambda", "7.0"]),
+        ("nonexist", ["--n", "16", "--lambda-grid", "0.5", "--n-seeds", "2"]),
+        ("green", ["--n", "64", "--base", "3,5"]),
+    ])
+    def test_echo_round_trips(self, tmp_path, command, flags):
+        if command == "quant":
+            write_field(tmp_path / "f.pbfld", smooth_field(make_spec(1, 16), 5))
+            flags = flags + ["--field", str(tmp_path / "f.pbfld")]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli(first, command, *flags) == 0
+        echo = first / command / "config.echo"
+        assert main([command, "--config", str(echo), "--outdir", str(second)]) == 0
+
+        def lines(out):
+            text = (out / command / "config.echo").read_text().splitlines()
+            return [line for line in text if not line.startswith("outdir =")]
+
+        assert lines(second) == lines(first)
+
+    def test_unset_outdir_in_echo_stays_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TORUSMF_OUTDIR", str(tmp_path / "env"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = constants\nm = 1\noutdir = None\n")
+        assert main(["constants", "--config", str(cfg)]) == 0
+        assert (tmp_path / "env" / "constants" / "summary.csv").exists()
+        assert not (tmp_path / "None").exists()
+
+    def test_jobs_defaults_to_one(self, tmp_path):
+        assert cli(tmp_path, "nonexist", "--n", "16", "--lambda-grid", "0.5",
+                   "--n-seeds", "2") == 0
+        assert "jobs = 1" in (tmp_path / "nonexist" / "config.echo").read_text().splitlines()
+
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just nonsense\n")

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from torusmf import (
     ExpOverflowError,
-    Spectrum,
     apply_power_laplacian,
     from_values,
     integrate,
     integrate_exp,
-    inverse_transform,
     l2_inner,
     log_integrate_exp,
     make_spec,
@@ -21,6 +19,7 @@ from torusmf import (
     read_field,
     scaled,
     shift,
+    sobolev_inner,
     sobolev_norm_sq,
     solve_poisson_power,
     transform,
@@ -81,18 +80,32 @@ class TestProjectMeanZero:
         assert np.max(np.abs(g.values - f.values)) <= 1e-14
 
 
+def _multiplicity(spec):
+    """How often each half-grid mode occurs in the full spectrum of a real field."""
+    w = np.full(spec.shape[:-1] + (spec.n // 2 + 1,), 2.0)
+    w[..., 0] = w[..., -1] = 1.0
+    return w
+
+
 class TestTransform:
     def test_zero_spectrum(self, spec64):
-        c = transform(zero_field(spec64)).coefficients
+        c = transform(zero_field(spec64))
+        assert c.shape == (64, 33)
         assert np.max(np.abs(c)) == 0.0
 
     def test_cos_coefficients(self, spec64):
-        c = transform(cos_mode(spec64)).coefficients
+        c = transform(cos_mode(spec64))
         assert abs(c[1, 0] - 0.5) <= 1e-14
         assert abs(c[-1, 0] - 0.5) <= 1e-14
-        mask = np.ones(spec64.shape, dtype=bool)
+        mask = np.ones(c.shape, dtype=bool)
         mask[1, 0] = mask[-1, 0] = False
         assert np.max(np.abs(c[mask])) <= 1e-14
+
+    def test_cached_and_read_only(self, spec32):
+        f = smooth_field(spec32, 4)
+        c = transform(f)
+        assert transform(f) is c
+        assert not c.flags.writeable
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
@@ -100,9 +113,9 @@ class TestTransform:
         spec = make_spec(1, 32)
         vals = np.random.default_rng(seed).standard_normal(spec.shape)
         f = from_values(spec, vals)
-        g = inverse_transform(transform(f))
+        back = np.fft.irfftn(transform(f) * spec.npoints, s=spec.shape, axes=(0, 1))
         scale = 1.0 + np.max(np.abs(vals))
-        assert np.max(np.abs(g.values - f.values)) <= 1e-12 * scale
+        assert np.max(np.abs(back - f.values)) <= 1e-12 * scale
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
@@ -110,14 +123,45 @@ class TestTransform:
         spec = make_spec(1, 32)
         f = from_values(spec, np.random.default_rng(seed).standard_normal(spec.shape))
         lhs = integrate(from_values(spec, f.values**2))
-        rhs = float(np.sum(np.abs(transform(f).coefficients) ** 2))
+        rhs = float(np.sum(_multiplicity(spec) * np.abs(transform(f)) ** 2))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
 
-    def test_hermitian_violation_rejected(self, spec64):
-        c = np.zeros(spec64.shape, dtype=complex)
-        c[1, 0] = 1.0j  # no conjugate partner at (-1, 0)
-        with pytest.raises(ValueError, match="Hermitian"):
-            Spectrum(spec64, c)
+
+class TestHalfGridSeminorm:
+    """Half-spectrum seminorms against a full complex-FFT reference."""
+
+    @staticmethod
+    def _reference(f, g):
+        spec = f.spec
+        k = np.fft.fftfreq(spec.n, d=1.0 / spec.n)
+        ksq = sum(a**2 for a in np.meshgrid(*([k] * spec.dim), indexing="ij", sparse=True))
+        mult = (4 * PI**2 * ksq) ** spec.m
+        cf = np.fft.fftn(f.values) / spec.npoints
+        cg = np.fft.fftn(g.values) / spec.npoints
+        return float(np.real(np.sum(mult * cf * np.conj(cg))))
+
+    @staticmethod
+    def _with_nyquist(spec, seed):
+        """Mean-zero white noise: every mode, the k = n/2 planes included, is excited."""
+        vals = np.random.default_rng(seed).standard_normal(spec.shape)
+        return project_mean_zero(from_values(spec, vals))
+
+    @pytest.mark.parametrize("m,n", [(1, 16), (1, 32), (2, 8)])
+    def test_matches_full_spectrum(self, m, n):
+        spec = make_spec(m, n)
+        f, g = self._with_nyquist(spec, 1), self._with_nyquist(spec, 2)
+        ref_ff, ref_fg = self._reference(f, f), self._reference(f, g)
+        assert sobolev_norm_sq(f) == pytest.approx(ref_ff, rel=1e-12)
+        assert abs(sobolev_inner(f, g) - ref_fg) <= 1e-12 * ref_ff
+
+    def test_nyquist_plane_counted_once(self):
+        spec = make_spec(1, 16)
+        x = np.arange(spec.n)
+        alternating = np.broadcast_to((-1.0) ** x, spec.shape)  # cos(pi n x) on the last axis
+        f = project_mean_zero(from_values(spec, alternating))
+        expected = (4 * PI**2 * (spec.n / 2) ** 2) ** spec.m  # |c| = 1 on the k = n/2 plane
+        assert sobolev_norm_sq(f) == pytest.approx(expected, rel=1e-12)
+        assert sobolev_norm_sq(f) == pytest.approx(self._reference(f, f), rel=1e-12)
 
 
 class TestPowerLaplacian:

@@ -105,6 +105,26 @@ class TestRelaxPath:
         assert abs(info.max_energies[-1] - start) <= 1e-6
 
 
+class TestSegmentEnergies:
+    """Closed-form segment samples against the energy of the built field."""
+
+    @pytest.mark.parametrize("m,n,lam", [(1, 64, 14.0), (2, 16, 250.0)])
+    def test_matches_energy_value(self, m, n, lam):
+        from torusmf.mountainpass import _segment_energies, _segment_ts
+
+        spec = make_spec(m, n)
+        a, b = smooth_field(spec, 1, norm=2.0), smooth_field(spec, 2, norm=3.0)
+        # three segments: the geometric tail at t -> 0 (from the zero field, as
+        # a path starts), the interior samples, and the tail at t -> 1
+        ends = [(zero_field(spec), a), (a, b), (b, a)]
+        for i, (left, right) in enumerate(ends):
+            ts = _segment_ts(i, len(ends))
+            got = _segment_energies(left, right, lam, ts)
+            for t, e in zip(ts, got):
+                want = energy_value(lincomb(1.0 - t, left, t, right), lam)
+                assert e == pytest.approx(want, rel=1e-12, abs=0.0), (i, t)
+
+
 class TestMountainPass:
     def test_converged_solution(self, spec32):
         res = mountain_pass(14.0, spec32, tol=1e-8, max_sweeps=300)

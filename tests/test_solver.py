@@ -82,6 +82,31 @@ class TestNewton:
             newton_solve(zero_field(spec32), -2.0)
 
 
+class TestSingularityProbe:
+    """_probe_singular tolerates only ARPACK non-convergence; other errors surface."""
+
+    def test_arpack_no_convergence_tolerated(self, spec32, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        from torusmf import solver
+
+        def no_convergence(u, lam):
+            raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(solver, "smallest_hessian_eigenvalue", no_convergence)
+        solver._probe_singular(zero_field(spec32), 2 * PI**2, "test")
+
+    def test_other_error_propagates(self, spec32, monkeypatch):
+        from torusmf import solver
+
+        def broken(u, lam):
+            raise ValueError("broken probe")
+
+        monkeypatch.setattr(solver, "smallest_hessian_eigenvalue", broken)
+        with pytest.raises(ValueError, match="broken probe"):
+            solver._probe_singular(zero_field(spec32), 2 * PI**2, "test")
+
+
 class TestSolutionIdentities:
     def test_pairing_identity(self, saddle32):
         # pairing the equation with u: ||u||^2 = lam * integral(W u)
