@@ -1,12 +1,17 @@
-"""Golden values: outputs frozen before the field core moved to real FFTs.
+"""Golden values: outputs frozen before numerics refactors.
 
 The fixture `golden.json` was written by this module's `capture()` on the
-complex-FFT field core; numerics refactors must reproduce it.  Tolerances
-were fixed before any refactor ran: 1e-8 relative on pass levels, energies
-and norms, 1e-8 times the product of the H^m norms on inner products, and
-exact equality on flags and counts.  Regenerate only on purpose, with
+complex-FFT field core; numerics refactors must reproduce it.  The
+find_u0 anchors, concentration directions and Adams values were added on the
+real-FFT core, before the anchor search lost its glued-profile stage.
+Tolerances were fixed before any refactor ran: 1e-8 relative on pass levels,
+energies and norms, 1e-8 times the product of the H^m norms on inner
+products, and exact equality on flags and counts.  Add entries only on
+purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which keeps every entry already in the fixture as first captured.
 """
 
 import json
@@ -16,7 +21,10 @@ from pathlib import Path
 import pytest
 
 from torusmf import (
+    adams_value,
+    concentration_direction,
     energy_value,
+    find_u0,
     make_spec,
     mountain_pass,
     nonexistence_sweep,
@@ -31,6 +39,8 @@ RTOL = 1e-8
 MP_LAMS = (14.0, 19.0)
 NONEXIST_LAMS = (0.25, 0.5, 1.0)
 FIELD_CASES = ((1, 64, 10.0), (2, 16, 100.0))  # (m, n, lam for the energy)
+ANCHOR_CASES = ((1, 32, 14.0), (2, 16, 300.0))  # (m, n, lam)
+GRID_CASES = ((1, 64), (2, 16))
 
 
 def _mp_values(lam: float) -> dict:
@@ -55,11 +65,29 @@ def _field_values(m: int, n: int, lam: float) -> dict:
             "energy_g": energy_value(g, lam)}
 
 
+def _anchor_values(m: int, n: int, lam: float) -> dict:
+    u0 = find_u0(lam, make_spec(m, n))
+    return {"norm_sq": sobolev_norm_sq(u0), "energy": energy_value(u0, lam)}
+
+
+def _direction_values(m: int, n: int) -> dict:
+    direction = concentration_direction(make_spec(m, n))
+    return {"norm_sq": sobolev_norm_sq(direction), "max": float(direction.values.max())}
+
+
+def _adams_value(m: int, n: int) -> float:
+    return adams_value(smooth_field(make_spec(m, n), 1, norm=2.0))
+
+
 def capture() -> dict:
     return {
         "mp": {repr(lam): _mp_values(lam) for lam in MP_LAMS},
         "nonexist": _nonexist_values(),
         "fields": {f"{m},{n}": _field_values(m, n, lam) for m, n, lam in FIELD_CASES},
+        "find_u0": {f"{m},{n},{lam!r}": _anchor_values(m, n, lam)
+                    for m, n, lam in ANCHOR_CASES},
+        "concentration_direction": {f"{m},{n}": _direction_values(m, n) for m, n in GRID_CASES},
+        "adams_value": {f"{m},{n}": _adams_value(m, n) for m, n in GRID_CASES},
     }
 
 
@@ -91,5 +119,30 @@ def test_field_values(golden, m, n, lam):
     assert abs(got["inner"] - want["inner"]) <= RTOL * scale
 
 
+@pytest.mark.parametrize("m,n,lam", ANCHOR_CASES)
+def test_find_u0_anchor(golden, m, n, lam):
+    want = golden["find_u0"][f"{m},{n},{lam!r}"]
+    got = _anchor_values(m, n, lam)
+    for key in ("norm_sq", "energy"):
+        assert got[key] == pytest.approx(want[key], rel=RTOL, abs=0.0), key
+
+
+@pytest.mark.parametrize("m,n", GRID_CASES)
+def test_concentration_direction(golden, m, n):
+    want = golden["concentration_direction"][f"{m},{n}"]
+    got = _direction_values(m, n)
+    for key in ("norm_sq", "max"):
+        assert got[key] == pytest.approx(want[key], rel=RTOL, abs=0.0), key
+
+
+@pytest.mark.parametrize("m,n", GRID_CASES)
+def test_adams_value(golden, m, n):
+    want = golden["adams_value"][f"{m},{n}"]
+    assert _adams_value(m, n) == pytest.approx(want, rel=RTOL, abs=0.0)
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(capture(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # entries already in the fixture stay as first captured; only new ones are added
+    frozen = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    GOLDEN.write_text(json.dumps(capture() | frozen, indent=2, sort_keys=True) + "\n",
+                      encoding="utf-8")
