@@ -12,7 +12,6 @@ quantization / Green-kernel / small-lam diagnostics.
 
 from .errors import (
     ConvergenceError,
-    ExpOverflowError,
     QuadratureError,
     SingularHessianError,
     UnresolvedBubbleError,
@@ -24,7 +23,6 @@ from .field import (
     from_values,
     grid_coordinates,
     integrate,
-    integrate_exp,
     l2_inner,
     l2_norm,
     lincomb,
@@ -49,7 +47,6 @@ from .functional import (
     directional_derivative,
     dual_lipschitz_gap,
     el_residual,
-    el_residual_norm,
     energy,
     energy_value,
     expansion_gap,
@@ -62,7 +59,6 @@ from .functional import (
 from .bubble import (
     BubbleAsymptotics,
     BubbleParams,
-    RadialProfile,
     bubble_asymptotics,
     bubble_field,
     cutoff,
@@ -72,7 +68,6 @@ from .bubble import (
     radial_energy,
     radial_exp_mass,
     radial_log_mass,
-    radial_profile,
     radial_profile_mean,
     required_resolution,
     w_profile,
@@ -83,7 +78,6 @@ from .mountainpass import (
     MPResult,
     PathState,
     RelaxInfo,
-    concentration_direction,
     find_u0,
     init_path,
     level_sweep,
@@ -93,6 +87,7 @@ from .mountainpass import (
 from .solver import (
     Branch,
     SolveResult,
+    concentration_direction,
     continuation,
     multi_start,
     newton_solve,

@@ -145,28 +145,6 @@ def profile_half_laplacian(sigma: float, r, m: int):
     return out
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Tabulated profile on [0, 1]: values and |Delta^(m/2)| magnitudes."""
-
-    sigma: float
-    m: int
-    r: np.ndarray
-    v: np.ndarray
-    half_lap_abs: np.ndarray
-
-
-def radial_profile(sigma: float, m: int, num: int = 2001) -> RadialProfile:
-    r = np.linspace(0.0, 1.0, num)
-    return RadialProfile(
-        sigma=float(sigma),
-        m=int(m),
-        r=r,
-        v=profile_value(sigma, r),
-        half_lap_abs=np.abs(profile_half_laplacian(sigma, r, m)),
-    )
-
-
 def _quad(fn, breaks, epsabs=1e-8, epsrel=1e-9) -> float:
     pts = sorted({float(b) for b in breaks if 0.0 < b < 1.0})
     out = _scipy_integrate.quad(

@@ -27,7 +27,7 @@ from . import bubble as _bubble
 from . import diagnostics as _diagnostics
 from . import mountainpass as _mountainpass
 from . import solver as _solver
-from .errors import ConvergenceError, ExpOverflowError, QuadratureError, SingularHessianError
+from .errors import ConvergenceError, QuadratureError, SingularHessianError
 from .field import make_spec, project_mean_zero, read_field, sobolev_norm_sq, write_field
 from .functional import constants
 
@@ -368,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, SingularHessianError, QuadratureError, ExpOverflowError) as exc:
+    except (ConvergenceError, SingularHessianError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

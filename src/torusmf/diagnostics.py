@@ -15,17 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bubble import BubbleParams, bubble_field, required_resolution
 from .field import (
     Field,
     TorusSpec,
+    _log_mean_exp,
     _require_mean_zero,
     from_values,
+    log_integrate_exp,
     project_mean_zero,
+    scaled,
     solve_poisson_power,
     sobolev_norm_sq,
+    zero_field,
 )
 from .functional import _normalized_exp_weight, constants, energy_value
-from .solver import SolveResult, multi_start
+from .solver import SolveResult, concentration_direction, multi_start, random_low_mode_field
 
 _PLATEAU_DERIVATIVE_FRACTION = 0.05  # heuristic; raw curves are always reported
 
@@ -129,8 +134,7 @@ def adams_value(u: Field) -> float:
         raise ValueError("adams_value is undefined for the zero field")
     cst = constants(u.spec.m)
     q = (u.spec.m * cst.Lambda1 / norm_sq) * u.values**2
-    qmax = float(q.max())
-    log_value = qmax + math.log(float(np.exp(q - qmax).mean()))
+    log_value = float(_log_mean_exp(q.reshape(-1)))
     return math.exp(log_value) if log_value < 709.0 else math.inf
 
 
@@ -150,11 +154,6 @@ def coercivity_families(spec: TorusSpec, seed: int = 0):
     direction; peaked profiles and random low-mode fields fill in the
     moderate regime.  The two families are disjoint by construction.
     """
-    from .bubble import BubbleParams, bubble_field, required_resolution
-    from .mountainpass import concentration_direction
-    from .field import scaled, zero_field
-    from .solver import random_low_mode_field
-
     direction = concentration_direction(spec)
     fit = [zero_field(spec)]
     fit += [scaled(direction, t) for t in (3.0, 6.0, 9.0, 12.0, 15.0)]
@@ -265,9 +264,7 @@ def _check_solution_inequalities(res: SolveResult) -> None:
     u = res.field
     m = u.spec.m
     # Jensen: the exponential mass of a mean-zero field is at least 1
-    t = 2.0 * m * u.values
-    tmax = float(t.max())
-    log_mass = tmax + math.log(float(np.exp(t - tmax).mean()))
+    log_mass = log_integrate_exp(u, 2.0 * m)
     if log_mass < -1e-12:
         raise ArithmeticError(f"Jensen inequality violated: log mass {log_mass:.3e}")
     # pairing the equation with u: ||u||^2 = lam * integral(W u)
@@ -284,7 +281,7 @@ def _check_solution_inequalities(res: SolveResult) -> None:
     # scalar inequality a*b <= e^a + b(log b - 1) with a = log(1/d), b = e^(2mu)
     center = tuple(int(i) for i in np.unravel_index(int(np.argmax(u.values)), u.spec.shape))
     dist = _torus_radii_from(u.spec, center).reshape(-1)
-    b = np.exp(t - tmax).reshape(-1) * math.exp(tmax)
+    b = weight.reshape(-1) * math.exp(log_mass)  # exp(2m u)
     mask = dist > 0
     a = np.log(1.0 / dist[mask])
     lhs = a * b[mask]

@@ -9,21 +9,6 @@ from RuntimeError.  The CLI maps the two families to distinct exit codes.
 from __future__ import annotations
 
 
-class ExpOverflowError(OverflowError):
-    """Exponential quadrature would overflow float64.
-
-    Carries the offending maximum exponent so callers can renormalize
-    (subtract the max and re-add it analytically).
-    """
-
-    def __init__(self, max_exponent: float):
-        self.max_exponent = float(max_exponent)
-        super().__init__(
-            f"exp-overflow: maximum exponent {self.max_exponent:.6g} exceeds the "
-            "float64 range; subtract the field maximum and use a log-sum-exp form"
-        )
-
-
 class UnresolvedBubbleError(ValueError):
     """Grid too coarse to resolve the concentration core of a peaked profile."""
 

@@ -21,13 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpOverflowError
-
 SUPPORTED_ORDERS = (1, 2)
 MEAN_ZERO_RTOL = 1e-12
 FOUR_PI_SQ = 4.0 * math.pi**2
 
-_EXP_LIMIT = 700.0  # exp() argument beyond which float64 overflows
 _MAX_GRID_POINTS = 2**31
 
 
@@ -81,10 +78,8 @@ class Field:
             raise ValueError(f"value array shape {v.shape} does not match grid {self.spec.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite entry in field values")
-        if self.mean_zero:
-            scale = 1.0 + float(np.max(np.abs(v)))
-            if abs(float(v.mean())) > MEAN_ZERO_RTOL * scale:
-                raise ValueError("mean_zero flag set but the grid average is not ~0")
+        if self.mean_zero and not _is_mean_zero(v):
+            raise ValueError("mean_zero flag set but the grid average is not ~0")
         if v.flags.writeable:
             v = v.copy() if not v.flags.owndata else v
             v.flags.writeable = False
@@ -138,11 +133,13 @@ def _check_same_spec(f: Field, g: Field) -> None:
         raise ValueError(f"grid spec mismatch: {f.spec} vs {g.spec}")
 
 
+def _is_mean_zero(v: np.ndarray) -> bool:
+    """Grid average within MEAN_ZERO_RTOL of zero, relative to 1 + max|v|."""
+    return abs(float(v.mean())) <= MEAN_ZERO_RTOL * (1.0 + float(np.max(np.abs(v))))
+
+
 def _require_mean_zero(f: Field, what: str) -> None:
-    if f.mean_zero:
-        return
-    scale = 1.0 + float(np.max(np.abs(f.values)))
-    if abs(float(f.values.mean())) > MEAN_ZERO_RTOL * scale:
+    if not (f.mean_zero or _is_mean_zero(f.values)):
         raise ValueError(f"{what} requires a mean-zero field; project_mean_zero first")
 
 
@@ -240,15 +237,6 @@ def l2_inner(f: Field, g: Field) -> float:
 
 def l2_norm(f: Field) -> float:
     return math.sqrt(max(l2_inner(f, f), 0.0))
-
-
-def integrate_exp(f: Field, c: float) -> float:
-    """Grid mean of exp(c*f).  Fails loudly on overflow (see ExpOverflowError)."""
-    t = c * f.values
-    tmax = float(t.max())
-    if tmax > _EXP_LIMIT:
-        raise ExpOverflowError(tmax)
-    return float(np.exp(t).mean())
 
 
 def log_integrate_exp(f: Field, c: float) -> float:

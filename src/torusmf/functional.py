@@ -123,11 +123,6 @@ def el_residual(u: Field, lam: float) -> Field:
     return Field(u.spec, res - mean, mean_zero=True)
 
 
-def el_residual_norm(u: Field, lam: float) -> float:
-    r = el_residual(u, lam)
-    return math.sqrt(max(l2_inner(r, r), 0.0))
-
-
 def gradient_h(u: Field, lam: float) -> Field:
     """H^m-Riesz representative of the first variation.
 

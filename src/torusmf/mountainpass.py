@@ -15,22 +15,18 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConvergenceError
-from .bubble import BubbleParams, bubble_field, default_alpha, required_resolution
 from .field import (
     Field,
     TorusSpec,
     _log_mean_exp,
-    from_values,
     lincomb,
-    project_mean_zero,
     scaled,
     sobolev_inner,
     sobolev_norm_sq,
-    solve_poisson_power,
     zero_field,
 )
 from .functional import constants, energy_value, gradient_h, gradient_norm
-from .solver import SolveResult, newton_solve
+from .solver import SolveResult, concentration_direction, newton_solve
 
 _RESPACE_NORM_WEIGHT = 1e-3  # regularizes energy-gap respacing on flat stretches
 
@@ -89,16 +85,9 @@ def _multiple_of_quantum_check(lam: float, m: int) -> None:
         raise ValueError(f"lam={lam} is an integer multiple of the quantum {cst.Lambda1:.6f}")
 
 
-def concentration_direction(spec: TorusSpec) -> Field:
-    """Unit-norm peak profile: the discrete kernel of (-Lap)^m at the origin.
-
-    This is the grid-scale limit shape of the concentrating family and the
-    best max-per-norm concentrator the grid supports.
-    """
-    delta = np.zeros(spec.shape)
-    delta.flat[0] = spec.npoints
-    g = solve_poisson_power(project_mean_zero(from_values(spec, delta)), spec.m)
-    return scaled(g, 1.0 / math.sqrt(sobolev_norm_sq(g)))
+def _nontrivial(u: Field) -> bool:
+    """Away from the trivial solution u = 0 in the H^m norm."""
+    return math.sqrt(sobolev_norm_sq(u)) > 1e-6
 
 
 def _descend(u: Field, lam: float, *, stop_energy: float | None, max_iter: int,
@@ -132,26 +121,13 @@ def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0,
             min_norm: float = 1.0, max_descent: int = 2000) -> Field:
     """Anchor with I(u0) < min_energy and ||u0|| >= min_norm.
 
-    Tries the glued-profile family first, doubling sigma while the grid
-    resolves it.  At desk resolutions those profiles sit on the trivial side
-    of the ridge, so the search continues along the grid's own concentration
-    direction (scaled peak profile), followed by preconditioned descent.
-    Raises ConvergenceError with the achieved floor if the grid's
-    negative-energy set is too shallow (happens for lam barely above the
-    coercivity threshold on coarse grids).
+    Scans amplitudes along the grid's own concentration direction (scaled
+    peak profile) and, if no amplitude dips below min_energy, continues from
+    the deepest one by preconditioned descent.  Raises ConvergenceError with
+    the achieved floor if the grid's negative-energy set is too shallow
+    (happens for lam barely above the coercivity threshold on coarse grids).
     """
     _interval_check(lam, spec.m)
-    sigma = 2.0
-    center = (0.0,) * spec.dim
-    while True:
-        params = BubbleParams(sigma, default_alpha(sigma), center)
-        if spec.n < required_resolution(params):
-            break
-        u = bubble_field(spec, params)
-        if energy_value(u, lam) < min_energy and sobolev_norm_sq(u) >= min_norm**2:
-            return u
-        sigma *= 2.0
-
     direction = concentration_direction(spec)
     ts = np.linspace(0.5, 40.0, 160)
     energies = np.array([energy_value(scaled(direction, float(t)), lam) for t in ts])
@@ -414,8 +390,7 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
         total_sweeps += max(info.sweeps, 1)
         candidate, _ = _path_supremum(path)
         solve = newton_solve(candidate, lam, tol=tol)
-        nonconstant = math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6
-        if solve.converged and nonconstant:
+        if solve.converged and _nontrivial(solve.field):
             best = solve
             break
         if best is None:
@@ -428,8 +403,8 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
     else:
         maximizer = best.field
     grad = best.grad_norm if best is not None else math.inf
-    nonconstant = math.sqrt(sobolev_norm_sq(maximizer)) > 1e-6
-    converged = bool(best is not None and best.converged and nonconstant and grad <= tol)
+    converged = bool(best is not None and best.converged and _nontrivial(maximizer)
+                     and grad <= tol)
     if converged and best is not None:
         # the path crossed the ridge next to this saddle, so its crest is at
         # least the saddle level; report whichever estimate is sharper
@@ -502,13 +477,12 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
         best: SolveResult | None = None
         for guess in guesses:
             solve = newton_solve(guess, lam, tol=tol)
-            if solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6:
+            if solve.converged and _nontrivial(solve.field):
                 best = solve
                 break
             if best is None:
                 best = solve
-        converged = bool(best is not None and best.converged
-                         and math.sqrt(sobolev_norm_sq(best.field)) > 1e-6)
+        converged = bool(best is not None and best.converged and _nontrivial(best.field))
         if converged:
             prev_solution = best.field
         rows.append(LevelRow(lam=lam, c_estimate=c_est,

@@ -26,16 +26,18 @@ from .field import (
     TorusSpec,
     _inverse_rfft,
     _multiplier,
+    from_values,
     l2_norm,
     lincomb,
     project_mean_zero,
+    scaled,
     sobolev_norm_sq,
+    solve_poisson_power,
 )
 from .functional import (
     _normalized_exp_weight,
     el_residual,
     energy_value,
-    gradient_norm,
 )
 
 _SINGULAR_EIG_TOL = 1e-4  # on the preconditioned Hessian, whose spectrum is O(1)
@@ -68,8 +70,8 @@ def _half_power_spectral(spec: TorusSpec, arr: np.ndarray, sign: float) -> np.nd
     return _inverse_rfft(np.fft.rfftn(arr) * mult, spec)
 
 
-def _preconditioned_system(u: Field, lam: float):
-    """LinearOperator for B^-1 H(u) B^-1 on flattened arrays, plus its rhs.
+def _preconditioned_operator(u: Field, lam: float) -> LinearOperator:
+    """LinearOperator for B^-1 H(u) B^-1 on flattened arrays.
 
     B^-1 (-Lap)^m B^-1 is the mean-zero projector, so the operator reduces to
     P0 - 2m lam B^-1 [W v - W mean(W v)] B^-1 acting through two transforms.
@@ -90,10 +92,7 @@ def _preconditioned_system(u: Field, lam: float):
         out = w + _half_power_spectral(spec, nonlinear, -1.0)
         return out.reshape(npts)
 
-    op = LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
-    residual = el_residual(u, lam)
-    rhs = -_half_power_spectral(spec, residual.values, -1.0).reshape(npts)
-    return op, rhs, residual
+    return LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
 
 
 def smallest_hessian_eigenvalue(u: Field, lam: float, *, k: int = 1, tol: float = 1e-6) -> float:
@@ -102,12 +101,12 @@ def smallest_hessian_eigenvalue(u: Field, lam: float, *, k: int = 1, tol: float 
     The spectrum accumulates at 1 from the high modes; a value near zero
     signals a bifurcation point, a negative one a saddle direction.
     """
-    op, _, _ = _preconditioned_system(u, lam)
-    vals = eigsh(op, k=k, which="SA", tol=tol, return_eigenvectors=False, maxiter=5000)
+    vals = eigsh(_preconditioned_operator(u, lam), k=k, which="SA", tol=tol,
+                 return_eigenvectors=False, maxiter=5000)
     return float(np.min(vals))
 
 
-def _probe_singular(u: Field, lam: float, context: str) -> None:
+def _probe_singular(u: Field, lam: float) -> None:
     try:
         low = smallest_hessian_eigenvalue(u, lam)
     except ArpackNoConvergence:
@@ -134,8 +133,9 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
     iterations = 0
     history: list[float] = []
     probed = False
+    # each iterate's residual is computed once: by the line search that accepted it
+    residual = el_residual(u, lam)
     for iterations in range(max_iter + 1):
-        op, rhs, residual = _preconditioned_system(u, lam)
         res_l2 = l2_norm(residual)
         history.append(res_l2)
         if res_l2 <= tol:
@@ -148,11 +148,12 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
             # geometric stalling is the signature of a (near-)null direction
             # of the linearization, e.g. at a bifurcation point
             probed = True
-            _probe_singular(u, lam, "slow progress")
+            _probe_singular(u, lam)
+        rhs = -_half_power_spectral(spec, residual.values, -1.0).reshape(spec.npoints)
         rtol = min(1e-2, max(res_l2, 0.01 * tol / max(res_l2, tol)))
-        w, info = minres(op, rhs, rtol=rtol, maxiter=max_inner)
+        w, info = minres(_preconditioned_operator(u, lam), rhs, rtol=rtol, maxiter=max_inner)
         if info != 0 or not np.all(np.isfinite(w)):
-            _probe_singular(u, lam, "linear solve breakdown")
+            _probe_singular(u, lam)
             message = f"linear solve breakdown (minres info={info})"
             break
         delta = _half_power_spectral(spec, w.reshape(spec.shape), -1.0)
@@ -161,22 +162,21 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
         accepted = False
         while step > 1e-12:
             cand = project_mean_zero(lincomb(1.0, u, step, delta_field))
-            cand_res = l2_norm(el_residual(cand, lam))
-            if cand_res <= (1.0 - 1e-4 * step) * res_l2:
-                u = cand
+            cand_residual = el_residual(cand, lam)
+            if l2_norm(cand_residual) <= (1.0 - 1e-4 * step) * res_l2:
+                u, residual = cand, cand_residual
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            _probe_singular(u, lam, "line search stall")
+            _probe_singular(u, lam)
             message = "line search stall"
             break
-    res_l2 = l2_norm(el_residual(u, lam))
     return SolveResult(
         field=u,
         lam=float(lam),
-        residual_l2=res_l2,
-        grad_norm=gradient_norm(u, lam),
+        residual_l2=l2_norm(residual),
+        grad_norm=math.sqrt(sobolev_norm_sq(solve_poisson_power(residual, spec.m))),
         energy=energy_value(u, lam),
         iterations=iterations,
         converged=converged,
@@ -245,6 +245,18 @@ def continuation(start: SolveResult, lam_end: float, dlam0: float,
     return branch
 
 
+def concentration_direction(spec: TorusSpec) -> Field:
+    """Unit-norm peak profile: the discrete kernel of (-Lap)^m at the origin.
+
+    This is the grid-scale limit shape of the concentrating family and the
+    best max-per-norm concentrator the grid supports.
+    """
+    delta = np.zeros(spec.shape)
+    delta.flat[0] = spec.npoints
+    g = solve_poisson_power(project_mean_zero(from_values(spec, delta)), spec.m)
+    return scaled(g, 1.0 / math.sqrt(sobolev_norm_sq(g)))
+
+
 def random_low_mode_field(spec: TorusSpec, rng: np.random.Generator,
                           target_norm: float, max_wavenumber: int = 2) -> Field:
     """Random band-limited mean-zero field scaled to an H^m norm target."""
@@ -274,15 +286,6 @@ def _same_modulo_translation(a: Field, b: Field, tol: float = 1e-6) -> bool:
     return math.sqrt(float((diff**2).mean())) <= tol
 
 
-def _concentration_direction(spec: TorusSpec) -> Field:
-    """Unit-norm grid peak profile (the inverse operator applied to a delta)."""
-    delta = np.zeros(spec.shape)
-    delta.flat[0] = spec.npoints
-    vals = _half_power_spectral(spec, _half_power_spectral(spec, delta, -1.0), -1.0)
-    f = Field(spec, vals - vals.mean(), mean_zero=True)
-    return Field(spec, f.values / math.sqrt(sobolev_norm_sq(f)), mean_zero=True)
-
-
 def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
                 *, tol: float = 1e-10, norm_range: tuple[float, float] = (0.1, 3.0),
                 dedup: bool = True, directed_fraction: float = 0.25,
@@ -304,7 +307,7 @@ def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
     n_directed = int(directed_fraction * n_seeds)
     guesses: list[Field] = []
     if n_directed:
-        direction = _concentration_direction(spec)
+        direction = concentration_direction(spec)
         for amp in np.geomspace(2.0, 12.0, n_directed):
             guesses.append(Field(spec, float(amp) * direction.values, mean_zero=True))
     sequences = np.random.SeedSequence(seed).spawn(n_seeds - n_directed)

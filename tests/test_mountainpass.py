@@ -1,10 +1,15 @@
 """Min-max machinery: anchors, path relaxation, pass levels."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torusmf
 from torusmf import (
     ConvergenceError,
     PathState,
@@ -53,6 +58,18 @@ class TestFindU0:
         spec = make_spec(2, 16)
         u0 = find_u0(300.0, spec)
         assert energy_value(u0, 300.0) < -1.0
+
+    def test_anchor_search_does_not_import_sympy(self):
+        # only the glued profile's cutoff needs sympy; the solve path must not
+        code = ("import sys\n"
+                "from torusmf import find_u0, make_spec\n"
+                "find_u0(14.0, make_spec(1, 32))\n"
+                "print('sympy' in sys.modules)\n")
+        src = Path(torusmf.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestInitPath:
