@@ -3,10 +3,13 @@
 The fixture `golden.json` was written by this module's `capture()` on the
 complex-FFT field core; numerics refactors must reproduce it.  The
 find_u0 anchors, concentration directions and Adams values were added on the
-real-FFT core, before the anchor search lost its glued-profile stage.
+real-FFT core, before the anchor search lost its glued-profile stage; the
+continuation branch and the Hessian eigenvalue before Newton's inner solve
+moved to half-spectrum coordinates.
 Tolerances were fixed before any refactor ran: 1e-8 relative on pass levels,
 energies and norms, 1e-8 times the product of the H^m norms on inner
-products, and exact equality on flags and counts.  Add entries only on
+products, exact equality on flags, counts and continuation steps, and 1e-6
+absolute (ARPACK's tolerance) on the Hessian eigenvalue.  Add entries only on
 purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,11 +26,13 @@ import pytest
 from torusmf import (
     adams_value,
     concentration_direction,
+    continuation,
     energy_value,
     find_u0,
     make_spec,
     mountain_pass,
     nonexistence_sweep,
+    smallest_hessian_eigenvalue,
     sobolev_inner,
     sobolev_norm_sq,
 )
@@ -41,6 +46,8 @@ NONEXIST_LAMS = (0.25, 0.5, 1.0)
 FIELD_CASES = ((1, 64, 10.0), (2, 16, 100.0))  # (m, n, lam for the energy)
 ANCHOR_CASES = ((1, 32, 14.0), (2, 16, 300.0))  # (m, n, lam)
 GRID_CASES = ((1, 64), (2, 16))
+BRANCH = (14.0, 13.0, 0.25)  # (start lam, end lam, first step) at m=1, n=64
+EIG_ATOL = 1e-6
 
 
 def _mp_values(lam: float) -> dict:
@@ -79,6 +86,23 @@ def _adams_value(m: int, n: int) -> float:
     return adams_value(smooth_field(make_spec(m, n), 1, norm=2.0))
 
 
+def _mp_solve(lam: float):
+    return mountain_pass(lam, make_spec(1, 64), tol=1e-10).solve
+
+
+def _branch_values() -> dict:
+    start, end, dlam0 = BRANCH
+    branch = continuation(_mp_solve(start), end, dlam0)
+    return {"termination": branch.termination, "lams": [r.lam for r in branch.results],
+            "energies": [r.energy for r in branch.results],
+            "norm_sqs": [sobolev_norm_sq(r.field) for r in branch.results]}
+
+
+def _hessian_eigenvalue() -> float:
+    res = _mp_solve(BRANCH[0])
+    return smallest_hessian_eigenvalue(res.field, res.lam)
+
+
 def capture() -> dict:
     return {
         "mp": {repr(lam): _mp_values(lam) for lam in MP_LAMS},
@@ -88,6 +112,8 @@ def capture() -> dict:
                     for m, n, lam in ANCHOR_CASES},
         "concentration_direction": {f"{m},{n}": _direction_values(m, n) for m, n in GRID_CASES},
         "adams_value": {f"{m},{n}": _adams_value(m, n) for m, n in GRID_CASES},
+        "continuation": _branch_values(),
+        "hessian_eigenvalue": _hessian_eigenvalue(),
     }
 
 
@@ -139,6 +165,20 @@ def test_concentration_direction(golden, m, n):
 def test_adams_value(golden, m, n):
     want = golden["adams_value"][f"{m},{n}"]
     assert _adams_value(m, n) == pytest.approx(want, rel=RTOL, abs=0.0)
+
+
+def test_continuation_branch(golden):
+    want = golden["continuation"]
+    got = _branch_values()
+    assert got["termination"] == want["termination"]
+    assert got["lams"] == want["lams"]
+    for key in ("energies", "norm_sqs"):
+        assert got[key] == pytest.approx(want[key], rel=RTOL, abs=0.0), key
+
+
+def test_hessian_eigenvalue(golden):
+    assert _hessian_eigenvalue() == pytest.approx(golden["hessian_eigenvalue"], rel=0.0,
+                                                  abs=EIG_ATOL)
 
 
 if __name__ == "__main__":
