@@ -76,7 +76,7 @@ def concentration(u: Field, lam: float, radii: np.ndarray | None = None) -> Quan
     cst = constants(spec.m)
     center = tuple(int(i) for i in np.unravel_index(int(np.argmax(u.values)), spec.shape))
     dist = _torus_radii_from(spec, center)
-    weight = _normalized_exp_weight(u)
+    weight = _normalized_exp_weight(u.values, spec.m)
     order = np.argsort(dist, axis=None, kind="stable")
     sorted_dist = dist.reshape(-1)[order]
     cumulative = np.cumsum(weight.reshape(-1)[order])
@@ -268,7 +268,7 @@ def _check_solution_inequalities(res: SolveResult) -> None:
     if log_mass < -1e-12:
         raise ArithmeticError(f"Jensen inequality violated: log mass {log_mass:.3e}")
     # pairing the equation with u: ||u||^2 = lam * integral(W u)
-    weight = _normalized_exp_weight(u)
+    weight = _normalized_exp_weight(u.values, m)
     norm_sq = sobolev_norm_sq(u)
     paired = res.lam * float((weight * u.values).mean())
     tol = 1e-6 * max(1.0, norm_sq)

@@ -161,12 +161,20 @@ def _multiplier(spec: TorusSpec, s: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
+def _multiplicity(spec: TorusSpec) -> np.ndarray:
+    """Each half-grid mode's multiplicity in the full spectrum: 2 (the mode and
+    its conjugate), but 1 on the last-axis k=0 and k=n/2 planes."""
+    mu = np.full((spec.n,) * (spec.dim - 1) + (spec.n // 2 + 1,), 2.0)
+    mu[..., 0] = 1.0
+    mu[..., -1] = 1.0
+    mu.flags.writeable = False
+    return mu
+
+
+@functools.lru_cache(maxsize=16)
 def _sobolev_weight(spec: TorusSpec) -> np.ndarray:
-    """H^m multiplier times each half-grid mode's multiplicity in the full spectrum:
-    2 (the mode and its conjugate), but 1 on the last-axis k=0 and k=n/2 planes."""
-    weight = 2.0 * _multiplier(spec, float(spec.m))
-    weight[..., 0] *= 0.5
-    weight[..., -1] *= 0.5
+    """H^m multiplier times each half-grid mode's multiplicity."""
+    weight = _multiplicity(spec) * _multiplier(spec, float(spec.m))
     weight.flags.writeable = False
     return weight
 

@@ -100,27 +100,35 @@ def energy_value(u: Field, lam: float) -> float:
     return energy(u, lam).energy
 
 
-def _normalized_exp_weight(u: Field) -> np.ndarray:
-    """exp(2m u) / integral(exp(2m u)); grid mean exactly 1, overflow-safe."""
-    t = 2.0 * u.spec.m * u.values
+def _normalized_exp_weight(values: np.ndarray, m: int) -> np.ndarray:
+    """exp(2m u) / integral(exp(2m u)) on grid values; grid mean exactly 1, overflow-safe."""
+    t = 2.0 * m * values
     p = np.exp(t - t.max())
     return p / p.mean()
 
 
-def el_residual(u: Field, lam: float) -> Field:
-    """Residual (-Lap)^m u + lam - lam * exp(2m u)/integral(exp(2m u)).
+def _residual_and_weight(values: np.ndarray, lap_values: np.ndarray, lam: float,
+                         m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Residual values from the values of u and of (-Lap)^m u, and the weight W.
 
     The residual integrates to zero analytically; the tiny numerical mean is
     checked against 1e-10 * scale and then removed.
     """
-    _require_mean_zero(u, "el_residual")
-    weight = _normalized_exp_weight(u)
-    res = apply_power_laplacian(u, u.spec.m).values + lam * (1.0 - weight)
+    weight = _normalized_exp_weight(values, m)
+    res = lap_values + lam * (1.0 - weight)
     mean = float(res.mean())
     scale = 1.0 + float(np.max(np.abs(res)))
     if abs(mean) > 1e-10 * scale:
         raise ArithmeticError(f"residual mean {mean:.3e} exceeds 1e-10 * {scale:.3e}")
-    return Field(u.spec, res - mean, mean_zero=True)
+    return res - mean, weight
+
+
+def el_residual(u: Field, lam: float) -> Field:
+    """Residual (-Lap)^m u + lam - lam * W, with W = exp(2m u)/integral(exp(2m u))."""
+    _require_mean_zero(u, "el_residual")
+    m = u.spec.m
+    res, _ = _residual_and_weight(u.values, apply_power_laplacian(u, m).values, lam, m)
+    return Field(u.spec, res, mean_zero=True)
 
 
 def gradient_h(u: Field, lam: float) -> Field:
@@ -154,7 +162,7 @@ def hessian_action(u: Field, lam: float, v: Field) -> Field:
     if u.spec != v.spec:
         raise ValueError("grid spec mismatch")
     m = u.spec.m
-    weight = _normalized_exp_weight(u)
+    weight = _normalized_exp_weight(u.values, m)
     wv = weight * v.values
     out = apply_power_laplacian(v, m).values - 2.0 * m * lam * (wv - weight * wv.mean())
     return Field(u.spec, out - out.mean(), mean_zero=True)

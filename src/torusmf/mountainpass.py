@@ -130,12 +130,15 @@ def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0,
     _interval_check(lam, spec.m)
     direction = concentration_direction(spec)
     ts = np.linspace(0.5, 40.0, 160)
-    energies = np.array([energy_value(scaled(direction, float(t)), lam) for t in ts])
-    below = np.nonzero(energies < min_energy)[0]
-    if below.size:
-        t = float(ts[below[0]])
-        if t >= min_norm:
-            return scaled(direction, t)
+    energies = []
+    for t in ts:
+        energies.append(energy_value(scaled(direction, float(t)), lam))
+        if energies[-1] < min_energy:
+            if t >= min_norm:
+                return scaled(direction, float(t))
+            break
+    # the descent starts from the deepest amplitude of the whole scan
+    energies += [energy_value(scaled(direction, float(t)), lam) for t in ts[len(energies):]]
     u0 = scaled(direction, float(ts[int(np.argmin(energies))]))
     u, e, hit = _descend(u0, lam, stop_energy=min_energy, max_iter=max_descent)
     if not hit:

@@ -10,10 +10,23 @@ root of (-Lap)^m, the operator B^-1 H B^-1 equals the identity plus a
 compact exponential-weight part, so Krylov iteration counts are essentially
 grid-independent.  The preconditioned operator is symmetric but indefinite
 near saddle points, which is exactly MINRES territory.
+
+MINRES runs in scaled real half-spectrum coordinates: the float64 view of
+sqrt(mu) * rfftn(w)/N, with mu each half-grid mode's multiplicity in the
+full spectrum.  The map is an isometry up to the factor 1/N with irfftn as
+its adjoint, so the operator stays symmetric; it is the identity on the
+components irfftn discards (the non-Hermitian parts of the self-conjugate
+planes) and on the constant mode.  B^-1 is diagonal there, so a product
+costs one irfftn and one rfftn.  MINRES gets the right-hand side scaled to
+unit norm: scipy's estimate of ||A|| includes ||b||, which would otherwise
+let a large right-hand side pass the stopping test after one iteration.
+Each Newton iterate carries its values and its (-Lap)^m values, so line
+search candidates u + s*delta need no transform.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -25,9 +38,11 @@ from .field import (
     Field,
     TorusSpec,
     _inverse_rfft,
+    _multiplicity,
     _multiplier,
+    _sobolev_weight,
+    apply_power_laplacian,
     from_values,
-    l2_norm,
     lincomb,
     project_mean_zero,
     scaled,
@@ -36,7 +51,7 @@ from .field import (
 )
 from .functional import (
     _normalized_exp_weight,
-    el_residual,
+    _residual_and_weight,
     energy_value,
 )
 
@@ -64,35 +79,50 @@ class Branch:
     termination: str = "reached_end"
 
 
-def _half_power_spectral(spec: TorusSpec, arr: np.ndarray, sign: float) -> np.ndarray:
-    """Apply (4 pi^2 |k|^2)^(sign*m/2) to a raw array, zeroing the mean mode."""
-    mult = _multiplier(spec, sign * spec.m / 2.0)
-    return _inverse_rfft(np.fft.rfftn(arr) * mult, spec)
+@functools.lru_cache(maxsize=16)
+def _coordinate_diagonals(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (inward, outward) of the half-spectrum coordinates, mean mode zeroed.
+
+    inward * rfftn(f) is the coordinate array of B^-1 f.  For a coordinate
+    array y, outward * y stacks the unnormalized half spectra (ready for
+    irfftn) of B^-1 y and of B y.
+    """
+    root_mu = np.sqrt(_multiplicity(spec))
+    npts = spec.npoints
+    inverse = _multiplier(spec, -spec.m / 2.0)
+    inward = root_mu * inverse / npts
+    outward = np.stack((inverse, _multiplier(spec, spec.m / 2.0))) * (npts / root_mu)
+    inward.flags.writeable = False
+    outward.flags.writeable = False
+    return inward, outward
 
 
-def _preconditioned_operator(u: Field, lam: float) -> LinearOperator:
-    """LinearOperator for B^-1 H(u) B^-1 on flattened arrays.
+def _as_coordinates(z: np.ndarray, spec: TorusSpec) -> np.ndarray:
+    """Complex half-grid view of a flat float64 coordinate vector."""
+    return np.ascontiguousarray(z).view(np.complex128).reshape(_multiplicity(spec).shape)
+
+
+def _preconditioned_operator(spec: TorusSpec, weight: np.ndarray, lam: float) -> LinearOperator:
+    """LinearOperator for B^-1 H(u) B^-1 in half-spectrum coordinates.
 
     B^-1 (-Lap)^m B^-1 is the mean-zero projector, so the operator reduces to
-    P0 - 2m lam B^-1 [W v - W mean(W v)] B^-1 acting through two transforms.
+    the identity minus 2m lam B^-1 [W v - W mean(W v)] B^-1, with W the
+    normalized exponential weight of u.  The constant mode and the components
+    irfftn discards pass through unchanged: they are invisible to the
+    mean-zero problem and would otherwise fake null directions.
     """
-    spec = u.spec
-    m = spec.m
-    weight = _normalized_exp_weight(u)
-    shape = spec.shape
-    npts = spec.npoints
+    inward, outward = _coordinate_diagonals(spec)
+    coef = -2.0 * spec.m * lam
+    axes = tuple(range(spec.dim))
+    size = 2 * inward.size
 
-    def matvec(w_flat: np.ndarray) -> np.ndarray:
-        w = w_flat.reshape(shape)
-        v = _half_power_spectral(spec, w, -1.0)
+    def matvec(z: np.ndarray) -> np.ndarray:
+        v = np.fft.irfftn(_as_coordinates(z, spec) * outward[0], s=spec.shape, axes=axes)
         wv = weight * v
-        nonlinear = -2.0 * m * lam * (wv - weight * wv.mean())
-        # the constant component passes through unchanged: it is invisible to
-        # the mean-zero problem and would otherwise fake a null direction
-        out = w + _half_power_spectral(spec, nonlinear, -1.0)
-        return out.reshape(npts)
+        nonlinear = coef * (wv - weight * wv.mean())
+        return z.reshape(size) + (np.fft.rfftn(nonlinear) * inward).view(np.float64).reshape(size)
 
-    return LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
+    return LinearOperator((size, size), matvec=matvec, dtype=np.float64)
 
 
 def smallest_hessian_eigenvalue(u: Field, lam: float, *, k: int = 1, tol: float = 1e-6) -> float:
@@ -101,8 +131,8 @@ def smallest_hessian_eigenvalue(u: Field, lam: float, *, k: int = 1, tol: float 
     The spectrum accumulates at 1 from the high modes; a value near zero
     signals a bifurcation point, a negative one a saddle direction.
     """
-    vals = eigsh(_preconditioned_operator(u, lam), k=k, which="SA", tol=tol,
-                 return_eigenvectors=False, maxiter=5000)
+    op = _preconditioned_operator(u.spec, _normalized_exp_weight(u.values, u.spec.m), lam)
+    vals = eigsh(op, k=k, which="SA", tol=tol, return_eigenvectors=False, maxiter=5000)
     return float(np.min(vals))
 
 
@@ -126,17 +156,24 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    u = project_mean_zero(guess)
-    spec = u.spec
+    start = project_mean_zero(guess)
+    spec = start.spec
+    m = spec.m
+    inward, outward = _coordinate_diagonals(spec)
+    axes = tuple(range(1, spec.dim + 1))
+    # the iterate as (values, (-Lap)^m values): both move linearly along a step
+    u, lap = start.values, apply_power_laplacian(start, m).values
+    residual, weight = _residual_and_weight(u, lap, lam, m)
     message = ""
     converged = False
     iterations = 0
     history: list[float] = []
     probed = False
-    # each iterate's residual is computed once: by the line search that accepted it
-    residual = el_residual(u, lam)
     for iterations in range(max_iter + 1):
-        res_l2 = l2_norm(residual)
+        res_l2 = math.sqrt(float(np.mean(residual**2)))
+        # coordinates of -B^-1 r; their norm is the H^m dual norm of the residual
+        rhs = -(np.fft.rfftn(residual) * inward).view(np.float64).reshape(-1)
+        grad_norm = float(np.linalg.norm(rhs))
         history.append(res_l2)
         if res_l2 <= tol:
             converged = True
@@ -148,36 +185,40 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
             # geometric stalling is the signature of a (near-)null direction
             # of the linearization, e.g. at a bifurcation point
             probed = True
-            _probe_singular(u, lam)
-        rhs = -_half_power_spectral(spec, residual.values, -1.0).reshape(spec.npoints)
+            _probe_singular(Field(spec, u, mean_zero=True), lam)
         rtol = min(1e-2, max(res_l2, 0.01 * tol / max(res_l2, tol)))
-        w, info = minres(_preconditioned_operator(u, lam), rhs, rtol=rtol, maxiter=max_inner)
-        if info != 0 or not np.all(np.isfinite(w)):
-            _probe_singular(u, lam)
+        y, info = minres(_preconditioned_operator(spec, weight, lam), rhs / grad_norm,
+                         rtol=rtol, maxiter=max_inner)
+        if info != 0 or not np.all(np.isfinite(y)):
+            _probe_singular(Field(spec, u, mean_zero=True), lam)
             message = f"linear solve breakdown (minres info={info})"
             break
-        delta = _half_power_spectral(spec, w.reshape(spec.shape), -1.0)
-        delta_field = Field(spec, delta - delta.mean(), mean_zero=True)
+        y = _as_coordinates(y * grad_norm, spec)
+        delta, lap_delta = np.fft.irfftn(y * outward, s=spec.shape, axes=axes)
+        delta -= delta.mean()
         step = 1.0
         accepted = False
         while step > 1e-12:
-            cand = project_mean_zero(lincomb(1.0, u, step, delta_field))
-            cand_residual = el_residual(cand, lam)
-            if l2_norm(cand_residual) <= (1.0 - 1e-4 * step) * res_l2:
-                u, residual = cand, cand_residual
+            cand = u + step * delta
+            cand -= cand.mean()
+            cand_lap = lap + step * lap_delta
+            cand_residual, cand_weight = _residual_and_weight(cand, cand_lap, lam, m)
+            if math.sqrt(float(np.mean(cand_residual**2))) <= (1.0 - 1e-4 * step) * res_l2:
+                u, lap, residual, weight = cand, cand_lap, cand_residual, cand_weight
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            _probe_singular(u, lam)
+            _probe_singular(Field(spec, u, mean_zero=True), lam)
             message = "line search stall"
             break
+    result = Field(spec, u, mean_zero=True)
     return SolveResult(
-        field=u,
+        field=result,
         lam=float(lam),
-        residual_l2=l2_norm(residual),
-        grad_norm=math.sqrt(sobolev_norm_sq(solve_poisson_power(residual, spec.m))),
-        energy=energy_value(u, lam),
+        residual_l2=res_l2,
+        grad_norm=grad_norm,
+        energy=energy_value(result, lam),
         iterations=iterations,
         converged=converged,
         message=message,
@@ -268,12 +309,12 @@ def random_low_mode_field(spec: TorusSpec, rng: np.random.Generator,
         keep &= ks.reshape([-1 if a == axis else 1 for a in range(spec.dim)]) <= max_wavenumber
     c[~keep] = 0.0
     c.flat[0] = 0.0
-    vals = _inverse_rfft(c, spec)
-    f = Field(spec, vals - vals.mean(), mean_zero=True)
-    norm = math.sqrt(sobolev_norm_sq(f))
+    coef = c / spec.npoints
+    norm = math.sqrt(float(np.vdot(_sobolev_weight(spec) * coef, coef).real))
     if norm == 0.0:
         raise ValueError("degenerate random draw")
-    return Field(spec, f.values * (target_norm / norm), mean_zero=True)
+    vals = _inverse_rfft(c, spec)
+    return Field(spec, (vals - vals.mean()) * (target_norm / norm), mean_zero=True)
 
 
 def _peak_aligned(values: np.ndarray) -> np.ndarray:

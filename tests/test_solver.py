@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from torusmf import (
     SingularHessianError,
     concentration,
+    concentration_direction,
     continuation,
     el_residual,
+    from_values,
+    hessian_action,
     l2_norm,
+    make_spec,
     mountain_pass,
     multi_start,
     newton_solve,
@@ -19,8 +24,10 @@ from torusmf import (
     shift,
     smallest_hessian_eigenvalue,
     sobolev_norm_sq,
+    solve_poisson_power,
     zero_field,
 )
+from torusmf.field import _multiplicity
 from torusmf.functional import _normalized_exp_weight
 
 from conftest import cos_mode, smooth_field
@@ -82,6 +89,87 @@ class TestNewton:
         with pytest.raises(ValueError):
             newton_solve(zero_field(spec32), -2.0)
 
+    def test_large_right_hand_side_start_converges(self):
+        # the first MINRES right-hand side has norm ~1.6e3 here; the solve
+        # must not stop on a stopping test that scales with that norm
+        spec = make_spec(2, 16)
+        out = newton_solve(scaled(concentration_direction(spec), 12.0), 300.0)
+        assert out.converged, out.message
+        assert math.sqrt(sobolev_norm_sq(out.field)) > 1.0
+
+    def test_transform_count_per_newton_step(self, monkeypatch):
+        # a guard on the work per step: at most one rfftn/irfftn pair per
+        # MINRES product and three transforms per Newton iteration
+        from torusmf import solver
+
+        spec = make_spec(2, 16)
+        guess = smooth_field(spec, 2, norm=2.0)
+        counts = {"fft": 0, "matvec": 0}
+        for name in ("rfftn", "irfftn"):
+            original = getattr(np.fft, name)
+
+            def counting(*args, _original=original, **kwargs):
+                counts["fft"] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        minres = solver.minres
+
+        def counted_minres(A, b, *args, **kwargs):
+            def matvec(x):
+                counts["matvec"] += 1
+                return A.matvec(x)
+
+            return minres(LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), b,
+                          *args, **kwargs)
+
+        monkeypatch.setattr(solver, "minres", counted_minres)
+        out = newton_solve(guess, 50.0)
+        assert out.converged and out.iterations >= 2
+        assert counts["fft"] <= 2 * counts["matvec"] + 3 * out.iterations + 4, counts
+
+
+def _coordinates(f) -> np.ndarray:
+    """Scaled half-spectrum coordinates sqrt(mu) * rfftn(values)/N, as float64."""
+    c = np.sqrt(_multiplicity(f.spec)) * np.fft.rfftn(f.values) / f.spec.npoints
+    return c.view(np.float64).reshape(-1)
+
+
+class TestPreconditionedOperator:
+    """The MINRES operator in half-spectrum coordinates against public pieces."""
+
+    CASES = ((1, 32, 10.0), (2, 8, 100.0))
+
+    @pytest.mark.parametrize("m,n,lam", CASES)
+    def test_matches_physical_operator(self, m, n, lam):
+        from torusmf.solver import _preconditioned_operator
+
+        spec = make_spec(m, n)
+        u = smooth_field(spec, 1, norm=2.0)
+        op = _preconditioned_operator(spec, _normalized_exp_weight(u.values, m), lam)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            w = project_mean_zero(from_values(spec, rng.standard_normal(spec.shape)))
+            # B^-1 H B^-1 w, with B = (-Lap)^(m/2)
+            ref = solve_poisson_power(hessian_action(u, lam, solve_poisson_power(w, m / 2)), m / 2)
+            want = _coordinates(ref)
+            got = op.matvec(_coordinates(w))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m,n,lam", CASES)
+    def test_symmetric_on_full_coordinate_space(self, m, n, lam):
+        from torusmf.solver import _preconditioned_operator
+
+        spec = make_spec(m, n)
+        u = smooth_field(spec, 1, norm=2.0)
+        op = _preconditioned_operator(spec, _normalized_exp_weight(u.values, m), lam)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            z1, z2 = rng.standard_normal((2, op.shape[0]))
+            a1, a2 = op.matvec(z1), op.matvec(z2)
+            scale = np.linalg.norm(z1) * np.linalg.norm(a2)
+            assert abs(z1 @ a2 - a1 @ z2) <= 1e-12 * scale
+
 
 class TestSingularityProbe:
     """_probe_singular tolerates only ARPACK non-convergence; other errors surface."""
@@ -112,7 +200,7 @@ class TestSolutionIdentities:
     def test_pairing_identity(self, saddle32):
         # pairing the equation with u: ||u||^2 = lam * integral(W u)
         u = saddle32.field
-        weight = _normalized_exp_weight(u)
+        weight = _normalized_exp_weight(u.values, u.spec.m)
         norm_sq = sobolev_norm_sq(u)
         paired = saddle32.lam * float((weight * u.values).mean())
         assert norm_sq == pytest.approx(paired, rel=1e-6)
