@@ -156,13 +156,13 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    start = project_mean_zero(guess)
-    spec = start.spec
+    spec = guess.spec
     m = spec.m
     inward, outward = _coordinate_diagonals(spec)
     axes = tuple(range(1, spec.dim + 1))
     # the iterate as (values, (-Lap)^m values): both move linearly along a step
-    u, lap = start.values, apply_power_laplacian(start, m).values
+    u = project_mean_zero(guess)
+    u, lap = u.values, apply_power_laplacian(u, m).values
     residual, weight = _residual_and_weight(u, lap, lam, m)
     message = ""
     converged = False
