@@ -29,6 +29,7 @@ from torusmf import (
 )
 from torusmf.field import _multiplicity
 from torusmf.functional import _normalized_exp_weight
+from torusmf.solver import _preconditioned_operator
 
 from conftest import cos_mode, smooth_field
 
@@ -140,13 +141,16 @@ class TestPreconditionedOperator:
 
     CASES = ((1, 32, 10.0), (2, 8, 100.0))
 
-    @pytest.mark.parametrize("m,n,lam", CASES)
-    def test_matches_physical_operator(self, m, n, lam):
-        from torusmf.solver import _preconditioned_operator
-
+    @staticmethod
+    def _operator(m: int, n: int, lam: float):
         spec = make_spec(m, n)
         u = smooth_field(spec, 1, norm=2.0)
-        op = _preconditioned_operator(spec, _normalized_exp_weight(u.values, m), lam)
+        return u, _preconditioned_operator(spec, _normalized_exp_weight(u.values, m), lam)
+
+    @pytest.mark.parametrize("m,n,lam", CASES)
+    def test_matches_physical_operator(self, m, n, lam):
+        u, op = self._operator(m, n, lam)
+        spec = u.spec
         rng = np.random.default_rng(5)
         for _ in range(3):
             w = project_mean_zero(from_values(spec, rng.standard_normal(spec.shape)))
@@ -158,11 +162,7 @@ class TestPreconditionedOperator:
 
     @pytest.mark.parametrize("m,n,lam", CASES)
     def test_symmetric_on_full_coordinate_space(self, m, n, lam):
-        from torusmf.solver import _preconditioned_operator
-
-        spec = make_spec(m, n)
-        u = smooth_field(spec, 1, norm=2.0)
-        op = _preconditioned_operator(spec, _normalized_exp_weight(u.values, m), lam)
+        _, op = self._operator(m, n, lam)
         rng = np.random.default_rng(6)
         for _ in range(3):
             z1, z2 = rng.standard_normal((2, op.shape[0]))
