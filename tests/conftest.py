@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from torusmf import Field, TorusSpec, grid_coordinates, make_spec, random_low_mode_field
+from torusmf import (
+    Field,
+    TorusSpec,
+    grid_coordinates,
+    level_sweep,
+    make_spec,
+    random_low_mode_field,
+)
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +19,17 @@ def spec64() -> TorusSpec:
 @pytest.fixture(scope="session")
 def spec32() -> TorusSpec:
     return make_spec(1, 32)
+
+
+def criterion6_sweep():
+    """The criterion-6 pass-level sweep: lam = 13..19 at m=1, n=128 (about 75 s)."""
+    return level_sweep([13, 14, 15, 16, 17, 18, 19], make_spec(1, 128), tol=1e-8)
+
+
+@pytest.fixture(scope="session")
+def sweep128():
+    """criterion6_sweep() computed once per session: criterion 6 and its golden rows."""
+    return criterion6_sweep()
 
 
 def cos_mode(spec: TorusSpec, axis: int = 0, freq: int = 1) -> Field:

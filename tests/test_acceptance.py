@@ -24,7 +24,6 @@ from torusmf import (
     green_field,
     hessian_quadratic_form,
     l2_inner,
-    level_sweep,
     lincomb,
     make_spec,
     mountain_pass,
@@ -131,9 +130,8 @@ def test_criterion_5_existence_run(mp_solutions):
     report(5, "; ".join(details))
 
 
-def test_criterion_6_level_monotonicity():
-    spec = make_spec(1, 128)
-    rep = level_sweep([13, 14, 15, 16, 17, 18, 19], spec, tol=1e-8)
+def test_criterion_6_level_monotonicity(sweep128):
+    rep = sweep128
     assert rep.monotonicity_violations == 0
     assert all(r.c_estimate > 0 for r in rep.rows)
     cs = ", ".join(f"{r.c_estimate:.4f}" for r in rep.rows)

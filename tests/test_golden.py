@@ -5,12 +5,16 @@ complex-FFT field core; numerics refactors must reproduce it.  The
 find_u0 anchors, concentration directions and Adams values were added on the
 real-FFT core, before the anchor search lost its glued-profile stage; the
 continuation branch and the Hessian eigenvalue before Newton's inner solve
-moved to half-spectrum coordinates.
+moved to half-spectrum coordinates; the criterion-6 sweep rows, the
+criterion-10 quantization, the cutoff and the radial energies before the
+options no caller set were removed and the cutoff lost its symbolic form.
 Tolerances were fixed before any refactor ran: 1e-8 relative on pass levels,
 energies and norms, 1e-8 times the product of the H^m norms on inner
-products, exact equality on flags, counts and continuation steps, and 1e-6
-absolute (ARPACK's tolerance) on the Hessian eigenvalue.  Add entries only on
-purpose, with
+products, exact equality on flags, counts, sweeps and continuation steps,
+1e-6 absolute (ARPACK's tolerance) on the Hessian eigenvalue, 1e-8 absolute
+on the quantization deviation (itself a relative gap), and 1e-8 relative or
+absolute on cutoff values (the second derivative vanishes at r = 3/8).  Add
+entries only on purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -24,20 +28,27 @@ from pathlib import Path
 import pytest
 
 from torusmf import (
+    BubbleParams,
     adams_value,
+    bubble_field,
+    concentration,
     concentration_direction,
+    constants,
     continuation,
+    cutoff,
+    default_alpha,
     energy_value,
     find_u0,
     make_spec,
     mountain_pass,
     nonexistence_sweep,
+    radial_energy,
     smallest_hessian_eigenvalue,
     sobolev_inner,
     sobolev_norm_sq,
 )
 
-from conftest import smooth_field
+from conftest import criterion6_sweep, smooth_field
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RTOL = 1e-8
@@ -48,6 +59,8 @@ ANCHOR_CASES = ((1, 32, 14.0), (2, 16, 300.0))  # (m, n, lam)
 GRID_CASES = ((1, 64), (2, 16))
 BRANCH = (14.0, 13.0, 0.25)  # (start lam, end lam, first step) at m=1, n=64
 EIG_ATOL = 1e-6
+CUTOFF_CASES = tuple((k, r) for k in (0, 1, 2) for r in (0.3, 0.375, 0.45))  # (order, r)
+RADIAL_SIGMAS = tuple(10**p for p in (2.0, 2.5, 3.0, 3.5, 4.0))  # criterion 2
 
 
 def _mp_values(lam: float) -> dict:
@@ -103,6 +116,22 @@ def _hessian_eigenvalue() -> float:
     return smallest_hessian_eigenvalue(res.field, res.lam)
 
 
+def _sweep_values(report) -> dict:
+    return {"lams": [r.lam for r in report.rows],
+            "c_estimates": [r.c_estimate for r in report.rows],
+            "sweeps": [r.sweeps for r in report.rows],
+            "converged": [r.converged for r in report.rows]}
+
+
+def _quant_values() -> dict:
+    # the criterion-10 bubble at lam = Lambda1
+    sigma = 1e3
+    u = bubble_field(make_spec(1, 512), BubbleParams(sigma, default_alpha(sigma), (0.0, 0.0)),
+                     allow_unresolved=True)
+    rep = concentration(u, constants(1).Lambda1)
+    return {"plateau_mass": rep.plateau_mass, "deviation": rep.deviation}
+
+
 def capture() -> dict:
     return {
         "mp": {repr(lam): _mp_values(lam) for lam in MP_LAMS},
@@ -114,6 +143,11 @@ def capture() -> dict:
         "adams_value": {f"{m},{n}": _adams_value(m, n) for m, n in GRID_CASES},
         "continuation": _branch_values(),
         "hessian_eigenvalue": _hessian_eigenvalue(),
+        "level_sweep": _sweep_values(criterion6_sweep()),
+        "quant": _quant_values(),
+        "cutoff": {f"{k},{r!r}": cutoff(r, k) for k, r in CUTOFF_CASES},
+        "radial_energy": {f"{m},{s!r}": radial_energy(s, m)
+                          for m in (1, 2) for s in RADIAL_SIGMAS},
     }
 
 
@@ -179,6 +213,34 @@ def test_continuation_branch(golden):
 def test_hessian_eigenvalue(golden):
     assert _hessian_eigenvalue() == pytest.approx(golden["hessian_eigenvalue"], rel=0.0,
                                                   abs=EIG_ATOL)
+
+
+def test_level_sweep_rows(golden, sweep128):
+    want = golden["level_sweep"]
+    got = _sweep_values(sweep128)
+    for key in ("lams", "sweeps", "converged"):
+        assert got[key] == want[key], key
+    assert got["c_estimates"] == pytest.approx(want["c_estimates"], rel=RTOL, abs=0.0)
+
+
+def test_quantization(golden):
+    want = golden["quant"]
+    got = _quant_values()
+    assert got["plateau_mass"] == pytest.approx(want["plateau_mass"], rel=RTOL, abs=0.0)
+    assert got["deviation"] == pytest.approx(want["deviation"], rel=0.0, abs=RTOL)
+
+
+@pytest.mark.parametrize("order,r", CUTOFF_CASES)
+def test_cutoff(golden, order, r):
+    assert cutoff(r, order) == pytest.approx(golden["cutoff"][f"{order},{r!r}"],
+                                             rel=RTOL, abs=RTOL)
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("sigma", RADIAL_SIGMAS)
+def test_radial_energy(golden, m, sigma):
+    assert radial_energy(sigma, m) == pytest.approx(golden["radial_energy"][f"{m},{sigma!r}"],
+                                                    rel=RTOL, abs=0.0)
 
 
 if __name__ == "__main__":
