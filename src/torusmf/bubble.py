@@ -15,7 +15,6 @@ field.py; tests cross-check the two.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -39,47 +38,54 @@ def ball_volume(m: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Smooth cutoff: 1 on [0, 1/4], 0 on [1/2, inf), C-infinity in between.
-# The transition is the standard exp(-1/t) smooth step, differentiated
-# symbolically once per derivative order and compiled to numpy.
+# The transition is the standard exp(-1/t) smooth step in t = 4 (1/2 - r),
+# with its first two r-derivatives in closed form.
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _cutoff_transition(order: int):
-    import sympy as sp
+def _cutoff_transition(r: np.ndarray, order: int) -> np.ndarray:
+    """Order-th r-derivative of S = rise / (rise + fall), rise = exp(-1/t), fall = exp(-1/(1-t)).
 
-    r = sp.symbols("r", positive=True)
-    t = (sp.Rational(1, 2) - r) / sp.Rational(1, 4)  # maps [1/4, 1/2] onto [1, 0]
-    rise = sp.exp(-1 / t)
-    fall = sp.exp(-1 / (1 - t))
+    dS/dt = S (1 - S) q with q = t^-2 + (1 - t)^-2, and dt/dr = -4.
+    """
+    t = 4.0 * (0.5 - r)  # maps [1/4, 1/2] onto [1, 0]
+    rise = np.exp(-1.0 / t)
+    fall = np.exp(-1.0 / (1.0 - t))
     step = rise / (rise + fall)
-    expr = sp.diff(step, r, order)
-    return sp.lambdify(r, expr, modules="numpy")
+    if order == 0:
+        return step
+    # the complement directly: 1 - step loses every digit near r = 1/4
+    rest = fall / (rise + fall)
+    q = t**-2 + (1.0 - t) ** -2
+    if order == 1:
+        return -4.0 * step * rest * q
+    dq = -2.0 * t**-3 + 2.0 * (1.0 - t) ** -3
+    return 16.0 * (step * rest * q * (rest - step) * q + step * rest * dq)
 
 
 def cutoff(r, order: int = 0):
-    """Radial cutoff value (order 0) or an exact derivative (order >= 1)."""
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
+    """Radial cutoff value (order 0) or its exact derivative of order 1 or 2."""
+    if order not in (0, 1, 2):
+        raise ValueError("cutoff derivatives are provided for orders 0, 1 and 2")
     arr = np.asarray(r, dtype=np.float64)
     out = np.zeros_like(arr)
     if order == 0:
         out[arr <= 0.25 + _PLATEAU_EPS] = 1.0
     trans = (arr > 0.25 + _PLATEAU_EPS) & (arr < 0.5 - _PLATEAU_EPS)
     if np.any(trans):
-        out[trans] = _cutoff_transition(order)(arr[trans])
+        out[trans] = _cutoff_transition(arr[trans], order)
     if np.isscalar(r):
         return float(out)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Peak profile w and its radial derivatives (closed forms, orders 0..4).
+# Peak profile w and its radial derivatives (closed forms, orders 0..2).
 # ---------------------------------------------------------------------------
 
 
 def w_profile(sigma: float, r, order: int = 0):
-    """log(2 sigma / (1 + sigma^2 r^2)) and derivatives d^j/dr^j, j <= 4."""
+    """log(2 sigma / (1 + sigma^2 r^2)) and derivatives d^j/dr^j, j <= 2."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     rr = np.asarray(r, dtype=np.float64)
@@ -92,12 +98,8 @@ def w_profile(sigma: float, r, order: int = 0):
         out = -2.0 * s2 * rr / d
     elif order == 2:
         out = -2.0 * s2 * (1.0 - q) / d**2
-    elif order == 3:
-        out = 4.0 * s2 * s2 * rr * (3.0 - q) / d**3
-    elif order == 4:
-        out = 12.0 * s2 * s2 * (1.0 - 6.0 * q + q * q) / d**4
     else:
-        raise ValueError("w_profile derivatives are provided up to order 4")
+        raise ValueError("w_profile derivatives are provided up to order 2")
     if np.isscalar(r):
         return float(out)
     return out
