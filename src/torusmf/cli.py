@@ -148,9 +148,7 @@ def cmd_mp(args) -> int:
                ["lambda", "c_estimate", "grad_norm", "sweeps", "converged",
                 "residual_l2", "energy", "norm"],
                [(result.lam, result.c_estimate, result.grad_norm, result.iterations,
-                 result.converged,
-                 solve.residual_l2 if solve else math.inf,
-                 solve.energy if solve else math.nan,
+                 result.converged, solve.residual_l2, solve.energy,
                  math.sqrt(sobolev_norm_sq(result.maximizer)))])
     write_field(out / "maximizer.pbfld", result.maximizer)
     print(f"c_estimate = {result.c_estimate:.8f}  converged = {result.converged}")
@@ -165,7 +163,7 @@ def cmd_continue(args) -> int:
     lam_start = float(args.lam_start)
     start_mp = _mountainpass.mountain_pass(lam_start, spec, tol=float(args.tol),
                                            max_sweeps=int(args.max_sweeps))
-    if not start_mp.converged or start_mp.solve is None:
+    if not start_mp.converged:
         print("no converged starting solution", file=sys.stderr)
         return 3
     branch = _solver.continuation(start_mp.solve, float(args.lam_end),
@@ -223,8 +221,10 @@ def cmd_sweep(args) -> int:
     out = _prepare_outdir(args, "sweep")
     rows = [(r.lam, r.c_estimate, r.grad_norm, r.sweeps) for r in report.rows]
     _write_csv(out / "levels.csv", ["lambda", "c_estimate", "grad_norm", "sweeps"], rows)
-    _write_csv(out / "summary.csv", ["monotonicity_violations", "slack"],
-               [(report.monotonicity_violations, report.slack)])
+    _write_csv(out / "summary.csv",
+               ["monotonicity_violations", "slack", "anchor_min_energy", "anchor_failed_floor"],
+               [(report.monotonicity_violations, report.slack, report.anchor_min_energy,
+                 report.anchor_failed_floor)])
     print(f"{len(rows)} levels, {report.monotonicity_violations} monotonicity "
           f"violations at {report.slack:.0%} slack")
     if any(not r.converged for r in report.rows):

@@ -33,6 +33,7 @@ from .functional import _normalized_exp_weight, constants, energy_value
 from .solver import SolveResult, concentration_direction, multi_start, random_low_mode_field
 
 _PLATEAU_DERIVATIVE_FRACTION = 0.05  # heuristic; raw curves are always reported
+_VALIDATION_SLACK = 0.10  # relative excess of a held-out coercivity gap over the fit
 
 
 def _torus_radii_from(spec: TorusSpec, center_index: tuple[int, ...]) -> np.ndarray:
@@ -60,14 +61,16 @@ class QuantizationReport:
     peak_height: float
 
 
-def concentration(u: Field, lam: float, radii: np.ndarray | None = None) -> QuantizationReport:
+def concentration(u: Field, lam: float) -> QuantizationReport:
     """Cumulative mass lam * integral_{B_r} W with W the normalized exp weight.
 
-    The plateau is the mass at the end of the first contiguous radius run
-    (after the peak of dmass/dr) where the derivative stays below 5% of its
-    peak; reading the threshold against the raw curve is always possible
-    since the full curve is returned.  nearest_N rounds the plateau against
-    the blow-up quantum when the plateau exceeds half of it.
+    The radii are 160 geometric steps from one grid spacing to the largest
+    distance from the peak.  The plateau is the mass at the end of the
+    first contiguous radius run (after the peak of dmass/dr) where the
+    derivative stays below 5% of its peak; reading the threshold against
+    the raw curve is always possible since the full curve is returned.
+    nearest_N rounds the plateau against the blow-up quantum when the
+    plateau exceeds half of it.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -82,15 +85,7 @@ def concentration(u: Field, lam: float, radii: np.ndarray | None = None) -> Quan
     cumulative = np.cumsum(weight.reshape(-1)[order])
     cumulative = lam * (cumulative / cumulative[-1])  # total mass is lam exactly
     rmax = float(sorted_dist[-1])
-    if radii is None:
-        radii = np.unique(np.concatenate([
-            np.geomspace(1.0 / spec.n, rmax, 160),
-            [rmax],
-        ]))
-    else:
-        radii = np.asarray(radii, dtype=np.float64)
-        if radii.ndim != 1 or radii.size == 0 or np.any(np.diff(radii) <= 0):
-            raise ValueError("radii must be a strictly increasing 1-D sequence")
+    radii = np.unique(np.concatenate([np.geomspace(1.0 / spec.n, rmax, 160), [rmax]]))
     idx = np.searchsorted(sorted_dist, radii, side="right")
     mass = np.where(idx > 0, cumulative[np.maximum(idx - 1, 0)], 0.0)
 
@@ -169,7 +164,7 @@ def coercivity_families(spec: TorusSpec, seed: int = 0):
     return fit, validation
 
 
-def coercivity_band(lam: float, family, validation=None, *, slack: float = 0.10) -> CoercivityBand:
+def coercivity_band(lam: float, family, validation=None) -> CoercivityBand:
     """Fit the offset C in energy >= (1/2 - lam/(2*Lambda1)) ||u||^2 - C.
 
     C is the largest violation of the offset-free bound over the sample
@@ -196,11 +191,11 @@ def coercivity_band(lam: float, family, validation=None, *, slack: float = 0.10)
         validation = list(validation)
         if validation:
             validation_max = max(gap(u) for u in validation)
-            validated = validation_max <= fitted * (1.0 + slack) + 1e-9
+            validated = validation_max <= fitted * (1.0 + _VALIDATION_SLACK) + 1e-9
             if not validated:
                 raise RuntimeError(
                     f"coercivity validation failed: held-out gap {validation_max:.6g} "
-                    f"exceeds fitted C={fitted:.6g} with {slack:.0%} slack"
+                    f"exceeds fitted C={fitted:.6g} with {_VALIDATION_SLACK:.0%} slack"
                 )
     return CoercivityBand(lam=float(lam), fitted_C=fitted,
                           validation_max=validation_max, validated=validated)
@@ -310,7 +305,7 @@ def nonexistence_sweep(lambda_grid, spec: TorusSpec, n_seeds: int = 20, seed: in
     rows = []
     all_trivial = True
     for lam in lams:
-        results = multi_start(lam, spec, n_seeds, seed, tol=tol, dedup=True, jobs=jobs)
+        results = multi_start(lam, spec, n_seeds, seed, tol=tol, jobs=jobs)
         converged = [r for r in results if r.converged]
         for r in converged:
             _check_solution_inequalities(r)

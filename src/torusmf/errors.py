@@ -33,7 +33,11 @@ class SingularHessianError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative procedure stalled before reaching its target."""
+    """An iterative procedure stalled before reaching its target energy at floor."""
+
+    def __init__(self, message: str, floor: float):
+        self.floor = float(floor)
+        super().__init__(message)
 
 
 class QuadratureError(RuntimeError):

@@ -25,10 +25,11 @@ from .field import (
     sobolev_norm_sq,
     zero_field,
 )
-from .functional import constants, energy_value, gradient_h, gradient_norm
+from .functional import constants, energy_value, gradient_h
 from .solver import SolveResult, concentration_direction, newton_solve
 
 _RESPACE_NORM_WEIGHT = 1e-3  # regularizes energy-gap respacing on flat stretches
+_LEVEL_SLACK = 0.02  # relative rise between sweep rows counted as a violation
 
 
 @dataclass
@@ -44,10 +45,6 @@ class PathState:
         if float(np.max(np.abs(self.nodes[0].values))) != 0.0:
             raise ValueError("path must start at the zero field")
 
-    @property
-    def segments(self) -> int:
-        return len(self.nodes) - 1
-
 
 @dataclass(frozen=True)
 class MPResult:
@@ -57,14 +54,13 @@ class MPResult:
     iterations: int
     converged: bool
     lam: float
-    solve: SolveResult | None = None
-    path: PathState | None = None
+    solve: SolveResult
+    path: PathState
 
 
 @dataclass
 class RelaxInfo:
     max_energies: list[float] = dataclass_field(default_factory=list)
-    grad_norm_at_max: float = math.inf
     stalled: bool = False
     sweeps: int = 0
 
@@ -90,42 +86,34 @@ def _nontrivial(u: Field) -> bool:
     return math.sqrt(sobolev_norm_sq(u)) > 1e-6
 
 
-def _descend(u: Field, lam: float, *, stop_energy: float | None, max_iter: int,
-             armijo: float = 1e-4) -> tuple[Field, float, bool]:
-    """Preconditioned gradient descent with backtracking; returns (u, I(u), hit)."""
-    e = energy_value(u, lam)
-    step = 1.0
-    for _ in range(max_iter):
-        if stop_energy is not None and e < stop_energy:
-            return u, e, True
-        g = gradient_h(u, lam)
-        gsq = sobolev_norm_sq(g)
-        if gsq < 1e-28:
-            break
-        s = 2.0 * step
-        accepted = False
-        while s > 1e-14:
-            cand = lincomb(1.0, u, -s, g)
-            ec = energy_value(cand, lam)
-            if ec <= e - armijo * s * gsq:
-                u, e, step, accepted = cand, ec, s, True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-    hit = stop_energy is not None and e < stop_energy
-    return u, e, hit
+def _armijo_steps(u: Field, e: float, lam: float, step: float):
+    """Armijo backtracking along -g = -gradient_h(u) from I(u) = e.
+
+    Trial steps s halve from 2*step down to 1e-14; yields (u - s g, its
+    energy, s) for each one with energy <= e - 1e-4 s ||g||^2.
+    """
+    g = gradient_h(u, lam)
+    gsq = sobolev_norm_sq(g)
+    if gsq < 1e-28:
+        return
+    s = 2.0 * step
+    while s > 1e-14:
+        cand = lincomb(1.0, u, -s, g)
+        ec = energy_value(cand, lam)
+        if ec <= e - 1e-4 * s * gsq:
+            yield cand, ec, s
+        s *= 0.5
 
 
-def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0,
-            min_norm: float = 1.0, max_descent: int = 2000) -> Field:
-    """Anchor with I(u0) < min_energy and ||u0|| >= min_norm.
+def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0) -> Field:
+    """Anchor with I(u0) < min_energy and ||u0|| >= 1.
 
     Scans amplitudes along the grid's own concentration direction (scaled
     peak profile) and, if no amplitude dips below min_energy, continues from
-    the deepest one by preconditioned descent.  Raises ConvergenceError with
-    the achieved floor if the grid's negative-energy set is too shallow
-    (happens for lam barely above the coercivity threshold on coarse grids).
+    the deepest one by up to 2000 steps of preconditioned descent.  Raises
+    ConvergenceError carrying the achieved floor if the grid's
+    negative-energy set is too shallow (happens for lam barely above the
+    coercivity threshold on coarse grids).
     """
     _interval_check(lam, spec.m)
     direction = concentration_direction(spec)
@@ -134,20 +122,27 @@ def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0,
     for t in ts:
         energies.append(energy_value(scaled(direction, float(t)), lam))
         if energies[-1] < min_energy:
-            if t >= min_norm:
+            if t >= 1.0:
                 return scaled(direction, float(t))
             break
     # the descent starts from the deepest amplitude of the whole scan
     energies += [energy_value(scaled(direction, float(t)), lam) for t in ts[len(energies):]]
-    u0 = scaled(direction, float(ts[int(np.argmin(energies))]))
-    u, e, hit = _descend(u0, lam, stop_energy=min_energy, max_iter=max_descent)
-    if not hit:
+    k = int(np.argmin(energies))
+    u, e, step = scaled(direction, float(ts[k])), energies[k], 1.0
+    for _ in range(2000):
+        if e < min_energy:
+            break
+        accepted = next(_armijo_steps(u, e, lam, step), None)
+        if accepted is None:
+            break
+        u, e, step = accepted
+    if not e < min_energy:
         raise ConvergenceError(
             f"no anchor below {min_energy} at n={spec.n} (deepest energy found: {e:.4f}); "
-            "refine the grid or relax min_energy"
+            "refine the grid or relax min_energy", floor=e
         )
-    if sobolev_norm_sq(u) < min_norm**2:
-        raise ConvergenceError("anchor found but its norm is below the requested floor")
+    if sobolev_norm_sq(u) < 1.0:
+        raise ConvergenceError("anchor found but its norm is below 1", floor=e)
     return u
 
 
@@ -235,17 +230,17 @@ def _sampled_supremum(nodes: list[Field], energies: list[float], lam: float):
     return best_e, best_seg, best_t
 
 
-def relax_path(path: PathState, sweeps: int, *, initial_step: float = 1.0,
-               full_path: bool = False, respace: bool = True) -> tuple[PathState, RelaxInfo]:
+def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     """Descend the dominant nodes of the path; endpoints stay pinned.
 
     Each sweep first pulls the sampled crest of the path into the node set
     (so the max node honestly tracks the path maximum even when the ridge is
     thin), then line-searches the top-energy node and its two neighbors
-    (optionally every interior node), then re-spaces by energy gaps.  Moves
-    and re-spacings are accepted only if the sampled crests of the touched
-    segments stay below the current max-node energy: otherwise a single
-    segment could silently vault the ridge.  Within a sweep, descent and
+    (first trial step 2, then twice the last accepted step), then re-spaces
+    by energy gaps whenever a node moved.  Moves and re-spacings are
+    accepted only if the sampled crests of the touched segments stay below
+    the current max-node energy: otherwise a single segment could silently
+    vault the ridge.  Within a sweep, descent and
     re-spacing can only lower the captured max; between sweeps the capture
     may honestly reveal a higher crest hiding inside a segment.
     """
@@ -253,7 +248,7 @@ def relax_path(path: PathState, sweeps: int, *, initial_step: float = 1.0,
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
     info = RelaxInfo()
-    step = initial_step
+    step = 1.0
     max_nodes = max(3 * len(nodes), 24)
 
     def capture() -> None:
@@ -274,28 +269,15 @@ def relax_path(path: PathState, sweeps: int, *, initial_step: float = 1.0,
         # are guarded so they can only lower it
         ceiling0 = max(energies)
         imax = int(np.argmax(energies))
-        if full_path:
-            targets = list(range(1, len(nodes) - 1))
-        else:
-            targets = [i for i in (imax, imax - 1, imax + 1) if 0 < i < len(nodes) - 1]
+        targets = [i for i in (imax, imax - 1, imax + 1) if 0 < i < len(nodes) - 1]
         moved = False
         for i in targets:
-            g = gradient_h(nodes[i], lam)
-            gsq = sobolev_norm_sq(g)
-            if gsq < 1e-28:
-                continue
             ceiling = max(energies)
-            s = 2.0 * step
-            while s > 1e-14:
-                cand = lincomb(1.0, nodes[i], -s, g)
-                ec = energy_value(cand, lam)
-                if ec <= energies[i] - 1e-4 * s * gsq and crest_free(i, cand, ceiling):
-                    nodes[i], energies[i] = cand, ec
-                    step = s
-                    moved = True
+            for cand, ec, s in _armijo_steps(nodes[i], energies[i], lam, step):
+                if crest_free(i, cand, ceiling):
+                    nodes[i], energies[i], step, moved = cand, ec, s, True
                     break
-                s *= 0.5
-        if respace and moved:
+        if moved:
             cand_nodes, cand_energies = _respace(nodes, energies, lam)
             ceiling = max(energies) + 1e-12 * (1.0 + abs(max(energies)))
             top_e, _, _ = _sampled_supremum(cand_nodes, cand_energies, lam)
@@ -308,21 +290,18 @@ def relax_path(path: PathState, sweeps: int, *, initial_step: float = 1.0,
         if not moved:
             info.stalled = True
             break
-    imax = int(np.argmax(energies))
-    info.grad_norm_at_max = gradient_norm(nodes[imax], lam)
     return PathState(lam=lam, nodes=nodes), info
 
 
-def _path_supremum(path: PathState) -> tuple[Field, float]:
+def _path_supremum(path: PathState) -> Field:
     """Point attaining the sampled path maximum (node or segment sample)."""
     lam = path.lam
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
-    top_e, seg, t = _sampled_supremum(nodes, energies, lam)
+    _, seg, t = _sampled_supremum(nodes, energies, lam)
     if seg < 0:
-        imax = int(np.argmax(energies))
-        return nodes[imax], float(energies[imax])
-    return lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1]), float(top_e)
+        return nodes[int(np.argmax(energies))]
+    return lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
 
 
 def _capture_insert(nodes: list[Field], energies: list[float], lam: float,
@@ -352,7 +331,7 @@ def _capture_insert(nodes: list[Field], energies: list[float], lam: float,
                 energies[:] = pruned_energies
 
 
-def _capture_ridge(path: PathState, rounds: int = 4) -> tuple[PathState, float]:
+def _capture_ridge(path: PathState) -> tuple[PathState, float]:
     """Pull the node sampling up to the sampled path supremum.
 
     Returns the refined path and its max-node energy, an honest estimate of
@@ -361,38 +340,33 @@ def _capture_ridge(path: PathState, rounds: int = 4) -> tuple[PathState, float]:
     lam = path.lam
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
-    _capture_insert(nodes, energies, lam, rounds, max_nodes=3 * len(nodes))
+    _capture_insert(nodes, energies, lam, rounds=4, max_nodes=3 * len(nodes))
     state = PathState(lam=lam, nodes=nodes)
     return state, float(max(energies))
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
-                  max_sweeps: int = 400, *, segments: int = 16,
-                  chunk: int = 30, u0: Field | None = None,
-                  path: PathState | None = None) -> MPResult:
+                  max_sweeps: int = 400, *, segments: int = 16) -> MPResult:
     """Estimate the pass level and polish the maximizer into a solution.
 
-    The path relaxes in chunks; after each chunk the max node is handed to
-    the Newton solver.  A polish that collapses to the trivial state just
+    The path runs from 0 to find_u0's anchor and relaxes in chunks of 30
+    sweeps; after each chunk the path's sampled maximum is handed to the
+    Newton solver.  A polish that collapses to the trivial state just
     means the sampling is still coarse, and relaxation resumes.  converged
     means: the polished field solves the equation to tol (L^2 residual), is
     non-constant, and its gradient norm is below tol.
     """
     _multiple_of_quantum_check(lam, spec.m)
     _interval_check(lam, spec.m)
-    if path is None:
-        if u0 is None:
-            u0 = find_u0(lam, spec)
-        path = init_path(u0, segments, lam)
-    else:
-        path = PathState(lam=float(lam), nodes=list(path.nodes))
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    path = init_path(find_u0(lam, spec), segments, lam)
     total_sweeps = 0
     best: SolveResult | None = None
     while total_sweeps < max_sweeps:
-        path, info = relax_path(path, min(chunk, max_sweeps - total_sweeps))
+        path, info = relax_path(path, min(30, max_sweeps - total_sweeps))
         total_sweeps += max(info.sweeps, 1)
-        candidate, _ = _path_supremum(path)
-        solve = newton_solve(candidate, lam, tol=tol)
+        solve = newton_solve(_path_supremum(path), lam, tol=tol)
         if solve.converged and _nontrivial(solve.field):
             best = solve
             break
@@ -401,21 +375,15 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
         if info.stalled:
             break
     path, c_estimate = _capture_ridge(path)
-    if best is None:
-        maximizer = _path_supremum(path)[0]
-    else:
-        maximizer = best.field
-    grad = best.grad_norm if best is not None else math.inf
-    converged = bool(best is not None and best.converged and _nontrivial(maximizer)
-                     and grad <= tol)
-    if converged and best is not None:
+    converged = bool(best.converged and _nontrivial(best.field) and best.grad_norm <= tol)
+    if converged:
         # the path crossed the ridge next to this saddle, so its crest is at
         # least the saddle level; report whichever estimate is sharper
         c_estimate = max(c_estimate, best.energy)
     return MPResult(
         c_estimate=c_estimate,
-        maximizer=maximizer,
-        grad_norm=grad,
+        maximizer=best.field,
+        grad_norm=best.grad_norm,
         iterations=total_sweeps,
         converged=converged,
         lam=float(lam),
@@ -435,33 +403,43 @@ class LevelRow:
 
 @dataclass(frozen=True)
 class LevelSweepReport:
+    """Sweep rows and their monotonicity check.
+
+    The anchor met anchor_min_energy: -1, or -0.05 after the search for -1
+    stalled at anchor_failed_floor (NaN when it did not).
+    """
+
     rows: list[LevelRow]
     monotonicity_violations: int
     slack: float
+    anchor_min_energy: float
+    anchor_failed_floor: float
 
 
 def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
-                *, sweeps_per_lam: int = 60, segments: int = 16,
-                slack: float = 0.02) -> LevelSweepReport:
+                *, sweeps_per_lam: int = 60) -> LevelSweepReport:
     """Pass-level estimates over an increasing lam grid with one shared path.
 
     The anchor is found once at the smallest lam (its energy only decreases
-    at larger lam), and each lam re-relaxes the previous path with a fixed
-    sweep budget.  Because the energy is pointwise non-increasing in lam,
-    warm-started estimates are monotone by construction; the report still
-    counts violations beyond the slack.  Each row also carries a polished
-    solution, continued from the previous lam's solution where available.
+    at larger lam), and the 16-segment path from 0 to it is re-relaxed at
+    each lam with a fixed sweep budget.  Because the energy is pointwise
+    non-increasing in lam, warm-started estimates are monotone by
+    construction; the report still counts violations beyond a 2% slack.
+    Each row also carries a polished solution, continued from the previous
+    lam's solution where available.
     """
     lams = sorted(float(v) for v in lambda_grid)
     if not lams:
         raise ValueError("empty lam grid")
     for lam in lams:
         _interval_check(lam, spec.m)
+    min_energy, failed_floor = -1.0, math.nan
     try:
-        u0 = find_u0(lams[0], spec)
-    except ConvergenceError:
-        u0 = find_u0(lams[0], spec, min_energy=-0.05)
-    path = init_path(u0, segments, lams[0])
+        u0 = find_u0(lams[0], spec, min_energy=min_energy)
+    except ConvergenceError as exc:
+        min_energy, failed_floor = -0.05, exc.floor
+        u0 = find_u0(lams[0], spec, min_energy=min_energy)
+    path = init_path(u0, 16, lams[0])
     rows: list[LevelRow] = []
     prev_solution: Field | None = None
     for lam in lams:
@@ -476,7 +454,7 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
         guesses = []
         if prev_solution is not None:
             guesses.append(prev_solution)
-        guesses.append(_path_supremum(path)[0])
+        guesses.append(_path_supremum(path))
         best: SolveResult | None = None
         for guess in guesses:
             solve = newton_solve(guess, lam, tol=tol)
@@ -485,14 +463,14 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
                 break
             if best is None:
                 best = solve
-        converged = bool(best is not None and best.converged and _nontrivial(best.field))
+        converged = bool(best.converged and _nontrivial(best.field))
         if converged:
             prev_solution = best.field
-        rows.append(LevelRow(lam=lam, c_estimate=c_est,
-                             grad_norm=best.grad_norm if best else math.inf,
+        rows.append(LevelRow(lam=lam, c_estimate=c_est, grad_norm=best.grad_norm,
                              sweeps=used, converged=converged))
     violations = sum(
         1 for a, b in zip(rows, rows[1:])
-        if b.c_estimate > a.c_estimate * (1.0 + slack) + 1e-12
+        if b.c_estimate > a.c_estimate * (1.0 + _LEVEL_SLACK) + 1e-12
     )
-    return LevelSweepReport(rows=rows, monotonicity_violations=violations, slack=slack)
+    return LevelSweepReport(rows=rows, monotonicity_violations=violations, slack=_LEVEL_SLACK,
+                            anchor_min_energy=min_energy, anchor_failed_floor=failed_floor)

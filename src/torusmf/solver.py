@@ -125,15 +125,16 @@ def _preconditioned_operator(spec: TorusSpec, weight: np.ndarray, lam: float) ->
     return LinearOperator((size, size), matvec=matvec, dtype=np.float64)
 
 
-def smallest_hessian_eigenvalue(u: Field, lam: float, *, k: int = 1, tol: float = 1e-6) -> float:
+def smallest_hessian_eigenvalue(u: Field, lam: float) -> float:
     """Lowest eigenvalue of the preconditioned second variation (Lanczos probe).
 
-    The spectrum accumulates at 1 from the high modes; a value near zero
-    signals a bifurcation point, a negative one a saddle direction.
+    ARPACK runs to relative tolerance 1e-6.  The spectrum accumulates at 1
+    from the high modes; a value near zero signals a bifurcation point, a
+    negative one a saddle direction.
     """
     op = _preconditioned_operator(u.spec, _normalized_exp_weight(u.values, u.spec.m), lam)
-    vals = eigsh(op, k=k, which="SA", tol=tol, return_eigenvectors=False, maxiter=5000)
-    return float(np.min(vals))
+    vals = eigsh(op, k=1, which="SA", tol=1e-6, return_eigenvectors=False, maxiter=5000)
+    return float(vals[0])
 
 
 def _probe_singular(u: Field, lam: float) -> None:
@@ -145,8 +146,7 @@ def _probe_singular(u: Field, lam: float) -> None:
         raise SingularHessianError(low)
 
 
-def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 30,
-                 *, max_inner: int = 600) -> SolveResult:
+def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 30) -> SolveResult:
     """Damped Newton iteration on the Euler-Lagrange residual.
 
     Convergence means the L^2 residual is below tol (the H^m dual gradient
@@ -188,7 +188,7 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
             _probe_singular(Field(spec, u, mean_zero=True), lam)
         rtol = min(1e-2, max(res_l2, 0.01 * tol / max(res_l2, tol)))
         y, info = minres(_preconditioned_operator(spec, weight, lam), rhs / grad_norm,
-                         rtol=rtol, maxiter=max_inner)
+                         rtol=rtol, maxiter=600)
         if info != 0 or not np.all(np.isfinite(y)):
             _probe_singular(Field(spec, u, mean_zero=True), lam)
             message = f"linear solve breakdown (minres info={info})"
@@ -226,20 +226,19 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
 
 
 def continuation(start: SolveResult, lam_end: float, dlam0: float,
-                 *, blowup_cap: float = 12.0, dlam_min: float | None = None,
-                 max_steps: int = 500, tol: float = 1e-10) -> Branch:
+                 *, blowup_cap: float = 12.0, tol: float = 1e-10) -> Branch:
     """Natural-parameter continuation with adaptive steps and a blow-up guard.
 
-    Steps halve on Newton failure down to dlam_min; the branch stops early
-    (termination "blow_up") once max|u| exceeds blowup_cap, leaving the
-    offending solution as the endpoint for concentration analysis.
+    Steps halve on Newton failure; below dlam0/1024 the branch ends with
+    termination "newton_failure".  It stops early (termination "blow_up")
+    once max|u| exceeds blowup_cap, leaving the offending solution as the
+    endpoint for concentration analysis, and ends with termination
+    "max_steps" once it holds 500 solutions short of lam_end.
     """
     if not start.converged:
         raise ValueError("continuation must start from a converged solution")
     if dlam0 <= 0:
         raise ValueError("invalid step: dlam0 must be positive")
-    if dlam_min is None:
-        dlam_min = dlam0 / 1024.0
     direction = math.copysign(1.0, lam_end - start.lam)
     branch = Branch(results=[start])
     if lam_end == start.lam:
@@ -249,7 +248,7 @@ def continuation(start: SolveResult, lam_end: float, dlam0: float,
     prev = start
     prev2: SolveResult | None = None
     streak = 0
-    while len(branch.results) <= max_steps:
+    while len(branch.results) <= 500:
         lam_try = lam_cur + direction * dlam
         if (lam_end - lam_try) * direction < 0:
             lam_try = lam_end
@@ -279,7 +278,7 @@ def continuation(start: SolveResult, lam_end: float, dlam0: float,
         else:
             streak = 0
             dlam *= 0.5
-            if dlam < dlam_min:
+            if dlam < dlam0 / 1024.0:
                 branch.termination = "newton_failure"
                 return branch
     branch.termination = "max_steps"
@@ -328,24 +327,22 @@ def _same_modulo_translation(a: Field, b: Field, tol: float = 1e-6) -> bool:
 
 
 def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
-                *, tol: float = 1e-10, norm_range: tuple[float, float] = (0.1, 3.0),
-                dedup: bool = True, directed_fraction: float = 0.25,
-                jobs: int = 1) -> list[SolveResult]:
+                *, tol: float = 1e-10, jobs: int = 1) -> list[SolveResult]:
     """Newton solves from deterministic seeds: directed probes plus random draws.
 
-    A quarter of the seeds walk a fixed amplitude ladder along the grid's
+    n_seeds // 4 seeds walk a fixed amplitude ladder along the grid's
     concentration direction (random low-mode fields of moderate norm have
     essentially no overlap with the concentrated solution family, so purely
     random seeding finds only the trivial root); the rest are random
-    band-limited fields with H^m norms drawn from norm_range.  Converged
-    results are deduplicated modulo grid translations; per-seed failures are
-    kept in the list with converged=False.  Solves are independent and run
-    on `jobs` threads; results are reduced in seed order, so the output does
-    not depend on the degree of parallelism.
+    band-limited fields with H^m norms drawn uniformly from [0.1, 3].
+    Converged results are deduplicated modulo grid translations; per-seed
+    failures are kept in the list with converged=False.  Solves are
+    independent and run on `jobs` threads; results are reduced in seed
+    order, so the output does not depend on the degree of parallelism.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    n_directed = int(directed_fraction * n_seeds)
+    n_directed = n_seeds // 4
     guesses: list[Field] = []
     if n_directed:
         direction = concentration_direction(spec)
@@ -354,7 +351,7 @@ def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
     sequences = np.random.SeedSequence(seed).spawn(n_seeds - n_directed)
     for child in sequences:
         rng = np.random.default_rng(child)
-        guesses.append(random_low_mode_field(spec, rng, rng.uniform(*norm_range)))
+        guesses.append(random_low_mode_field(spec, rng, rng.uniform(0.1, 3.0)))
 
     def solve_one(guess: Field) -> SolveResult:
         try:
@@ -380,7 +377,7 @@ def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
         if not res.converged:
             failures.append(res)
             continue
-        if dedup and any(_same_modulo_translation(res.field, kept.field) for kept in unique):
+        if any(_same_modulo_translation(res.field, kept.field) for kept in unique):
             continue
         unique.append(res)
     return unique + failures

@@ -58,6 +58,11 @@ class TestMpCmd:
         assert values["converged"] == "true"
         assert float(values["c_estimate"]) > 0.0
 
+    def test_zero_sweeps_rejected(self, tmp_path):
+        rc = cli(tmp_path, "mp", "--n", "32", "--lambda", "14", "--max-sweeps", "0")
+        assert rc == 2
+        assert not (tmp_path / "mp").exists()
+
     def test_quantum_multiple_rejected(self, tmp_path):
         rc = cli(tmp_path, "mp", "--n", "32", "--lambda", repr(4 * math.pi))
         assert rc == 2
@@ -133,6 +138,10 @@ class TestSweepCmd:
         assert len(rows) == 3
         cs = [float(r.split(",")[1]) for r in rows[1:]]
         assert cs[0] > cs[1] > 0
+        summary = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
+        assert summary[0] == ("monotonicity_violations,slack,anchor_min_energy,"
+                              "anchor_failed_floor")
+        assert summary[1].split(",")[2:] == ["-1", "nan"]
 
 
 class TestGreenCmd:

@@ -55,11 +55,6 @@ class TestConcentration:
         assert rep.nearest_N == 1
         assert rep.deviation <= 0.20
 
-    def test_custom_radii_validation(self, spec64):
-        u = smooth_field(spec64, 1)
-        with pytest.raises(ValueError):
-            concentration(u, 1.0, radii=np.array([0.2, 0.1]))
-
     def test_rejects_nonpositive_lam(self, spec64):
         with pytest.raises(ValueError):
             concentration(zero_field(spec64), 0.0)

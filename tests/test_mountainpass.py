@@ -51,8 +51,10 @@ class TestFindU0:
     def test_shallow_regime_reports_floor(self, spec32):
         # at lam barely above the coercivity threshold the coarse grid has no
         # point below -1; the failure must carry the achieved floor
-        with pytest.raises(ConvergenceError, match="deepest"):
+        with pytest.raises(ConvergenceError, match="deepest") as err:
             find_u0(13.0, spec32)
+        assert err.value.floor > -1.0
+        assert f"{err.value.floor:.4f}" in str(err.value)
 
     def test_order_two_anchor(self):
         spec = make_spec(2, 16)
@@ -60,10 +62,14 @@ class TestFindU0:
         assert energy_value(u0, 300.0) < -1.0
 
     def test_anchor_search_does_not_import_sympy(self):
-        # only the glued profile's cutoff needs sympy; the solve path must not
+        # sympy is a test-only oracle: neither the solve path nor the
+        # concentrating profiles (criterion-3 sigmas) may import it
         code = ("import sys\n"
-                "from torusmf import find_u0, make_spec\n"
+                "from torusmf import BubbleParams, bubble_asymptotics, bubble_field, "
+                "find_u0, make_spec\n"
                 "find_u0(14.0, make_spec(1, 32))\n"
+                "bubble_field(make_spec(1, 64), BubbleParams(3.0, 0.4, (0.0, 0.0)))\n"
+                "bubble_asymptotics([10**p for p in (2.0, 2.5, 3.0, 3.5, 4.0)], 14.0, 1)\n"
                 "print('sympy' in sys.modules)\n")
         src = Path(torusmf.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -205,6 +211,15 @@ class TestLevelSweep:
         assert len(rep.rows) == 1
         assert rep.monotonicity_violations == 0
         assert rep.rows[0].c_estimate > 0.0
+        assert rep.anchor_min_energy == -1.0
+        assert math.isnan(rep.anchor_failed_floor)
+
+    def test_anchor_fallback_recorded(self, sweep128):
+        # at lam=13, n=128 the descent toward -1 stalls, and the anchor comes
+        # from the second search at -0.05
+        assert sweep128.rows[0].lam == 13.0
+        assert sweep128.anchor_min_energy == -0.05
+        assert -1.0 < sweep128.anchor_failed_floor < -0.05
 
     def test_three_point_monotone(self, spec32):
         rep = level_sweep([14.0, 16.0, 18.0], spec32, tol=1e-8, sweeps_per_lam=40)
