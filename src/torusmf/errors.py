@@ -33,7 +33,7 @@ class SingularHessianError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative procedure stalled before reaching its target energy at floor."""
+    """An iterative procedure stalled before its target; floor is the deepest energy reached."""
 
     def __init__(self, message: str, floor: float):
         self.floor = float(floor)

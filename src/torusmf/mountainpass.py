@@ -240,9 +240,9 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     by energy gaps whenever a node moved.  Moves and re-spacings are
     accepted only if the sampled crests of the touched segments stay below
     the current max-node energy: otherwise a single segment could silently
-    vault the ridge.  Within a sweep, descent and
-    re-spacing can only lower the captured max; between sweeps the capture
-    may honestly reveal a higher crest hiding inside a segment.
+    vault the ridge.  Within a sweep, descent and re-spacing can only lower
+    the captured max; between sweeps the capture may honestly reveal a
+    higher crest hiding inside a segment.
     """
     lam = path.lam
     nodes = list(path.nodes)

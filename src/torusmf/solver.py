@@ -233,7 +233,7 @@ def continuation(start: SolveResult, lam_end: float, dlam0: float,
     termination "newton_failure".  It stops early (termination "blow_up")
     once max|u| exceeds blowup_cap, leaving the offending solution as the
     endpoint for concentration analysis, and ends with termination
-    "max_steps" once it holds 500 solutions short of lam_end.
+    "max_steps" after 500 accepted steps short of lam_end.
     """
     if not start.converged:
         raise ValueError("continuation must start from a converged solution")
