@@ -22,13 +22,10 @@ from .field import (
     apply_power_laplacian,
     from_values,
     grid_coordinates,
-    integrate,
     l2_inner,
-    l2_norm,
     lincomb,
     log_integrate_exp,
     make_spec,
-    project_mean_zero,
     read_field,
     scaled,
     shift,
@@ -51,7 +48,6 @@ from .functional import (
     energy_value,
     expansion_gap,
     gradient_h,
-    gradient_norm,
     hessian_action,
     hessian_quadratic_form,
     sphere_volume,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate as _scipy_integrate
 
 from .errors import QuadratureError, UnresolvedBubbleError
-from .field import Field, TorusSpec, from_values, grid_coordinates, project_mean_zero
+from .field import Field, TorusSpec, from_values, grid_coordinates
 from .functional import constants
 
 # Surface volume of S^(2m-1), i.e. the weight of radial integration in R^(2m).
@@ -261,7 +261,7 @@ def bubble_field(spec: TorusSpec, params: BubbleParams, *, allow_unresolved: boo
     vals = profile_value(params.sigma, np.minimum(rho, 1.0))
     w1 = w_profile(params.sigma, 1.0)
     vals = np.where(rho < 1.0, vals, w1)
-    return project_mean_zero(from_values(spec, vals))
+    return from_values(spec, vals)
 
 
 @dataclass(frozen=True)

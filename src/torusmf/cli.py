@@ -28,7 +28,7 @@ from . import diagnostics as _diagnostics
 from . import mountainpass as _mountainpass
 from . import solver as _solver
 from .errors import ConvergenceError, QuadratureError, SingularHessianError
-from .field import make_spec, project_mean_zero, read_field, sobolev_norm_sq, write_field
+from .field import make_spec, read_field, sobolev_norm_sq, write_field
 from .functional import constants
 
 _FLOAT_FMT = "%.17g"
@@ -202,7 +202,7 @@ def _write_quant(out: Path, quant) -> None:
 
 
 def cmd_quant(args) -> int:
-    field = project_mean_zero(read_field(args.field))
+    field = read_field(args.field)
     quant = _diagnostics.concentration(field, float(args.lam))
     out = _prepare_outdir(args, "quant")
     _write_quant(out, quant)

@@ -20,17 +20,19 @@ from .field import (
     Field,
     TorusSpec,
     _log_mean_exp,
-    _require_mean_zero,
-    from_values,
     log_integrate_exp,
-    project_mean_zero,
     scaled,
-    solve_poisson_power,
     sobolev_norm_sq,
     zero_field,
 )
 from .functional import _normalized_exp_weight, constants, energy_value
-from .solver import SolveResult, concentration_direction, multi_start, random_low_mode_field
+from .solver import (
+    SolveResult,
+    _green_kernel,
+    concentration_direction,
+    multi_start,
+    random_low_mode_field,
+)
 
 _PLATEAU_DERIVATIVE_FRACTION = 0.05  # heuristic; raw curves are always reported
 _VALIDATION_SLACK = 0.10  # relative excess of a held-out coercivity gap over the fit
@@ -74,7 +76,6 @@ def concentration(u: Field, lam: float) -> QuantizationReport:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    _require_mean_zero(u, "concentration")
     spec = u.spec
     cst = constants(spec.m)
     center = tuple(int(i) for i in np.unravel_index(int(np.argmax(u.values)), spec.shape))
@@ -123,7 +124,6 @@ def adams_value(u: Field) -> float:
     The exponent is invariant under u -> c*u, so the value depends only on
     the direction of u.
     """
-    _require_mean_zero(u, "adams_value")
     norm_sq = sobolev_norm_sq(u)
     if norm_sq == 0.0:
         raise ValueError("adams_value is undefined for the zero field")
@@ -221,9 +221,7 @@ def green_field(spec: TorusSpec, base_index: tuple[int, ...]) -> GreenField:
     if len(base_index) != spec.dim:
         raise ValueError(f"base index needs {spec.dim} coordinates")
     base = tuple(int(i) % spec.n for i in base_index)
-    delta = np.zeros(spec.shape)
-    delta[base] = spec.npoints
-    g = solve_poisson_power(project_mean_zero(from_values(spec, delta)), spec.m)
+    g = _green_kernel(spec, base)
     dist = _torus_radii_from(spec, base)
     lo, hi = 4.0 / spec.n, 1.0 / 8.0
     coefficient = None

@@ -62,15 +62,16 @@ def make_spec(m: int, n: int) -> TorusSpec:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Real scalar grid function; values are row-major with axis 0 slowest.
+    """Real mean-zero scalar grid function; values are row-major with axis 0 slowest.
 
-    Construction takes ownership of the value array and freezes it (use
-    from_values to keep the caller's array untouched).
+    Construction checks the shape, finiteness and a grid average within
+    MEAN_ZERO_RTOL of zero relative to 1 + max|v|, so every Field is
+    mean-zero and no operation re-checks it.  It takes ownership of the value
+    array and freezes it; from_values is the entry point for raw arrays.
     """
 
     spec: TorusSpec
     values: np.ndarray
-    mean_zero: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -78,8 +79,10 @@ class Field:
             raise ValueError(f"value array shape {v.shape} does not match grid {self.spec.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite entry in field values")
-        if self.mean_zero and not _is_mean_zero(v):
-            raise ValueError("mean_zero flag set but the grid average is not ~0")
+        mean = float(v.mean())
+        if abs(mean) > MEAN_ZERO_RTOL * (1.0 + float(np.max(np.abs(v)))):
+            raise ValueError(f"field values are not mean-zero (grid average {mean:.3e}); "
+                             "from_values projects a raw array")
         if v.flags.writeable:
             v = v.copy() if not v.flags.owndata else v
             v.flags.writeable = False
@@ -88,30 +91,30 @@ class Field:
 
 
 def zero_field(spec: TorusSpec) -> Field:
-    return Field(spec, np.zeros(spec.shape), mean_zero=True)
+    return Field(spec, np.zeros(spec.shape))
 
 
 def from_values(spec: TorusSpec, values: np.ndarray) -> Field:
-    """Field from a raw array (copied); finiteness and shape are checked."""
+    """Field from a raw array: copied, reshaped, checked finite, grid average subtracted.
+
+    The equation and the functional are unchanged under u -> u + const, so
+    the projection loses nothing; the subtracted constant is mean(values).
+    """
     v = np.array(values, dtype=np.float64, copy=True)
     if v.size == spec.npoints and v.shape != spec.shape:
         v = v.reshape(spec.shape)
-    return Field(spec, v, mean_zero=False)
-
-
-def project_mean_zero(f: Field) -> Field:
-    """Subtract the grid average; the subtracted constant is mean(f)."""
-    mean = float(f.values.mean())
-    return Field(f.spec, f.values - mean, mean_zero=True)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite entry in field values")
+    return Field(spec, v - float(v.mean()))
 
 
 def lincomb(a: float, f: Field, b: float, g: Field) -> Field:
     _check_same_spec(f, g)
-    return Field(f.spec, a * f.values + b * g.values, mean_zero=f.mean_zero and g.mean_zero)
+    return Field(f.spec, a * f.values + b * g.values)
 
 
 def scaled(f: Field, a: float) -> Field:
-    return Field(f.spec, a * f.values, mean_zero=f.mean_zero)
+    return Field(f.spec, a * f.values)
 
 
 def shift(f: Field, offsets: tuple[int, ...]) -> Field:
@@ -119,7 +122,7 @@ def shift(f: Field, offsets: tuple[int, ...]) -> Field:
     if len(offsets) != f.spec.dim:
         raise ValueError("one integer offset per axis required")
     rolled = np.roll(f.values, shift=tuple(int(o) for o in offsets), axis=tuple(range(f.spec.dim)))
-    return Field(f.spec, rolled, mean_zero=f.mean_zero)
+    return Field(f.spec, rolled)
 
 
 def grid_coordinates(spec: TorusSpec):
@@ -131,16 +134,6 @@ def grid_coordinates(spec: TorusSpec):
 def _check_same_spec(f: Field, g: Field) -> None:
     if f.spec != g.spec:
         raise ValueError(f"grid spec mismatch: {f.spec} vs {g.spec}")
-
-
-def _is_mean_zero(v: np.ndarray) -> bool:
-    """Grid average within MEAN_ZERO_RTOL of zero, relative to 1 + max|v|."""
-    return abs(float(v.mean())) <= MEAN_ZERO_RTOL * (1.0 + float(np.max(np.abs(v))))
-
-
-def _require_mean_zero(f: Field, what: str) -> None:
-    if not (f.mean_zero or _is_mean_zero(f.values)):
-        raise ValueError(f"{what} requires a mean-zero field; project_mean_zero first")
 
 
 @functools.lru_cache(maxsize=64)
@@ -202,23 +195,20 @@ def apply_power_laplacian(f: Field, s: float) -> Field:
     """Fourier multiplier (4 pi^2 |k|^2)**s on a mean-zero field; s >= 0."""
     if s < 0:
         raise ValueError("negative power: use solve_poisson_power instead")
-    _require_mean_zero(f, "apply_power_laplacian")
-    return Field(f.spec, _apply_multiplier(f, _multiplier(f.spec, float(s))), mean_zero=True)
+    return Field(f.spec, _apply_multiplier(f, _multiplier(f.spec, float(s))))
 
 
 def solve_poisson_power(f: Field, s: float) -> Field:
     """Inverse of apply_power_laplacian(., s) on mean-zero fields; s > 0."""
     if s <= 0:
         raise ValueError("power must be positive")
-    _require_mean_zero(f, "solve_poisson_power")
-    return Field(f.spec, _apply_multiplier(f, _multiplier(f.spec, -float(s))), mean_zero=True)
+    return Field(f.spec, _apply_multiplier(f, _multiplier(f.spec, -float(s))))
 
 
 def sobolev_norm_sq(f: Field) -> float:
     """Squared H^m seminorm: sum over k of (4 pi^2 |k|^2)^m |c(k)|^2; cached on the field."""
     cached = f._cache.get("norm_sq")
     if cached is None:
-        _require_mean_zero(f, "sobolev_norm_sq")
         c = transform(f)
         cached = float(np.vdot(_sobolev_weight(f.spec) * c, c).real)
         f._cache["norm_sq"] = cached
@@ -228,23 +218,12 @@ def sobolev_norm_sq(f: Field) -> float:
 def sobolev_inner(f: Field, g: Field) -> float:
     """H^m inner product of two mean-zero fields (real part of the mode sum)."""
     _check_same_spec(f, g)
-    _require_mean_zero(f, "sobolev_inner")
-    _require_mean_zero(g, "sobolev_inner")
     return float(np.vdot(_sobolev_weight(f.spec) * transform(f), transform(g)).real)
-
-
-def integrate(f: Field) -> float:
-    """Integral over the unit-volume torus = uniform grid mean (periodic trapezoid)."""
-    return float(f.values.mean())
 
 
 def l2_inner(f: Field, g: Field) -> float:
     _check_same_spec(f, g)
     return float((f.values * g.values).mean())
-
-
-def l2_norm(f: Field) -> float:
-    return math.sqrt(max(l2_inner(f, f), 0.0))
 
 
 def log_integrate_exp(f: Field, c: float) -> float:
@@ -270,9 +249,7 @@ def upsample(f: Field, n_new: int) -> Field:
     for axis in range(f.spec.dim):
         vals = resample(vals, n_new, axis=axis)
     new_spec = make_spec(f.spec.m, n_new)
-    if f.mean_zero:
-        vals = vals - vals.mean()
-    return Field(new_spec, np.ascontiguousarray(vals), mean_zero=f.mean_zero)
+    return Field(new_spec, np.ascontiguousarray(vals - vals.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +271,7 @@ def write_field(path, f: Field) -> None:
 
 
 def read_field(path) -> Field:
-    """Read a PBFLD1 file; returns a Field with mean_zero unset."""
+    """Read a PBFLD1 file through from_values (so the field is projected to mean zero)."""
     with open(path, "rb") as fh:
         lines = []
         while True:
@@ -310,11 +287,11 @@ def read_field(path) -> Field:
         try:
             m = int(lines[1].decode("ascii").removeprefix("m="))
             n = int(lines[2].decode("ascii").removeprefix("n="))
-        except Exception as exc:
+        except ValueError as exc:
             raise ValueError(f"bad PBFLD1 header: {exc}") from exc
         spec = make_spec(m, n)
         raw = fh.read()
     data = np.frombuffer(raw, dtype="<f8", count=-1)
     if data.size != spec.npoints:
         raise ValueError(f"payload has {data.size} doubles, expected {spec.npoints}")
-    return from_values(spec, data.astype(np.float64).reshape(spec.shape))
+    return from_values(spec, data)

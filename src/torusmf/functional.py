@@ -23,7 +23,6 @@ from .field import (
     Field,
     FOUR_PI_SQ,
     SUPPORTED_ORDERS,
-    _require_mean_zero,
     apply_power_laplacian,
     l2_inner,
     lincomb,
@@ -84,7 +83,6 @@ def energy(u: Field, lam: float) -> EnergyReport:
     """Energy split into its quadratic part and the (overflow-safe) log mass."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    _require_mean_zero(u, "energy")
     m = u.spec.m
     dirichlet = 0.5 * sobolev_norm_sq(u)
     log_mass = log_integrate_exp(u, 2.0 * m)
@@ -125,10 +123,9 @@ def _residual_and_weight(values: np.ndarray, lap_values: np.ndarray, lam: float,
 
 def el_residual(u: Field, lam: float) -> Field:
     """Residual (-Lap)^m u + lam - lam * W, with W = exp(2m u)/integral(exp(2m u))."""
-    _require_mean_zero(u, "el_residual")
     m = u.spec.m
     res, _ = _residual_and_weight(u.values, apply_power_laplacian(u, m).values, lam, m)
-    return Field(u.spec, res, mean_zero=True)
+    return Field(u.spec, res)
 
 
 def gradient_h(u: Field, lam: float) -> Field:
@@ -141,13 +138,8 @@ def gradient_h(u: Field, lam: float) -> Field:
     return solve_poisson_power(el_residual(u, lam), u.spec.m)
 
 
-def gradient_norm(u: Field, lam: float) -> float:
-    return math.sqrt(max(sobolev_norm_sq(gradient_h(u, lam)), 0.0))
-
-
 def directional_derivative(u: Field, lam: float, v: Field) -> float:
-    """d/dt I(u + t v) at t = 0 for mean-zero v."""
-    _require_mean_zero(v, "directional_derivative")
+    """d/dt I(u + t v) at t = 0."""
     return l2_inner(el_residual(u, lam), v)
 
 
@@ -157,15 +149,13 @@ def hessian_action(u: Field, lam: float, v: Field) -> Field:
     (-Lap)^m v - 2m lam [ W v - W * integral(W v) ]  with  W the normalized
     exponential weight; symmetric in the L^2 pairing.
     """
-    _require_mean_zero(u, "hessian_action")
-    _require_mean_zero(v, "hessian_action")
     if u.spec != v.spec:
         raise ValueError("grid spec mismatch")
     m = u.spec.m
     weight = _normalized_exp_weight(u.values, m)
     wv = weight * v.values
     out = apply_power_laplacian(v, m).values - 2.0 * m * lam * (wv - weight * wv.mean())
-    return Field(u.spec, out - out.mean(), mean_zero=True)
+    return Field(u.spec, out - out.mean())
 
 
 def hessian_quadratic_form(u: Field, lam: float, v: Field) -> float:

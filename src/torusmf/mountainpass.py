@@ -106,44 +106,28 @@ def _armijo_steps(u: Field, e: float, lam: float, step: float):
 
 
 def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0) -> Field:
-    """Anchor with I(u0) < min_energy and ||u0|| >= 1.
+    """Anchor t*d with I(t*d) < min_energy and t >= 1, d the unit concentration direction.
 
-    Scans amplitudes along the grid's own concentration direction (scaled
-    peak profile) and, if no amplitude dips below min_energy, continues from
-    the deepest one by up to 2000 steps of preconditioned descent.  Raises
-    ConvergenceError carrying the achieved floor if the grid's
-    negative-energy set is too shallow (happens for lam barely above the
-    coercivity threshold on coarse grids).
+    Scans 160 amplitudes t from 0.5 to 40 along the grid's own concentration
+    direction (scaled peak profile) and returns the first one with t >= 1
+    below min_energy; ||t*d|| = t, so the anchor's norm is at least 1.
+    Raises ConvergenceError carrying the deepest scanned energy as its floor
+    if no amplitude qualifies (happens for lam barely above the coercivity
+    threshold on coarse grids).
     """
     _interval_check(lam, spec.m)
     direction = concentration_direction(spec)
-    ts = np.linspace(0.5, 40.0, 160)
     energies = []
-    for t in ts:
-        energies.append(energy_value(scaled(direction, float(t)), lam))
-        if energies[-1] < min_energy:
-            if t >= 1.0:
-                return scaled(direction, float(t))
-            break
-    # the descent starts from the deepest amplitude of the whole scan
-    energies += [energy_value(scaled(direction, float(t)), lam) for t in ts[len(energies):]]
-    k = int(np.argmin(energies))
-    u, e, step = scaled(direction, float(ts[k])), energies[k], 1.0
-    for _ in range(2000):
-        if e < min_energy:
-            break
-        accepted = next(_armijo_steps(u, e, lam, step), None)
-        if accepted is None:
-            break
-        u, e, step = accepted
-    if not e < min_energy:
-        raise ConvergenceError(
-            f"no anchor below {min_energy} at n={spec.n} (deepest energy found: {e:.4f}); "
-            "refine the grid or relax min_energy", floor=e
-        )
-    if sobolev_norm_sq(u) < 1.0:
-        raise ConvergenceError("anchor found but its norm is below 1", floor=e)
-    return u
+    for t in np.linspace(0.5, 40.0, 160):
+        u = scaled(direction, float(t))
+        energies.append(energy_value(u, lam))
+        if t >= 1.0 and energies[-1] < min_energy:
+            return u
+    floor = min(energies)
+    raise ConvergenceError(
+        f"no anchor below {min_energy} at n={spec.n} (deepest energy found: {floor:.4f}); "
+        "refine the grid or relax min_energy", floor=floor
+    )
 
 
 def init_path(u0: Field, segments: int, lam: float) -> PathState:

@@ -44,7 +44,6 @@ from .field import (
     apply_power_laplacian,
     from_values,
     lincomb,
-    project_mean_zero,
     scaled,
     sobolev_norm_sq,
     solve_poisson_power,
@@ -161,7 +160,7 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
     inward, outward = _coordinate_diagonals(spec)
     axes = tuple(range(1, spec.dim + 1))
     # the iterate as (values, (-Lap)^m values): both move linearly along a step
-    u = project_mean_zero(guess)
+    u = Field(spec, guess.values - float(guess.values.mean()))
     u, lap = u.values, apply_power_laplacian(u, m).values
     residual, weight = _residual_and_weight(u, lap, lam, m)
     message = ""
@@ -185,12 +184,12 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
             # geometric stalling is the signature of a (near-)null direction
             # of the linearization, e.g. at a bifurcation point
             probed = True
-            _probe_singular(Field(spec, u, mean_zero=True), lam)
+            _probe_singular(Field(spec, u), lam)
         rtol = min(1e-2, max(res_l2, 0.01 * tol / max(res_l2, tol)))
         y, info = minres(_preconditioned_operator(spec, weight, lam), rhs / grad_norm,
                          rtol=rtol, maxiter=600)
         if info != 0 or not np.all(np.isfinite(y)):
-            _probe_singular(Field(spec, u, mean_zero=True), lam)
+            _probe_singular(Field(spec, u), lam)
             message = f"linear solve breakdown (minres info={info})"
             break
         y = _as_coordinates(y * grad_norm, spec)
@@ -209,10 +208,10 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
                 break
             step *= 0.5
         if not accepted:
-            _probe_singular(Field(spec, u, mean_zero=True), lam)
+            _probe_singular(Field(spec, u), lam)
             message = "line search stall"
             break
-    result = Field(spec, u, mean_zero=True)
+    result = Field(spec, u)
     return SolveResult(
         field=result,
         lam=float(lam),
@@ -291,10 +290,15 @@ def concentration_direction(spec: TorusSpec) -> Field:
     This is the grid-scale limit shape of the concentrating family and the
     best max-per-norm concentrator the grid supports.
     """
-    delta = np.zeros(spec.shape)
-    delta.flat[0] = spec.npoints
-    g = solve_poisson_power(project_mean_zero(from_values(spec, delta)), spec.m)
+    g = _green_kernel(spec, (0,) * spec.dim)
     return scaled(g, 1.0 / math.sqrt(sobolev_norm_sq(g)))
+
+
+def _green_kernel(spec: TorusSpec, base: tuple[int, ...]) -> Field:
+    """Discrete kernel of (-Lap)^m at a grid point: the inverse power of the mean-zero delta."""
+    delta = np.zeros(spec.shape)
+    delta[base] = spec.npoints
+    return solve_poisson_power(from_values(spec, delta), spec.m)
 
 
 def random_low_mode_field(spec: TorusSpec, rng: np.random.Generator,
@@ -313,7 +317,7 @@ def random_low_mode_field(spec: TorusSpec, rng: np.random.Generator,
     if norm == 0.0:
         raise ValueError("degenerate random draw")
     vals = _inverse_rfft(c, spec)
-    return Field(spec, (vals - vals.mean()) * (target_norm / norm), mean_zero=True)
+    return Field(spec, (vals - vals.mean()) * (target_norm / norm))
 
 
 def _peak_aligned(values: np.ndarray) -> np.ndarray:
@@ -347,7 +351,7 @@ def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
     if n_directed:
         direction = concentration_direction(spec)
         for amp in np.geomspace(2.0, 12.0, n_directed):
-            guesses.append(Field(spec, float(amp) * direction.values, mean_zero=True))
+            guesses.append(scaled(direction, float(amp)))
     sequences = np.random.SeedSequence(seed).spawn(n_seeds - n_directed)
     for child in sequences:
         rng = np.random.default_rng(child)

@@ -1,5 +1,6 @@
 """Spectral field calculus: transforms, norms, quadrature, file format."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusmf import (
+    Field,
     apply_power_laplacian,
     from_values,
-    integrate,
     l2_inner,
     log_integrate_exp,
     make_spec,
-    project_mean_zero,
     read_field,
     scaled,
     shift,
@@ -49,11 +49,11 @@ class TestMakeSpec:
 class TestFromValues:
     def test_zeros(self, spec64):
         f = from_values(spec64, np.zeros(spec64.shape))
-        assert integrate(f) == 0.0
+        assert f.values.mean() == 0.0
 
     def test_cos_mean_tiny(self, spec64):
         f = cos_mode(spec64)
-        assert abs(integrate(f)) <= 1e-14
+        assert abs(f.values.mean()) <= 1e-14
 
     def test_nan_rejected(self, spec64):
         bad = np.zeros(spec64.shape)
@@ -68,14 +68,20 @@ class TestFromValues:
 
 class TestProjectMeanZero:
     def test_constant_becomes_zero(self, spec64):
-        f = project_mean_zero(from_values(spec64, 5.0 * np.ones(spec64.shape)))
+        f = from_values(spec64, 5.0 * np.ones(spec64.shape))
         assert np.max(np.abs(f.values)) == 0.0
-        assert f.mean_zero
 
     def test_cos_unchanged(self, spec64):
         f = cos_mode(spec64)
-        g = project_mean_zero(f)
+        g = from_values(spec64, f.values)
         assert np.max(np.abs(g.values - f.values)) <= 1e-14
+
+    def test_subtracts_the_grid_average(self, spec32):
+        vals = np.random.default_rng(8).standard_normal(spec32.shape) + 3.0
+        assert np.array_equal(from_values(spec32, vals).values, vals - float(vals.mean()))
+
+    def test_field_has_spec_and_values_only(self):
+        assert [f.name for f in dataclasses.fields(Field)] == ["spec", "values"]
 
 
 def _multiplicity(spec):
@@ -120,7 +126,7 @@ class TestTransform:
     def test_parseval(self, seed):
         spec = make_spec(1, 32)
         f = from_values(spec, np.random.default_rng(seed).standard_normal(spec.shape))
-        lhs = integrate(from_values(spec, f.values**2))
+        lhs = float(np.mean(f.values**2))
         rhs = float(np.sum(_multiplicity(spec) * np.abs(transform(f)) ** 2))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
 
@@ -142,7 +148,7 @@ class TestHalfGridSeminorm:
     def _with_nyquist(spec, seed):
         """Mean-zero white noise: every mode, the k = n/2 planes included, is excited."""
         vals = np.random.default_rng(seed).standard_normal(spec.shape)
-        return project_mean_zero(from_values(spec, vals))
+        return from_values(spec, vals)
 
     @pytest.mark.parametrize("m,n", [(1, 16), (1, 32), (2, 8)])
     def test_matches_full_spectrum(self, m, n):
@@ -156,7 +162,7 @@ class TestHalfGridSeminorm:
         spec = make_spec(1, 16)
         x = np.arange(spec.n)
         alternating = np.broadcast_to((-1.0) ** x, spec.shape)  # cos(pi n x) on the last axis
-        f = project_mean_zero(from_values(spec, alternating))
+        f = from_values(spec, alternating)
         expected = (4 * PI**2 * (spec.n / 2) ** 2) ** spec.m  # |c| = 1 on the k = n/2 plane
         assert sobolev_norm_sq(f) == pytest.approx(expected, rel=1e-12)
         assert sobolev_norm_sq(f) == pytest.approx(self._reference(f, f), rel=1e-12)
@@ -183,9 +189,8 @@ class TestPowerLaplacian:
             apply_power_laplacian(zero_field(spec64), -1.0)
 
     def test_mean_zero_required(self, spec64):
-        f = from_values(spec64, 1.0 + cos_mode(spec64).values)
         with pytest.raises(ValueError, match="mean-zero"):
-            apply_power_laplacian(f, 1.0)
+            Field(spec64, 1.0 + cos_mode(spec64).values)
 
     def test_composition(self, spec32):
         f = smooth_field(spec32, 7)
@@ -242,9 +247,6 @@ class TestSobolevNorm:
 
 
 class TestQuadrature:
-    def test_integrate_constant(self, spec64):
-        assert integrate(from_values(spec64, 3.0 * np.ones(spec64.shape))) == 3.0
-
     def test_l2_inner_cos_cos(self, spec64):
         assert abs(l2_inner(cos_mode(spec64), cos_mode(spec64)) - 0.5) <= 1e-14
 
@@ -301,8 +303,7 @@ class TestShiftAndUpsample:
         g = upsample(f, 64)
         assert g.spec.n == 64
         assert np.max(np.abs(g.values[::2, ::2] - f.values)) <= 1e-12
-        assert abs(sobolev_norm_sq(project_mean_zero(g)) - sobolev_norm_sq(
-            project_mean_zero(f))) <= 1e-9
+        assert abs(sobolev_norm_sq(g) - sobolev_norm_sq(f)) <= 1e-9
 
     def test_upsample_rejects_downsample(self, spec64):
         with pytest.raises(ValueError):
@@ -316,8 +317,7 @@ class TestFieldFile:
         write_field(path, f)
         g = read_field(path)
         assert g.spec == spec32
-        assert not g.mean_zero
-        assert np.array_equal(g.values, f.values)
+        assert np.array_equal(g.values, f.values - float(f.values.mean()))
 
     def test_header_layout(self, tmp_path, spec32):
         path = tmp_path / "f.pbfld"
@@ -337,4 +337,26 @@ class TestFieldFile:
         path = tmp_path / "short.pbfld"
         path.write_bytes(b"PBFLD1\nm=1\nn=32\nkind=values\n\n" + b"\x00" * 64)
         with pytest.raises(ValueError, match="doubles"):
+            read_field(path)
+
+    def test_rejects_bad_header_value(self, tmp_path):
+        path = tmp_path / "bad.pbfld"
+        path.write_bytes(b"PBFLD1\nm=one\nn=32\nkind=values\n\n" + b"\x00" * 8 * 32**2)
+        with pytest.raises(ValueError, match="bad PBFLD1 header"):
+            read_field(path)
+
+    def test_reading_projects_to_mean_zero(self, tmp_path, spec32):
+        shifted = 5.0 + cos_mode(spec32).values
+        path = tmp_path / "shifted.pbfld"
+        path.write_bytes(b"PBFLD1\nm=1\nn=32\nkind=values\n\n" + shifted.astype("<f8").tobytes())
+        g = read_field(path)
+        assert np.array_equal(g.values, shifted - float(shifted.mean()))
+        assert np.max(np.abs(g.values - cos_mode(spec32).values)) <= 1e-14
+
+    def test_rejects_nan_payload(self, tmp_path, spec32):
+        vals = np.zeros(spec32.shape)
+        vals[4, 9] = np.nan
+        path = tmp_path / "nan.pbfld"
+        path.write_bytes(b"PBFLD1\nm=1\nn=32\nkind=values\n\n" + vals.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="non-finite"):
             read_field(path)

@@ -13,6 +13,7 @@ import torusmf
 from torusmf import (
     ConvergenceError,
     PathState,
+    concentration_direction,
     energy_value,
     find_u0,
     init_path,
@@ -21,6 +22,7 @@ from torusmf import (
     make_spec,
     mountain_pass,
     relax_path,
+    scaled,
     sobolev_norm_sq,
     zero_field,
 )
@@ -55,6 +57,27 @@ class TestFindU0:
             find_u0(13.0, spec32)
         assert err.value.floor > -1.0
         assert f"{err.value.floor:.4f}" in str(err.value)
+
+    def test_floor_is_the_deepest_scanned_energy(self, spec32):
+        direction = concentration_direction(spec32)
+        scanned = [energy_value(scaled(direction, float(t)), 13.0)
+                   for t in np.linspace(0.5, 40.0, 160)]
+        with pytest.raises(ConvergenceError) as err:
+            find_u0(13.0, spec32)
+        assert err.value.floor == min(scanned)
+
+    def test_failed_search_is_one_scan(self, monkeypatch):
+        # no amplitude reaches -1 at lam = 13, n = 128: the search gives up
+        # after the 160 scanned energies, without a descent step
+        calls = []
+        energy = torusmf.mountainpass.energy_value
+        monkeypatch.setattr(torusmf.mountainpass, "energy_value",
+                            lambda u, lam: calls.append(lam) or energy(u, lam))
+        monkeypatch.setattr(torusmf.mountainpass, "gradient_h",
+                            lambda u, lam: pytest.fail("find_u0 took a descent step"))
+        with pytest.raises(ConvergenceError):
+            find_u0(13.0, make_spec(1, 128))
+        assert len(calls) == 160
 
     def test_order_two_anchor(self):
         spec = make_spec(2, 16)
