@@ -219,8 +219,9 @@ def cmd_sweep(args) -> int:
     report = _mountainpass.level_sweep(lams, spec, tol=float(args.tol),
                                        sweeps_per_lam=int(args.sweeps_per_lambda))
     out = _prepare_outdir(args, "sweep")
-    rows = [(r.lam, r.c_estimate, r.grad_norm, r.sweeps) for r in report.rows]
-    _write_csv(out / "levels.csv", ["lambda", "c_estimate", "grad_norm", "sweeps"], rows)
+    rows = [(r.lam, r.c_estimate, r.grad_norm, r.sweeps, r.energy) for r in report.rows]
+    _write_csv(out / "levels.csv", ["lambda", "c_estimate", "grad_norm", "sweeps", "energy"],
+               rows)
     _write_csv(out / "summary.csv",
                ["monotonicity_violations", "slack", "anchor_min_energy", "anchor_failed_floor"],
                [(report.monotonicity_violations, report.slack, report.anchor_min_energy,

@@ -77,10 +77,13 @@ class Field:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.spec.shape:
             raise ValueError(f"value array shape {v.shape} does not match grid {self.spec.shape}")
-        if not np.all(np.isfinite(v)):
+        # NaN and +-inf carry through abs and max, so max|v| is finite
+        # exactly when every entry is
+        vmax = float(np.max(np.abs(v)))
+        if not math.isfinite(vmax):
             raise ValueError("non-finite entry in field values")
         mean = float(v.mean())
-        if abs(mean) > MEAN_ZERO_RTOL * (1.0 + float(np.max(np.abs(v)))):
+        if abs(mean) > MEAN_ZERO_RTOL * (1.0 + vmax):
             raise ValueError(f"field values are not mean-zero (grid average {mean:.3e}); "
                              "from_values projects a raw array")
         if v.flags.writeable:
@@ -232,9 +235,15 @@ def log_integrate_exp(f: Field, c: float) -> float:
 
 
 def _log_mean_exp(t: np.ndarray) -> np.ndarray:
-    """log of the mean of exp(t) over the last axis, via max-subtraction."""
+    """log of the mean of exp(t) over the last axis, via max-subtraction.
+
+    Takes ownership of t and overwrites it (callers pass a temporary), so the
+    only array it allocates is the row maxima.
+    """
     tmax = t.max(axis=-1)
-    return tmax + np.log(np.exp(t - tmax[..., None]).mean(axis=-1))
+    t -= tmax[..., None]
+    np.exp(t, out=t)
+    return tmax + np.log(t.mean(axis=-1))
 
 
 def upsample(f: Field, n_new: int) -> Field:

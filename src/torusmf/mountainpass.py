@@ -60,7 +60,17 @@ class MPResult:
 
 @dataclass
 class RelaxInfo:
+    """Trajectory of one relax_path call, one list entry per sweep.
+
+    captured and pruned count the nodes the crest capture inserted and
+    removed; respace_rejected counts the sweeps whose re-spaced polyline was
+    refused because a segment crest rose above the ceiling.
+    """
+
     max_energies: list[float] = dataclass_field(default_factory=list)
+    captured: list[int] = dataclass_field(default_factory=list)
+    pruned: list[int] = dataclass_field(default_factory=list)
+    respace_rejected: int = 0
     stalled: bool = False
     sweeps: int = 0
 
@@ -140,17 +150,19 @@ def init_path(u0: Field, segments: int, lam: float) -> PathState:
     return PathState(lam=float(lam), nodes=nodes)
 
 
-def _respace(nodes: list[Field], energies: list[float], lam: float) -> tuple[list[Field], list[float]]:
+def _respace(nodes: list[Field], energies: list[float],
+             cache: _SegmentCache) -> tuple[list[Field], list[float]]:
     """Re-sample the polyline so successive energy gaps equalize.
 
     Interpolated nodes lie on the current polyline; a small H^m-length term
     keeps the weights positive through energy plateaus.
     """
+    lam = cache.lam
     p = len(nodes) - 1
     weights = []
     for a, b, ea, eb in zip(nodes, nodes[1:], energies, energies[1:]):
-        # ||b - a||^2 from the cached norms and one inner product: no transform
-        dsq = sobolev_norm_sq(a) + sobolev_norm_sq(b) - 2.0 * sobolev_inner(a, b)
+        # ||b - a||^2 from the cached norms and Gram entry: no transform
+        dsq = sobolev_norm_sq(a) + sobolev_norm_sq(b) - 2.0 * cache.inner(a, b)
         weights.append(abs(eb - ea) + _RESPACE_NORM_WEIGHT * math.sqrt(max(dsq, 0.0)) + 1e-30)
     cum = np.concatenate([[0.0], np.cumsum(weights)])
     targets = np.linspace(0.0, cum[-1], p + 1)
@@ -180,37 +192,82 @@ def _segment_ts(i: int, nseg: int) -> tuple[float, ...]:
     return _SEGMENT_TS
 
 
-def _segment_energies(a: Field, b: Field, lam: float, ts) -> np.ndarray:
+def _segment_energies(a: Field, b: Field, ab: float, lam: float, ts) -> np.ndarray:
     """I((1-t) a + t b) at each t, without building a field or taking a transform.
 
     The H^m seminorm is a Hilbert norm, so ||(1-t) a + t b||^2 is a quadratic
-    in t with the coefficients ||a||^2, <a, b> and ||b||^2; only the log mass
-    needs grid values, and all ts share one batched log-sum-exp.
+    in t with the coefficients ||a||^2, ab = <a, b> and ||b||^2; only the log
+    mass needs grid values, and all ts share one (T, N) buffer and one
+    batched log-sum-exp, done in place.
     """
     t = np.asarray(ts, dtype=np.float64)
     s = 1.0 - t
-    aa, bb, ab = sobolev_norm_sq(a), sobolev_norm_sq(b), sobolev_inner(a, b)
+    aa, bb = sobolev_norm_sq(a), sobolev_norm_sq(b)
     dirichlet = 0.5 * (s * s * aa + 2.0 * s * t * ab + t * t * bb)
-    vals = s[:, None] * a.values.reshape(-1) + t[:, None] * b.values.reshape(-1)
-    m = a.spec.m
-    return dirichlet - lam / (2.0 * m) * _log_mean_exp(2.0 * m * vals)
+    m2 = 2.0 * a.spec.m
+    # 2m is a power of two, so scaling the weights instead of the sum is
+    # exact: each row is 2m ((1-t) a + t b) bit for bit
+    vals = np.multiply.outer(m2 * s, a.values.reshape(-1))
+    bvals = b.values.reshape(-1)
+    for row, w in zip(vals, m2 * t):
+        row += w * bvals
+    return dirichlet - lam / m2 * _log_mean_exp(vals)
 
 
-def _sampled_supremum(nodes: list[Field], energies: list[float], lam: float):
+class _SegmentCache:
+    """Gram entries <a, b> and sampled crests of path segments at one lam.
+
+    Entries are keyed on the node objects (a Field is immutable and hashes by
+    identity; ids would be reused after garbage collection) and computed by
+    the same operations as without the cache, so every energy and every
+    decision taken from them is bit-identical.  Local to one caller, so
+    concurrent calls share nothing.
+    """
+
+    def __init__(self, lam: float):
+        self.lam = lam
+        self._inner: dict[tuple[Field, Field], float] = {}
+        self._crest: dict[tuple[Field, Field, tuple[float, ...]], tuple[float, float]] = {}
+
+    def inner(self, a: Field, b: Field) -> float:
+        ab = self._inner.get((a, b))
+        if ab is None:
+            ab = self._inner[(a, b)] = sobolev_inner(a, b)
+        return ab
+
+    def crest(self, a: Field, b: Field, ts: tuple[float, ...]) -> tuple[float, float]:
+        """(max sampled energy, its t) on the segment from a to b."""
+        key = (a, b, ts)
+        hit = self._crest.get(key)
+        if hit is None:
+            es = _segment_energies(a, b, self.inner(a, b), self.lam, ts)
+            j = int(np.argmax(es))
+            hit = self._crest[key] = (float(es[j]), ts[j])
+        return hit
+
+    def keep_live(self, nodes: list[Field]) -> None:
+        """Drop every entry that is not a segment of nodes, freeing dead node arrays."""
+        nseg = len(nodes) - 1
+        live = {(a, b, _segment_ts(i, nseg)) for i, (a, b) in enumerate(zip(nodes, nodes[1:]))}
+        self._crest = {key: v for key, v in self._crest.items() if key in live}
+        pairs = {key[:2] for key in live}
+        self._inner = {key: v for key, v in self._inner.items() if key in pairs}
+
+
+def _sampled_supremum(nodes: list[Field], energies: list[float], cache: _SegmentCache):
     """Max of node energies and segment samples; returns (energy, seg, t).
 
     seg is -1 when a node already attains the supremum; otherwise the sample
-    is (1 - t) nodes[seg] + t nodes[seg + 1].
+    is (1 - t) nodes[seg] + t nodes[seg + 1].  Segment crests are read
+    through cache, so a segment already sampled at this lam costs nothing.
     """
     nseg = len(nodes) - 1
     best_e = max(energies)
     best_seg, best_t = -1, 0.0
     for i in range(nseg):
-        ts = _segment_ts(i, nseg)
-        es = _segment_energies(nodes[i], nodes[i + 1], lam, ts)
-        j = int(np.argmax(es))
-        if es[j] > best_e:
-            best_e, best_seg, best_t = float(es[j]), i, ts[j]
+        e, t = cache.crest(nodes[i], nodes[i + 1], _segment_ts(i, nseg))
+        if e > best_e:
+            best_e, best_seg, best_t = e, i, t
     return best_e, best_seg, best_t
 
 
@@ -227,28 +284,33 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     vault the ridge.  Within a sweep, descent and re-spacing can only lower
     the captured max; between sweeps the capture may honestly reveal a
     higher crest hiding inside a segment.
+
+    Gram entries and segment crests are cached for the duration of the call
+    (a segment is sampled once however many checks read it) and pruned to
+    the live segments after each sweep; the results are bit-identical to
+    sampling every segment afresh.
     """
     lam = path.lam
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
     info = RelaxInfo()
+    cache = _SegmentCache(lam)
     step = 1.0
     max_nodes = max(3 * len(nodes), 24)
-
-    def capture() -> None:
-        _capture_insert(nodes, energies, lam, rounds=3, max_nodes=max_nodes)
 
     def crest_free(i: int, cand: Field, ceiling: float) -> bool:
         slack = 1e-9 * (1.0 + abs(ceiling))
         nseg = len(nodes) - 1
-        left = np.max(_segment_energies(nodes[i - 1], cand, lam, _segment_ts(i - 1, nseg)))
+        left, _ = cache.crest(nodes[i - 1], cand, _segment_ts(i - 1, nseg))
         if left > ceiling + slack:
             return False
-        right = np.max(_segment_energies(cand, nodes[i + 1], lam, _segment_ts(i, nseg)))
-        return bool(right <= ceiling + slack)
+        right, _ = cache.crest(cand, nodes[i + 1], _segment_ts(i, nseg))
+        return right <= ceiling + slack
 
     for _ in range(sweeps):
-        capture()
+        captured, pruned = _capture_insert(nodes, energies, cache, rounds=3, max_nodes=max_nodes)
+        info.captured.append(captured)
+        info.pruned.append(pruned)
         # the captured max is the sweep ceiling: descent and re-spacing below
         # are guarded so they can only lower it
         ceiling0 = max(energies)
@@ -262,13 +324,16 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
                     nodes[i], energies[i], step, moved = cand, ec, s, True
                     break
         if moved:
-            cand_nodes, cand_energies = _respace(nodes, energies, lam)
+            cand_nodes, cand_energies = _respace(nodes, energies, cache)
             ceiling = max(energies) + 1e-12 * (1.0 + abs(max(energies)))
-            top_e, _, _ = _sampled_supremum(cand_nodes, cand_energies, lam)
+            top_e, _, _ = _sampled_supremum(cand_nodes, cand_energies, cache)
             if top_e <= ceiling:
                 nodes, energies = cand_nodes, cand_energies
+            else:
+                info.respace_rejected += 1
         if max(energies) > ceiling0 + 1e-9 * (1.0 + abs(ceiling0)):
             raise ArithmeticError("descent raised the max-node energy within a sweep")
+        cache.keep_live(nodes)
         info.max_energies.append(max(energies))
         info.sweeps += 1
         if not moved:
@@ -282,15 +347,15 @@ def _path_supremum(path: PathState) -> Field:
     lam = path.lam
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
-    _, seg, t = _sampled_supremum(nodes, energies, lam)
+    _, seg, t = _sampled_supremum(nodes, energies, _SegmentCache(lam))
     if seg < 0:
         return nodes[int(np.argmax(energies))]
     return lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
 
 
-def _capture_insert(nodes: list[Field], energies: list[float], lam: float,
-                    rounds: int, max_nodes: int) -> None:
-    """Insert sampled crest points as nodes (in place).
+def _capture_insert(nodes: list[Field], energies: list[float], cache: _SegmentCache,
+                    rounds: int, max_nodes: int) -> tuple[int, int]:
+    """Insert sampled crest points as nodes (in place); returns (inserted, pruned).
 
     Insertion refines the polyline without changing it as a set, so the
     path supremum cannot increase; the max node just catches up to it.
@@ -298,21 +363,25 @@ def _capture_insert(nodes: list[Field], energies: list[float], lam: float,
     pruned, but only if the pruned polyline's sampled supremum stays below
     the current max (pruning creates a new chord).
     """
+    captured = pruned = 0
     for _ in range(rounds):
-        top_e, seg, t = _sampled_supremum(nodes, energies, lam)
+        top_e, seg, t = _sampled_supremum(nodes, energies, cache)
         if seg < 0 or top_e <= max(energies) + 1e-9 * (1.0 + abs(top_e)):
             break
         nodes.insert(seg + 1, lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1]))
         energies.insert(seg + 1, top_e)
+        captured += 1
         if len(nodes) > max_nodes:
             interior = range(1, len(nodes) - 1)
             k = min((i for i in interior if i != seg + 1), key=lambda i: energies[i])
             pruned_nodes = nodes[:k] + nodes[k + 1:]
             pruned_energies = energies[:k] + energies[k + 1:]
-            top_after, _, _ = _sampled_supremum(pruned_nodes, pruned_energies, lam)
+            top_after, _, _ = _sampled_supremum(pruned_nodes, pruned_energies, cache)
             if top_after <= max(energies) + 1e-9 * (1.0 + abs(top_e)):
                 nodes[:] = pruned_nodes
                 energies[:] = pruned_energies
+                pruned += 1
+    return captured, pruned
 
 
 def _capture_ridge(path: PathState) -> tuple[PathState, float]:
@@ -324,7 +393,7 @@ def _capture_ridge(path: PathState) -> tuple[PathState, float]:
     lam = path.lam
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
-    _capture_insert(nodes, energies, lam, rounds=4, max_nodes=3 * len(nodes))
+    _capture_insert(nodes, energies, _SegmentCache(lam), rounds=4, max_nodes=3 * len(nodes))
     state = PathState(lam=lam, nodes=nodes)
     return state, float(max(energies))
 
@@ -378,11 +447,14 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
 
 @dataclass(frozen=True)
 class LevelRow:
+    """One lam of a level sweep; energy and grad_norm belong to the polished solve."""
+
     lam: float
     c_estimate: float
     grad_norm: float
     sweeps: int
     converged: bool
+    energy: float
 
 
 @dataclass(frozen=True)
@@ -451,7 +523,7 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
         if converged:
             prev_solution = best.field
         rows.append(LevelRow(lam=lam, c_estimate=c_est, grad_norm=best.grad_norm,
-                             sweeps=used, converged=converged))
+                             sweeps=used, converged=converged, energy=best.energy))
     violations = sum(
         1 for a, b in zip(rows, rows[1:])
         if b.c_estimate > a.c_estimate * (1.0 + _LEVEL_SLACK) + 1e-12

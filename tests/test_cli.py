@@ -134,10 +134,11 @@ class TestSweepCmd:
                  "--sweeps-per-lambda", "30", "--tol", "1e-8")
         assert rc == 0
         rows = (tmp_path / "sweep" / "levels.csv").read_text().splitlines()
-        assert rows[0] == "lambda,c_estimate,grad_norm,sweeps"
+        assert rows[0] == "lambda,c_estimate,grad_norm,sweeps,energy"
         assert len(rows) == 3
         cs = [float(r.split(",")[1]) for r in rows[1:]]
         assert cs[0] > cs[1] > 0
+        assert all(float(r.split(",")[4]) > 0 for r in rows[1:])
         summary = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
         assert summary[0] == ("monotonicity_violations,slack,anchor_min_energy,"
                               "anchor_failed_floor")

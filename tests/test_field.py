@@ -61,6 +61,13 @@ class TestFromValues:
         with pytest.raises(ValueError, match="non-finite"):
             from_values(spec64, bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects_non_finite(self, spec64, bad):
+        vals = np.zeros(spec64.shape)
+        vals[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite entry in field values"):
+            Field(spec64, vals)
+
     def test_length_mismatch(self, spec64):
         with pytest.raises(ValueError):
             from_values(spec64, np.zeros(17))

@@ -7,7 +7,8 @@ real-FFT core, before the anchor search lost its glued-profile stage; the
 continuation branch and the Hessian eigenvalue before Newton's inner solve
 moved to half-spectrum coordinates; the criterion-6 sweep rows, the
 criterion-10 quantization, the cutoff and the radial energies before the
-options no caller set were removed and the cutoff lost its symbolic form.
+options no caller set were removed and the cutoff lost its symbolic form;
+the criterion-6 rows' polished energies when the rows first carried them.
 Tolerances were fixed before any refactor ran: 1e-8 relative on pass levels,
 energies and norms, 1e-8 times the product of the H^m norms on inner
 products, exact equality on flags, counts, sweeps and continuation steps,
@@ -133,6 +134,7 @@ def _quant_values() -> dict:
 
 
 def capture() -> dict:
+    sweep = criterion6_sweep()
     return {
         "mp": {repr(lam): _mp_values(lam) for lam in MP_LAMS},
         "nonexist": _nonexist_values(),
@@ -143,7 +145,8 @@ def capture() -> dict:
         "adams_value": {f"{m},{n}": _adams_value(m, n) for m, n in GRID_CASES},
         "continuation": _branch_values(),
         "hessian_eigenvalue": _hessian_eigenvalue(),
-        "level_sweep": _sweep_values(criterion6_sweep()),
+        "level_sweep": _sweep_values(sweep),
+        "level_sweep_energies": [r.energy for r in sweep.rows],
         "quant": _quant_values(),
         "cutoff": {f"{k},{r!r}": cutoff(r, k) for k, r in CUTOFF_CASES},
         "radial_energy": {f"{m},{s!r}": radial_energy(s, m)
@@ -221,6 +224,11 @@ def test_level_sweep_rows(golden, sweep128):
     for key in ("lams", "sweeps", "converged"):
         assert got[key] == want[key], key
     assert got["c_estimates"] == pytest.approx(want["c_estimates"], rel=RTOL, abs=0.0)
+
+
+def test_level_sweep_energies(golden, sweep128):
+    assert [r.energy for r in sweep128.rows] == pytest.approx(golden["level_sweep_energies"],
+                                                              rel=RTOL, abs=0.0)
 
 
 def test_quantization(golden):

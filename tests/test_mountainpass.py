@@ -23,6 +23,7 @@ from torusmf import (
     mountain_pass,
     relax_path,
     scaled,
+    sobolev_inner,
     sobolev_norm_sq,
     zero_field,
 )
@@ -150,6 +151,54 @@ class TestRelaxPath:
         relaxed, info = relax_path(path, 1)
         assert abs(info.max_energies[-1] - start) <= 1e-6
 
+    def test_node_count_bookkeeping(self, spec32):
+        # 9 nodes cap the path at 27, so the capture also prunes
+        path = init_path(find_u0(19.0, spec32), 8, 19.0)
+        relaxed, info = relax_path(path, 30)
+        assert len(info.captured) == len(info.pruned) == info.sweeps
+        assert sum(info.pruned) > 0
+        assert len(relaxed.nodes) == len(path.nodes) + sum(info.captured) - sum(info.pruned)
+        assert 0 <= info.respace_rejected <= info.sweeps
+
+
+class TestSegmentCache:
+    """Each segment is sampled once per relax_path call, with unchanged results."""
+
+    def test_no_segment_or_gram_pair_evaluated_twice(self, monkeypatch, anchor32):
+        mp = torusmf.mountainpass
+        segments, pairs = [], []
+        sample, inner = mp._segment_energies, mp.sobolev_inner
+
+        def sample_counted(*args):
+            segments.append((args[0], args[1], args[-1]))
+            return sample(*args)
+
+        def inner_counted(a, b):
+            pairs.append((a, b))
+            return inner(a, b)
+
+        monkeypatch.setattr(mp, "_segment_energies", sample_counted)
+        monkeypatch.setattr(mp, "sobolev_inner", inner_counted)
+        relax_path(init_path(anchor32, 16, 14.0), 10)
+        # the lists keep every node alive, so no id is reused
+        assert segments
+        assert len({(id(a), id(b), ts) for a, b, ts in segments}) == len(segments)
+        assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
+
+    def test_cached_supremum_equals_uncached(self, anchor32):
+        from torusmf.mountainpass import _SegmentCache, _capture_insert, _sampled_supremum
+
+        lam = 14.0
+        relaxed, _ = relax_path(init_path(anchor32, 16, lam), 5)
+        nodes = list(relaxed.nodes)
+        energies = [energy_value(nd, lam) for nd in nodes]
+        cache = _SegmentCache(lam)
+        # warm the cache on a refinement sharing all but the split segments
+        _capture_insert(list(nodes), list(energies), cache, rounds=2, max_nodes=len(nodes) + 2)
+        cached = _sampled_supremum(nodes, energies, cache)
+        assert cached == _sampled_supremum(nodes, energies, _SegmentCache(lam))
+        assert cached == _sampled_supremum(nodes, energies, cache)
+
 
 class TestSegmentEnergies:
     """Closed-form segment samples against the energy of the built field."""
@@ -165,10 +214,32 @@ class TestSegmentEnergies:
         ends = [(zero_field(spec), a), (a, b), (b, a)]
         for i, (left, right) in enumerate(ends):
             ts = _segment_ts(i, len(ends))
-            got = _segment_energies(left, right, lam, ts)
+            got = _segment_energies(left, right, sobolev_inner(left, right), lam, ts)
             for t, e in zip(ts, got):
                 want = energy_value(lincomb(1.0 - t, left, t, right), lam)
                 assert e == pytest.approx(want, rel=1e-12, abs=0.0), (i, t)
+
+    @pytest.mark.parametrize("m,n,lam", [(1, 64, 14.0), (2, 16, 250.0)])
+    def test_in_place_sampler_is_bit_exact(self, m, n, lam):
+        # reference: the out-of-place formula, 2m applied after the sum
+        from torusmf.mountainpass import _segment_energies, _segment_ts
+
+        spec = make_spec(m, n)
+        a, b = smooth_field(spec, 1, norm=2.0), smooth_field(spec, 2, norm=3.0)
+        ends = [(zero_field(spec), a), (a, b), (b, a)]
+        for i, (left, right) in enumerate(ends):
+            ts = _segment_ts(i, len(ends))
+            t = np.asarray(ts)
+            s = 1.0 - t
+            ab = sobolev_inner(left, right)
+            dirichlet = 0.5 * (s * s * sobolev_norm_sq(left) + 2.0 * s * t * ab
+                               + t * t * sobolev_norm_sq(right))
+            vals = 2.0 * m * (s[:, None] * left.values.reshape(-1)
+                              + t[:, None] * right.values.reshape(-1))
+            vmax = vals.max(axis=-1)
+            log_mass = vmax + np.log(np.exp(vals - vmax[:, None]).mean(axis=-1))
+            want = dirichlet - lam / (2.0 * m) * log_mass
+            assert np.array_equal(_segment_energies(left, right, ab, lam, ts), want), i
 
 
 class TestMountainPass:
@@ -250,6 +321,18 @@ class TestLevelSweep:
         cs = [r.c_estimate for r in rep.rows]
         assert all(c > 0 for c in cs)
         assert cs == sorted(cs, reverse=True)
+
+    def test_row_energy_is_the_polished_solution_energy(self, monkeypatch, spec32):
+        solves = []
+        solve = torusmf.mountainpass.newton_solve
+        monkeypatch.setattr(torusmf.mountainpass, "newton_solve",
+                            lambda *args, **kwargs: solves.append(solve(*args, **kwargs))
+                            or solves[-1])
+        rep = level_sweep([14.0, 16.0], spec32, tol=1e-8, sweeps_per_lam=20)
+        assert all(r.converged for r in rep.rows)
+        for row in rep.rows:
+            polished = [s for s in solves if s.lam == row.lam and s.converged][0]
+            assert row.energy == energy_value(polished.field, row.lam)
 
     def test_empty_grid_rejected(self, spec32):
         with pytest.raises(ValueError):
