@@ -186,15 +186,18 @@ class TestSegmentCache:
         assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
 
     def test_cached_supremum_equals_uncached(self, anchor32):
-        from torusmf.mountainpass import _SegmentCache, _capture_insert, _sampled_supremum
+        from torusmf.mountainpass import _SegmentCache, _sampled_supremum
 
         lam = 14.0
         relaxed, _ = relax_path(init_path(anchor32, 16, lam), 5)
         nodes = list(relaxed.nodes)
         energies = [energy_value(nd, lam) for nd in nodes]
+        k = len(nodes) // 2
+        mid = lincomb(0.5, nodes[k], 0.5, nodes[k + 1])
         cache = _SegmentCache(lam)
-        # warm the cache on a refinement sharing all but the split segments
-        _capture_insert(list(nodes), list(energies), cache, rounds=2, max_nodes=len(nodes) + 2)
+        # warm the cache on a refinement sharing every segment but the split one
+        _sampled_supremum(nodes[:k + 1] + [mid] + nodes[k + 1:],
+                          energies[:k + 1] + [energy_value(mid, lam)] + energies[k + 1:], cache)
         cached = _sampled_supremum(nodes, energies, cache)
         assert cached == _sampled_supremum(nodes, energies, _SegmentCache(lam))
         assert cached == _sampled_supremum(nodes, energies, cache)
