@@ -147,10 +147,10 @@ def cmd_mp(args) -> int:
     _write_csv(out / "summary.csv",
                ["lambda", "c_estimate", "grad_norm", "sweeps", "converged",
                 "residual_l2", "energy", "norm"],
-               [(result.lam, result.c_estimate, result.grad_norm, result.iterations,
+               [(solve.lam, result.c_estimate, solve.grad_norm, result.iterations,
                  result.converged, solve.residual_l2, solve.energy,
-                 math.sqrt(sobolev_norm_sq(result.maximizer)))])
-    write_field(out / "maximizer.pbfld", result.maximizer)
+                 math.sqrt(sobolev_norm_sq(solve.field)))])
+    write_field(out / "maximizer.pbfld", solve.field)
     print(f"c_estimate = {result.c_estimate:.8f}  converged = {result.converged}")
     if not result.converged:
         print("mountain pass did not converge", file=sys.stderr)

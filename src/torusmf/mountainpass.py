@@ -48,12 +48,11 @@ class PathState:
 
 @dataclass(frozen=True)
 class MPResult:
+    """Pass level, sweeps used, the polished solve (or first failed one), captured path."""
+
     c_estimate: float
-    maximizer: Field
-    grad_norm: float
     iterations: int
     converged: bool
-    lam: float
     solve: SolveResult
     path: PathState
 
@@ -342,17 +341,6 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     return PathState(lam=lam, nodes=nodes), info
 
 
-def _path_supremum(path: PathState) -> Field:
-    """Point attaining the sampled path maximum (node or segment sample)."""
-    lam = path.lam
-    nodes = list(path.nodes)
-    energies = [energy_value(nd, lam) for nd in nodes]
-    _, seg, t = _sampled_supremum(nodes, energies, _SegmentCache(lam))
-    if seg < 0:
-        return nodes[int(np.argmax(energies))]
-    return lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
-
-
 def _capture_insert(nodes: list[Field], energies: list[float], cache: _SegmentCache,
                     rounds: int, max_nodes: int) -> tuple[int, int]:
     """Insert sampled crest points as nodes (in place); returns (inserted, pruned).
@@ -384,18 +372,57 @@ def _capture_insert(nodes: list[Field], energies: list[float], cache: _SegmentCa
     return captured, pruned
 
 
-def _capture_ridge(path: PathState) -> tuple[PathState, float]:
+def _capture(path: PathState) -> tuple[PathState, float, Field]:
     """Pull the node sampling up to the sampled path supremum.
 
-    Returns the refined path and its max-node energy, an honest estimate of
-    the path sup.
+    Returns the refined path, its max-node energy (an honest estimate of the
+    path sup, the crest) and the point attaining the refined path's sampled
+    maximum (a node, or a segment sample still above every node).
     """
     lam = path.lam
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
-    _capture_insert(nodes, energies, _SegmentCache(lam), rounds=4, max_nodes=3 * len(nodes))
-    state = PathState(lam=lam, nodes=nodes)
-    return state, float(max(energies))
+    cache = _SegmentCache(lam)
+    _capture_insert(nodes, energies, cache, rounds=4, max_nodes=3 * len(nodes))
+    _, seg, t = _sampled_supremum(nodes, energies, cache)
+    if seg < 0:
+        top = nodes[int(np.argmax(energies))]
+    else:
+        top = lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
+    return PathState(lam=lam, nodes=nodes), float(max(energies)), top
+
+
+def _polish(path: PathState, tol: float,
+            warm: Field | None = None) -> tuple[PathState, float, SolveResult, bool]:
+    """Capture the ridge and polish into a solution; returns (path, level, solve, solved).
+
+    Newton runs from warm (when given), then from the captured path's sampled
+    maximum, until a solve converges to tol away from the trivial state (else
+    solve is the first failed one).  A path polished to a saddle crossed the
+    ridge next to it, so the level is then the larger of crest and saddle
+    energy, and the crest otherwise.
+    """
+    path, crest, top = _capture(path)
+    guesses = [top] if warm is None else [warm, top]
+    first = None
+    for guess in guesses:
+        solve = newton_solve(guess, path.lam, tol=tol)
+        if solve.converged and _nontrivial(solve.field):
+            return path, max(crest, solve.energy), solve, True
+        if first is None:
+            first = solve
+    return path, crest, first, False
+
+
+def _relax_in_chunks(path: PathState, budget: int) -> tuple[PathState, int]:
+    """20-sweep relax_path calls until budget is spent or one stalls; returns (path, used)."""
+    used = 0
+    while used < budget:
+        path, info = relax_path(path, min(20, budget - used))
+        used += max(info.sweeps, 1)
+        if info.stalled:
+            break
+    return path, used
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
@@ -403,11 +430,11 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
     """Estimate the pass level and polish the maximizer into a solution.
 
     The path runs from 0 to find_u0's anchor and relaxes in chunks of 30
-    sweeps; after each chunk the path's sampled maximum is handed to the
-    Newton solver.  A polish that collapses to the trivial state just
-    means the sampling is still coarse, and relaxation resumes.  converged
-    means: the polished field solves the equation to tol (L^2 residual), is
-    non-constant, and its gradient norm is below tol.
+    sweeps; after each chunk the captured path's sampled maximum is handed
+    to the Newton solver (_polish).  A polish that collapses to the trivial
+    state just means the sampling is still coarse, and relaxation of the
+    uncaptured path resumes.  converged means: the polished field solves the
+    equation to tol (L^2 residual) and is non-constant.
     """
     _multiple_of_quantum_check(lam, spec.m)
     _interval_check(lam, spec.m)
@@ -419,30 +446,13 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
     while total_sweeps < max_sweeps:
         path, info = relax_path(path, min(30, max_sweeps - total_sweeps))
         total_sweeps += max(info.sweeps, 1)
-        solve = newton_solve(_path_supremum(path), lam, tol=tol)
-        if solve.converged and _nontrivial(solve.field):
+        captured, c_estimate, solve, solved = _polish(path, tol)
+        if solved or best is None:
             best = solve
+        if solved or info.stalled:
             break
-        if best is None:
-            best = solve
-        if info.stalled:
-            break
-    path, c_estimate = _capture_ridge(path)
-    converged = bool(best.converged and _nontrivial(best.field) and best.grad_norm <= tol)
-    if converged:
-        # the path crossed the ridge next to this saddle, so its crest is at
-        # least the saddle level; report whichever estimate is sharper
-        c_estimate = max(c_estimate, best.energy)
-    return MPResult(
-        c_estimate=c_estimate,
-        maximizer=best.field,
-        grad_norm=best.grad_norm,
-        iterations=total_sweeps,
-        converged=converged,
-        lam=float(lam),
-        solve=best,
-        path=path,
-    )
+    return MPResult(c_estimate=c_estimate, iterations=total_sweeps, converged=solved,
+                    solve=best, path=captured)
 
 
 @dataclass(frozen=True)
@@ -481,8 +491,9 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     each lam with a fixed sweep budget.  Because the energy is pointwise
     non-increasing in lam, warm-started estimates are monotone by
     construction; the report still counts violations beyond a 2% slack.
-    Each row also carries a polished solution, continued from the previous
-    lam's solution where available.
+    Each row also carries a polished solution (_polish), continued from the
+    previous lam's solution where available; a solved row's estimate is at
+    least its solution's energy.
     """
     lams = sorted(float(v) for v in lambda_grid)
     if not lams:
@@ -499,27 +510,8 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     rows: list[LevelRow] = []
     prev_solution: Field | None = None
     for lam in lams:
-        path = PathState(lam=lam, nodes=list(path.nodes))
-        used = 0
-        while used < sweeps_per_lam:
-            path, info = relax_path(path, min(20, sweeps_per_lam - used))
-            used += max(info.sweeps, 1)
-            if info.stalled:
-                break
-        path, c_est = _capture_ridge(path)
-        guesses = []
-        if prev_solution is not None:
-            guesses.append(prev_solution)
-        guesses.append(_path_supremum(path))
-        best: SolveResult | None = None
-        for guess in guesses:
-            solve = newton_solve(guess, lam, tol=tol)
-            if solve.converged and _nontrivial(solve.field):
-                best = solve
-                break
-            if best is None:
-                best = solve
-        converged = bool(best.converged and _nontrivial(best.field))
+        path, used = _relax_in_chunks(PathState(lam=lam, nodes=list(path.nodes)), sweeps_per_lam)
+        path, c_est, best, converged = _polish(path, tol, warm=prev_solution)
         if converged:
             prev_solution = best.field
         rows.append(LevelRow(lam=lam, c_estimate=c_est, grad_norm=best.grad_norm,

@@ -9,6 +9,9 @@ moved to half-spectrum coordinates; the criterion-6 sweep rows, the
 criterion-10 quantization, the cutoff and the radial energies before the
 options no caller set were removed and the cutoff lost its symbolic form;
 the criterion-6 rows' polished energies when the rows first carried them.
+The criterion-6 c-estimates at lam = 15..18 were re-pinned once, to their
+rows' polished energies, when level_sweep took mountain_pass's rule that a
+solved row's level is at least its saddle's energy.
 Tolerances were fixed before any refactor ran: 1e-8 relative on pass levels,
 energies and norms, 1e-8 times the product of the H^m norms on inner
 products, exact equality on flags, counts, sweeps and continuation steps,

@@ -250,9 +250,9 @@ class TestMountainPass:
         res = mountain_pass(14.0, spec32, tol=1e-8, max_sweeps=300)
         assert res.converged
         assert res.c_estimate > 0.0
-        assert res.grad_norm <= 1e-8
-        assert res.solve is not None and res.solve.residual_l2 <= 1e-8
-        assert math.sqrt(sobolev_norm_sq(res.maximizer)) > 0.1
+        assert res.solve.grad_norm <= 1e-8
+        assert res.solve.residual_l2 <= 1e-8
+        assert math.sqrt(sobolev_norm_sq(res.solve.field)) > 0.1
 
     def test_c_estimate_dominates_solution_level(self, spec32):
         res = mountain_pass(14.0, spec32, tol=1e-8, max_sweeps=300)
@@ -270,7 +270,7 @@ class TestMountainPass:
         # refine the SAME relaxed path by midpoint insertion (the polyline is
         # unchanged, so its supremum cannot rise), then relax further: the
         # sampled level estimates must weakly decrease through P = 8, 16, 32
-        from torusmf.mountainpass import _capture_ridge
+        from torusmf.mountainpass import _capture, _relax_in_chunks
 
         lam = 15.0
         u0 = find_u0(lam, spec32)
@@ -282,20 +282,11 @@ class TestMountainPass:
                 nodes.append(b)
             return PathState(lam=path.lam, nodes=nodes)
 
-        def relax_to_stall(path: PathState, budget: int) -> PathState:
-            used = 0
-            while used < budget:
-                path, info = relax_path(path, 20)
-                used += max(info.sweeps, 1)
-                if info.stalled:
-                    break
-            return path
-
         estimates = []
         path = init_path(u0, 8, lam)
         for _ in range(3):
-            path = relax_to_stall(path, 200)
-            path, c = _capture_ridge(path)
+            path, _ = _relax_in_chunks(path, 200)
+            path, c, _ = _capture(path)
             estimates.append(c)
             path = subdivide(path)
         assert estimates[1] <= estimates[0] * 1.02 + 1e-12
@@ -317,6 +308,12 @@ class TestLevelSweep:
         assert sweep128.rows[0].lam == 13.0
         assert sweep128.anchor_min_energy == -0.05
         assert -1.0 < sweep128.anchor_failed_floor < -0.05
+
+    def test_c_estimate_dominates_solution_level(self, sweep128):
+        rows = [r for r in sweep128.rows if r.converged]
+        assert rows
+        for row in rows:
+            assert row.c_estimate >= row.energy, row.lam
 
     def test_three_point_monotone(self, spec32):
         rep = level_sweep([14.0, 16.0, 18.0], spec32, tol=1e-8, sweeps_per_lam=40)
