@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 from .errors import QuadratureError, UnresolvedBubbleError
 from .field import Field, TorusSpec, from_values, grid_coordinates
@@ -148,8 +147,10 @@ def profile_half_laplacian(sigma: float, r, m: int):
 
 
 def _quad(fn, breaks, epsabs=1e-8, epsrel=1e-9) -> float:
+    from scipy.integrate import quad
+
     pts = sorted({float(b) for b in breaks if 0.0 < b < 1.0})
-    out = _scipy_integrate.quad(
+    out = quad(
         fn, 0.0, 1.0, points=pts or None, epsabs=epsabs, epsrel=epsrel,
         limit=400, full_output=1,
     )

@@ -62,13 +62,16 @@ class RelaxInfo:
     """Trajectory of one relax_path call, one list entry per sweep.
 
     captured and pruned count the nodes the crest capture inserted and
-    removed; respace_rejected counts the sweeps whose re-spaced polyline was
-    refused because a segment crest rose above the ceiling.
+    removed; descent_refused counts the line-search candidates refused
+    because a crest of one of their two segments rose above the ceiling;
+    respace_rejected counts the sweeps whose re-spaced polyline was refused
+    because a node energy or a segment crest rose above the ceiling.
     """
 
     max_energies: list[float] = dataclass_field(default_factory=list)
     captured: list[int] = dataclass_field(default_factory=list)
     pruned: list[int] = dataclass_field(default_factory=list)
+    descent_refused: list[int] = dataclass_field(default_factory=list)
     respace_rejected: int = 0
     stalled: bool = False
     sweeps: int = 0
@@ -149,12 +152,16 @@ def init_path(u0: Field, segments: int, lam: float) -> PathState:
     return PathState(lam=float(lam), nodes=nodes)
 
 
-def _respace(nodes: list[Field], energies: list[float],
-             cache: _SegmentCache) -> tuple[list[Field], list[float]]:
-    """Re-sample the polyline so successive energy gaps equalize.
+def _respace(nodes: list[Field], energies: list[float], cache: _SegmentCache,
+             ceiling: float) -> tuple[list[Field], list[float]] | None:
+    """Re-sample the polyline so successive energy gaps equalize, or None.
 
     Interpolated nodes lie on the current polyline; a small H^m-length term
-    keeps the weights positive through energy plateaus.
+    keeps the weights positive through energy plateaus.  The candidate is
+    built left to right, and None is returned at the first node energy or
+    segment crest above ceiling, before the rest is built.  Each node energy
+    and crest comes from the same operations as when the whole candidate is
+    built first, so the verdict is that of its sampled supremum, bit for bit.
     """
     lam = cache.lam
     p = len(nodes) - 1
@@ -167,14 +174,21 @@ def _respace(nodes: list[Field], energies: list[float],
     targets = np.linspace(0.0, cum[-1], p + 1)
     new_nodes = [nodes[0]]
     new_energies = [energies[0]]
-    for j in range(1, p):
-        seg = min(int(np.searchsorted(cum, targets[j], side="right")) - 1, p - 1)
-        theta = (targets[j] - cum[seg]) / (cum[seg + 1] - cum[seg])
-        node = lincomb(1.0 - theta, nodes[seg], theta, nodes[seg + 1])
+    for j in range(1, p + 1):
+        if j < p:
+            seg = min(int(np.searchsorted(cum, targets[j], side="right")) - 1, p - 1)
+            theta = (targets[j] - cum[seg]) / (cum[seg + 1] - cum[seg])
+            node = lincomb(1.0 - theta, nodes[seg], theta, nodes[seg + 1])
+            e = energy_value(node, lam)
+        else:
+            node, e = nodes[-1], energies[-1]
+        if e > ceiling:
+            return None
+        crest, _ = cache.crest(new_nodes[-1], node, _segment_ts(j - 1, p))
+        if crest > ceiling:
+            return None
         new_nodes.append(node)
-        new_energies.append(energy_value(node, lam))
-    new_nodes.append(nodes[-1])
-    new_energies.append(energies[-1])
+        new_energies.append(e)
     return new_nodes, new_energies
 
 
@@ -277,12 +291,14 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     (so the max node honestly tracks the path maximum even when the ridge is
     thin), then line-searches the top-energy node and its two neighbors
     (first trial step 2, then twice the last accepted step), then re-spaces
-    by energy gaps whenever a node moved.  Moves and re-spacings are
-    accepted only if the sampled crests of the touched segments stay below
-    the current max-node energy: otherwise a single segment could silently
-    vault the ridge.  Within a sweep, descent and re-spacing can only lower
-    the captured max; between sweeps the capture may honestly reveal a
-    higher crest hiding inside a segment.
+    by energy gaps whenever a node moved.  Moves are accepted only if the
+    sampled crests of the touched segments stay below the current max-node
+    energy, and re-spacings only if every new node energy and segment crest
+    does: otherwise a single segment could silently vault the ridge.  A
+    re-spacing is abandoned at its first node or crest above that ceiling.
+    Within a sweep, descent and re-spacing can only lower the captured max;
+    between sweeps the capture may honestly reveal a higher crest hiding
+    inside a segment.
 
     Gram entries and segment crests are cached for the duration of the call
     (a segment is sampled once however many checks read it) and pruned to
@@ -316,20 +332,22 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
         imax = int(np.argmax(energies))
         targets = [i for i in (imax, imax - 1, imax + 1) if 0 < i < len(nodes) - 1]
         moved = False
+        refused = 0
         for i in targets:
             ceiling = max(energies)
             for cand, ec, s in _armijo_steps(nodes[i], energies[i], lam, step):
                 if crest_free(i, cand, ceiling):
                     nodes[i], energies[i], step, moved = cand, ec, s, True
                     break
+                refused += 1
+        info.descent_refused.append(refused)
         if moved:
-            cand_nodes, cand_energies = _respace(nodes, energies, cache)
             ceiling = max(energies) + 1e-12 * (1.0 + abs(max(energies)))
-            top_e, _, _ = _sampled_supremum(cand_nodes, cand_energies, cache)
-            if top_e <= ceiling:
-                nodes, energies = cand_nodes, cand_energies
-            else:
+            respaced = _respace(nodes, energies, cache, ceiling)
+            if respaced is None:
                 info.respace_rejected += 1
+            else:
+                nodes, energies = respaced
         if max(energies) > ceiling0 + 1e-9 * (1.0 + abs(ceiling0)):
             raise ArithmeticError("descent raised the max-node energy within a sweep")
         cache.keep_live(nodes)

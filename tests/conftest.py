@@ -7,6 +7,7 @@ from torusmf import (
     grid_coordinates,
     level_sweep,
     make_spec,
+    mountain_pass,
     random_low_mode_field,
 )
 
@@ -30,6 +31,17 @@ def criterion6_sweep():
 def sweep128():
     """criterion6_sweep() computed once per session: criterion 6 and its golden rows."""
     return criterion6_sweep()
+
+
+def order_two_mountain_pass():
+    """The m=2 existence run: mountain_pass at lam = 250, n = 16 (about 4 s)."""
+    return mountain_pass(250.0, make_spec(2, 16))
+
+
+@pytest.fixture(scope="session")
+def mp250():
+    """order_two_mountain_pass() computed once per session: m=2 tests and golden values."""
+    return order_two_mountain_pass()
 
 
 def cos_mode(spec: TorusSpec, axis: int = 0, freq: int = 1) -> Field:

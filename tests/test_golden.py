@@ -8,17 +8,20 @@ continuation branch and the Hessian eigenvalue before Newton's inner solve
 moved to half-spectrum coordinates; the criterion-6 sweep rows, the
 criterion-10 quantization, the cutoff and the radial energies before the
 options no caller set were removed and the cutoff lost its symbolic form;
-the criterion-6 rows' polished energies when the rows first carried them.
+the criterion-6 rows' polished energies when the rows first carried them;
+the m=2 existence run (lam = 250, n = 16) once path relaxation made it cheap
+enough for every run, without its c-estimate, whose last digits move with
+the BLAS thread count.
 The criterion-6 c-estimates at lam = 15..18 were re-pinned once, to their
 rows' polished energies, when level_sweep took mountain_pass's rule that a
 solved row's level is at least its saddle's energy.
 Tolerances were fixed before any refactor ran: 1e-8 relative on pass levels,
 energies and norms, 1e-8 times the product of the H^m norms on inner
 products, exact equality on flags, counts, sweeps and continuation steps,
-1e-6 absolute (ARPACK's tolerance) on the Hessian eigenvalue, 1e-8 absolute
-on the quantization deviation (itself a relative gap), and 1e-8 relative or
-absolute on cutoff values (the second derivative vanishes at r = 3/8).  Add
-entries only on purpose, with
+1e-6 absolute (ARPACK's tolerance) on the Hessian eigenvalues and on the
+whole m=2 run, 1e-8 absolute on the quantization deviation (itself a
+relative gap), and 1e-8 relative or absolute on cutoff values (the second
+derivative vanishes at r = 3/8).  Add entries only on purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -52,7 +55,7 @@ from torusmf import (
     sobolev_norm_sq,
 )
 
-from conftest import criterion6_sweep, smooth_field
+from conftest import criterion6_sweep, order_two_mountain_pass, smooth_field
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RTOL = 1e-8
@@ -120,6 +123,12 @@ def _hessian_eigenvalue() -> float:
     return smallest_hessian_eigenvalue(res.field, res.lam)
 
 
+def _order_two_values(res) -> dict:
+    sol = res.solve
+    return {"energy": sol.energy, "norm_sq": sobolev_norm_sq(sol.field),
+            "hessian_eigenvalue": smallest_hessian_eigenvalue(sol.field, sol.lam)}
+
+
 def _sweep_values(report) -> dict:
     return {"lams": [r.lam for r in report.rows],
             "c_estimates": [r.c_estimate for r in report.rows],
@@ -140,6 +149,7 @@ def capture() -> dict:
     sweep = criterion6_sweep()
     return {
         "mp": {repr(lam): _mp_values(lam) for lam in MP_LAMS},
+        "mp_m2": _order_two_values(order_two_mountain_pass()),
         "nonexist": _nonexist_values(),
         "fields": {f"{m},{n}": _field_values(m, n, lam) for m, n, lam in FIELD_CASES},
         "find_u0": {f"{m},{n},{lam!r}": _anchor_values(m, n, lam)
@@ -169,6 +179,13 @@ def test_mountain_pass(golden, lam):
     assert got["converged"] is want["converged"] is True
     assert got["c_estimate"] == pytest.approx(want["c_estimate"], rel=RTOL, abs=0.0)
     assert got["energy"] == pytest.approx(want["energy"], rel=RTOL, abs=0.0)
+
+
+def test_order_two_mountain_pass(golden, mp250):
+    want = golden["mp_m2"]
+    got = _order_two_values(mp250)
+    for key in ("energy", "norm_sq", "hessian_eigenvalue"):
+        assert got[key] == pytest.approx(want[key], rel=0.0, abs=EIG_ATOL), key
 
 
 def test_nonexistence_counts(golden):

@@ -14,6 +14,7 @@ from torusmf import (
     ConvergenceError,
     PathState,
     concentration_direction,
+    continuation,
     energy_value,
     find_u0,
     init_path,
@@ -21,10 +22,13 @@ from torusmf import (
     lincomb,
     make_spec,
     mountain_pass,
+    newton_solve,
     relax_path,
     scaled,
+    smallest_hessian_eigenvalue,
     sobolev_inner,
     sobolev_norm_sq,
+    upsample,
     zero_field,
 )
 
@@ -36,6 +40,15 @@ PI = math.pi
 @pytest.fixture(scope="module")
 def anchor32(spec32):
     return find_u0(14.0, spec32)
+
+
+def _run_fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this torusmf."""
+    src = Path(torusmf.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
 
 
 class TestFindU0:
@@ -95,11 +108,7 @@ class TestFindU0:
                 "bubble_field(make_spec(1, 64), BubbleParams(3.0, 0.4, (0.0, 0.0)))\n"
                 "bubble_asymptotics([10**p for p in (2.0, 2.5, 3.0, 3.5, 4.0)], 14.0, 1)\n"
                 "print('sympy' in sys.modules)\n")
-        src = Path(torusmf.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert _run_fresh(code) == "False"
 
 
 class TestInitPath:
@@ -159,6 +168,122 @@ class TestRelaxPath:
         assert sum(info.pruned) > 0
         assert len(relaxed.nodes) == len(path.nodes) + sum(info.captured) - sum(info.pruned)
         assert 0 <= info.respace_rejected <= info.sweeps
+
+
+def _eager_respace(nodes, energies, lam):
+    """The whole energy-gap re-spacing of the polyline, every node built first."""
+    from torusmf.mountainpass import _RESPACE_NORM_WEIGHT
+
+    p = len(nodes) - 1
+    weights = []
+    for a, b, ea, eb in zip(nodes, nodes[1:], energies, energies[1:]):
+        dsq = sobolev_norm_sq(a) + sobolev_norm_sq(b) - 2.0 * sobolev_inner(a, b)
+        weights.append(abs(eb - ea) + _RESPACE_NORM_WEIGHT * math.sqrt(max(dsq, 0.0)) + 1e-30)
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    targets = np.linspace(0.0, cum[-1], p + 1)
+    new_nodes, new_energies = [nodes[0]], [energies[0]]
+    for j in range(1, p):
+        seg = min(int(np.searchsorted(cum, targets[j], side="right")) - 1, p - 1)
+        theta = (targets[j] - cum[seg]) / (cum[seg + 1] - cum[seg])
+        node = lincomb(1.0 - theta, nodes[seg], theta, nodes[seg + 1])
+        new_nodes.append(node)
+        new_energies.append(energy_value(node, lam))
+    return new_nodes + [nodes[-1]], new_energies + [energies[-1]]
+
+
+@pytest.fixture(scope="module")
+def respace_calls(spec32):
+    """(lam, nodes, energies, ceiling) of every re-spacing of 30 sweeps at lam = 14, 19, n = 32."""
+    mp = torusmf.mountainpass
+    calls = []
+    respace = mp._respace
+
+    def recorded(nodes, energies, cache, ceiling):
+        calls.append((cache.lam, list(nodes), list(energies), ceiling))
+        return respace(nodes, energies, cache, ceiling)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mp, "_respace", recorded)
+        for lam in (14.0, 19.0):
+            relax_path(init_path(find_u0(lam, spec32), 16, lam), 30)
+    return calls
+
+
+class TestRespace:
+    """Early-exit re-spacing against the candidate built whole."""
+
+    def test_matches_eager_candidate(self, respace_calls):
+        from torusmf.mountainpass import (
+            _SegmentCache, _respace, _sampled_supremum, _segment_ts,
+        )
+
+        verdicts = set()
+        for lam, nodes, energies, ceiling in respace_calls:
+            cand_nodes, cand_energies = _eager_respace(nodes, energies, lam)
+            eager_cache, cache = _SegmentCache(lam), _SegmentCache(lam)
+            top, _, _ = _sampled_supremum(cand_nodes, cand_energies, eager_cache)
+            got = _respace(nodes, energies, cache, ceiling)
+            assert (got is None) == (top > ceiling)
+            verdicts.add(got is None)
+            if got is not None:
+                assert got[1] == cand_energies
+                assert all(np.array_equal(a.values, b.values)
+                           for a, b in zip(got[0], cand_nodes))
+                # the accepted candidate's crests are cached under the keys
+                # the next sweep reads
+                p = len(nodes) - 1
+                for i in range(p):
+                    ts = _segment_ts(i, p)
+                    assert (cache._crest[(got[0][i], got[0][i + 1], ts)]
+                            == eager_cache.crest(cand_nodes[i], cand_nodes[i + 1], ts))
+        assert verdicts == {True, False}
+
+    def test_rejection_stops_early(self, monkeypatch, respace_calls):
+        mp = torusmf.mountainpass
+        segments = []
+        sample = mp._segment_energies
+        monkeypatch.setattr(mp, "_segment_energies",
+                            lambda *args: segments.append(args) or sample(*args))
+        for lam, nodes, energies, ceiling in respace_calls:
+            candidate = _eager_respace(nodes, energies, lam)
+            if mp._sampled_supremum(*candidate, mp._SegmentCache(lam))[0] > ceiling:
+                break
+        segments.clear()
+        assert mp._respace(nodes, energies, mp._SegmentCache(lam), ceiling) is None
+        assert 0 < len(segments) < len(nodes) - 1
+        # a first new node above the ceiling ends it before any segment is sampled
+        segments.clear()
+        assert mp._respace(nodes, energies, mp._SegmentCache(lam), -1e300) is None
+        assert not segments
+
+    @pytest.mark.parametrize("lam,rejected", [(14.0, 26), (19.0, 27)])
+    def test_rejection_counts(self, spec64, lam, rejected):
+        # mountain_pass's first 30-sweep chunk at n = 64
+        _, info = relax_path(init_path(find_u0(lam, spec64), 16, lam), 30)
+        assert info.sweeps == 30
+        assert info.respace_rejected == rejected
+
+
+class TestDescentRefusals:
+    def test_counts_refused_line_search_candidates(self, monkeypatch, spec32):
+        # a line search left early accepted its last candidate; every other
+        # candidate drawn from it was refused
+        mp = torusmf.mountainpass
+        searches = []
+        steps = mp._armijo_steps
+
+        def counted(*args):
+            record = searches.append([0, False]) or searches[-1]
+            for item in steps(*args):
+                record[0] += 1
+                yield item
+            record[1] = True
+
+        monkeypatch.setattr(mp, "_armijo_steps", counted)
+        _, info = relax_path(init_path(find_u0(14.0, spec32), 16, 14.0), 30)
+        assert len(info.descent_refused) == info.sweeps
+        assert sum(info.descent_refused) > 0
+        assert sum(info.descent_refused) == sum(n - (not done) for n, done in searches)
 
 
 class TestSegmentCache:
@@ -258,6 +383,16 @@ class TestMountainPass:
         res = mountain_pass(14.0, spec32, tol=1e-8, max_sweeps=300)
         assert res.c_estimate >= res.solve.energy - 1e-9
 
+    def test_solve_path_does_not_import_quadrature(self):
+        # scipy's quadrature, optimizers and special functions serve the
+        # radial calculus only; a path solve loads none of them
+        code = ("import sys\n"
+                "from torusmf import make_spec, mountain_pass\n"
+                "mountain_pass(14.0, make_spec(1, 32), max_sweeps=2)\n"
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+                "'scipy.special') if m in sys.modules))\n")
+        assert _run_fresh(code) == "[]"
+
     def test_rejects_quantum_multiple(self, spec32):
         with pytest.raises(ValueError, match="quantum"):
             mountain_pass(4 * PI, spec32)
@@ -291,6 +426,37 @@ class TestMountainPass:
             path = subdivide(path)
         assert estimates[1] <= estimates[0] * 1.02 + 1e-12
         assert estimates[2] <= estimates[1] * 1.02 + 1e-12
+
+
+class TestOrderTwo:
+    """m=2 end to end: the existence run at lam = 250, n = 16 and what follows from it."""
+
+    def test_converged_solution(self, mp250):
+        assert mp250.converged
+        assert mp250.solve.residual_l2 <= 1e-8
+        assert mp250.solve.energy > 0.0
+        # the path's own crest depends on the BLAS thread count in the last
+        # digits; only its bound on the saddle level is checked
+        assert mp250.c_estimate >= mp250.solve.energy
+
+    def test_solution_is_a_saddle(self, mp250):
+        assert smallest_hessian_eigenvalue(mp250.solve.field, 250.0) < 0.0
+
+    def test_continuation_reaches_end(self, mp250):
+        branch = continuation(mp250.solve, 240.0, 5.0)
+        assert branch.termination == "reached_end"
+        assert branch.results[-1].lam == 240.0
+
+    def test_resolution_robustness(self, mp250):
+        sol = mp250.solve
+        fine = newton_solve(upsample(sol.field, 24), 250.0, tol=1e-8)
+        assert fine.converged
+        for name, coarse_val, fine_val in (
+            ("energy", sol.energy, fine.energy),
+            ("norm_sq", sobolev_norm_sq(sol.field), sobolev_norm_sq(fine.field)),
+            ("max_u", float(sol.field.values.max()), float(fine.field.values.max())),
+        ):
+            assert abs(fine_val - coarse_val) <= 0.01 * abs(coarse_val), name
 
 
 class TestLevelSweep:
