@@ -146,12 +146,12 @@ def profile_half_laplacian(sigma: float, r, m: int):
     return out
 
 
-def _quad(fn, breaks, epsabs=1e-8, epsrel=1e-9) -> float:
+def _quad(fn, breaks) -> float:
     from scipy.integrate import quad
 
     pts = sorted({float(b) for b in breaks if 0.0 < b < 1.0})
     out = quad(
-        fn, 0.0, 1.0, points=pts or None, epsabs=epsabs, epsrel=epsrel,
+        fn, 0.0, 1.0, points=pts or None, epsabs=1e-8, epsrel=1e-9,
         limit=400, full_output=1,
     )
     if len(out) > 3:  # message present => warning/failure
@@ -276,26 +276,16 @@ class BubbleAsymptotics:
     norms_sq: np.ndarray
     log_masses: np.ndarray
     energies: np.ndarray
-    exp_masses: np.ndarray
     norm_slope: float
-    norm_slope_stderr: float
     energy_slope: float
-    energy_slope_stderr: float
     norm_target: float
     energy_target: float
 
 
-def _fit_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     design = np.column_stack([x, np.ones_like(x)])
-    coef, residual, *_ = np.linalg.lstsq(design, y, rcond=None)
-    slope = float(coef[0])
-    dof = len(x) - 2
-    if dof > 0:
-        ssr = float(residual[0]) if residual.size else float(np.sum((design @ coef - y) ** 2))
-        stderr = math.sqrt(ssr / dof / float(np.sum((x - x.mean()) ** 2)))
-    else:
-        stderr = float("nan")
-    return slope, stderr
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return float(coef[0])
 
 
 def bubble_asymptotics(sigma_list, lam: float, m: int, alpha: float = 0.4) -> BubbleAsymptotics:
@@ -319,11 +309,10 @@ def bubble_asymptotics(sigma_list, lam: float, m: int, alpha: float = 0.4) -> Bu
     cst = constants(m)
     norms_sq = np.array([radial_energy(s, m) for s in sigmas])
     log_masses = np.array([radial_log_mass(s, alpha, m) for s in sigmas])
-    exp_masses = np.array([radial_exp_mass(s, m) for s in sigmas])
     energies = 0.5 * norms_sq - lam / (2.0 * m) * log_masses
     x = np.log(sigmas)
-    norm_slope, norm_err = _fit_slope(x, norms_sq)
-    energy_slope, energy_err = _fit_slope(x, energies)
+    norm_slope = _fit_slope(x, norms_sq)
+    energy_slope = _fit_slope(x, energies)
     return BubbleAsymptotics(
         m=m,
         lam=float(lam),
@@ -332,11 +321,8 @@ def bubble_asymptotics(sigma_list, lam: float, m: int, alpha: float = 0.4) -> Bu
         norms_sq=norms_sq,
         log_masses=log_masses,
         energies=energies,
-        exp_masses=exp_masses,
         norm_slope=norm_slope,
-        norm_slope_stderr=norm_err,
         energy_slope=energy_slope,
-        energy_slope_stderr=energy_err,
         norm_target=2.0 * cst.Lambda1,
         energy_target=cst.Lambda1 - float(lam),
     )

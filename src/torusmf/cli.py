@@ -6,6 +6,8 @@ Subcommands
     mp          mountain-pass search plus Newton polish (field dump + summary)
     continue    natural-parameter continuation (branch CSV, quantization on blow-up)
     quant       concentration analysis of a stored field
+    sweep       pass-level estimates over a lambda grid (monotonicity check)
+    green       discrete Green kernel and its fitted log coefficient
     nonexist    small-lam multistart sweep (uniqueness check)
 
 Every command writes config.echo and summary.csv into its output directory
@@ -284,12 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, *, seed: bool = False, tol: bool = False) -> None:
         p.add_argument("--config", help="key = value file applied as defaults")
         p.add_argument("--outdir", default=None,
                        help="output directory (default $TORUSMF_OUTDIR or ./torusmf-out)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-10)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("constants", help="print spectral thresholds")
     common(p)
@@ -306,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bubble)
 
     p = sub.add_parser("mp", help="mountain-pass search and Newton polish")
-    common(p)
+    # mp draws nothing at random; --seed is accepted because bench/worker.py passes it
+    common(p, seed=True, tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mp)
 
     p = sub.add_parser("continue", help="natural-parameter continuation in lambda")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--lambda-start", dest="lam_start", type=float, required=True)
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quant)
 
     p = sub.add_parser("sweep", help="pass-level estimates over a lambda grid")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--lambda-grid", dest="lambda_grid", default="13,14,15,16,17,18,19")
@@ -347,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("nonexist", help="small-lambda multistart uniqueness sweep")
-    common(p)
+    common(p, seed=True, tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--lambda-grid", dest="lambda_grid", default="0.25,0.5,1.0")

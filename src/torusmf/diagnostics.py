@@ -138,7 +138,6 @@ class CoercivityBand:
     lam: float
     fitted_C: float
     validation_max: float | None
-    validated: bool
 
 
 def coercivity_families(spec: TorusSpec, seed: int = 0):
@@ -186,19 +185,16 @@ def coercivity_band(lam: float, family, validation=None) -> CoercivityBand:
 
     fitted = max(0.0, max(gap(u) for u in family))
     validation_max = None
-    validated = True
     if validation is not None:
         validation = list(validation)
         if validation:
             validation_max = max(gap(u) for u in validation)
-            validated = validation_max <= fitted * (1.0 + _VALIDATION_SLACK) + 1e-9
-            if not validated:
+            if not validation_max <= fitted * (1.0 + _VALIDATION_SLACK) + 1e-9:
                 raise RuntimeError(
                     f"coercivity validation failed: held-out gap {validation_max:.6g} "
                     f"exceeds fitted C={fitted:.6g} with {_VALIDATION_SLACK:.0%} slack"
                 )
-    return CoercivityBand(lam=float(lam), fitted_C=fitted,
-                          validation_max=validation_max, validated=validated)
+    return CoercivityBand(lam=float(lam), fitted_C=fitted, validation_max=validation_max)
 
 
 @dataclass(frozen=True)

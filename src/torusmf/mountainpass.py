@@ -74,7 +74,10 @@ class RelaxInfo:
     descent_refused: list[int] = dataclass_field(default_factory=list)
     respace_rejected: int = 0
     stalled: bool = False
-    sweeps: int = 0
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.max_energies)
 
 
 def _interval_check(lam: float, m: int) -> None:
@@ -144,8 +147,6 @@ def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0) -> Field:
 
 def init_path(u0: Field, segments: int, lam: float) -> PathState:
     """Linear path t -> t*u0 sampled at segments+1 equispaced nodes."""
-    if segments < 8:
-        raise ValueError("at least 8 segments required")
     nodes = [zero_field(u0.spec)]
     nodes += [scaled(u0, i / segments) for i in range(1, segments)]
     nodes.append(u0)
@@ -352,7 +353,6 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
             raise ArithmeticError("descent raised the max-node energy within a sweep")
         cache.keep_live(nodes)
         info.max_energies.append(max(energies))
-        info.sweeps += 1
         if not moved:
             info.stalled = True
             break
@@ -437,7 +437,7 @@ def _relax_in_chunks(path: PathState, budget: int) -> tuple[PathState, int]:
     used = 0
     while used < budget:
         path, info = relax_path(path, min(20, budget - used))
-        used += max(info.sweeps, 1)
+        used += info.sweeps
         if info.stalled:
             break
     return path, used
@@ -463,7 +463,7 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
     best: SolveResult | None = None
     while total_sweeps < max_sweeps:
         path, info = relax_path(path, min(30, max_sweeps - total_sweeps))
-        total_sweeps += max(info.sweeps, 1)
+        total_sweeps += info.sweeps
         captured, c_estimate, solve, solved = _polish(path, tol)
         if solved or best is None:
             best = solve

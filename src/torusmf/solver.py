@@ -71,10 +71,9 @@ class SolveResult:
 
 @dataclass
 class Branch:
-    """Continuation path in lam: converged solutions plus step bookkeeping."""
+    """Continuation path in lam: converged solutions and why the branch ended."""
 
     results: list[SolveResult] = dataclass_field(default_factory=list)
-    steps: list[float] = dataclass_field(default_factory=list)
     termination: str = "reached_end"
 
 
@@ -262,7 +261,6 @@ def continuation(start: SolveResult, lam_end: float, dlam0: float,
             res = None
         if res is not None and res.converged:
             branch.results.append(res)
-            branch.steps.append(direction * dlam)
             prev2, prev = prev, res
             lam_cur = lam_try
             if float(np.max(np.abs(res.field.values))) > blowup_cap:
@@ -325,9 +323,9 @@ def _peak_aligned(values: np.ndarray) -> np.ndarray:
     return np.roll(values, shift=tuple(-i for i in idx), axis=tuple(range(values.ndim)))
 
 
-def _same_modulo_translation(a: Field, b: Field, tol: float = 1e-6) -> bool:
+def _same_modulo_translation(a: Field, b: Field) -> bool:
     diff = _peak_aligned(a.values) - _peak_aligned(b.values)
-    return math.sqrt(float((diff**2).mean())) <= tol
+    return math.sqrt(float((diff**2).mean())) <= 1e-6
 
 
 def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,

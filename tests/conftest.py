@@ -23,7 +23,7 @@ def spec32() -> TorusSpec:
 
 
 def criterion6_sweep():
-    """The criterion-6 pass-level sweep: lam = 13..19 at m=1, n=128 (about 75 s)."""
+    """The criterion-6 pass-level sweep: lam = 13..19 at m=1, n=128 (about 7 s)."""
     return level_sweep([13, 14, 15, 16, 17, 18, 19], make_spec(1, 128), tol=1e-8)
 
 

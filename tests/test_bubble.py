@@ -242,6 +242,19 @@ class TestAsymptotics:
         assert max(masses) / min(masses) <= 2.0
         assert masses[-1] == pytest.approx(4 * PI, rel=1e-3)
 
+    def test_one_exp_mass_quadrature_per_sigma(self, monkeypatch):
+        import torusmf.bubble as bubble
+
+        calls = []
+
+        def counted(sigma, m):
+            calls.append(sigma)
+            return radial_exp_mass(sigma, m)
+
+        monkeypatch.setattr(bubble, "radial_exp_mass", counted)
+        bubble_asymptotics(self.SIGMAS, 0.0, 1)
+        assert calls == self.SIGMAS
+
     def test_mean_estimate(self):
         sigma = 1e4
         mean = radial_profile_mean(sigma, default_alpha(sigma), 1)

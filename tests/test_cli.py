@@ -1,18 +1,43 @@
 """Command-line surface: validation, outputs, determinism, exit codes."""
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 
 from torusmf import make_spec, read_field, write_field
-from torusmf.cli import main
+from torusmf.cli import build_parser, main
 
 from conftest import smooth_field
 
 
 def cli(tmp_path, command, *flags) -> int:
     return main([command, "--outdir", str(tmp_path), *flags])
+
+
+class TestParser:
+    @staticmethod
+    def flags_by_command() -> dict[str, set[str]]:
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        return {name: {flag for action in sub._actions for flag in action.option_strings
+                       if flag not in ("-h", "--help")}
+                for name, sub in subparsers.choices.items()}
+
+    def test_seed_and_tol_only_where_read(self):
+        flags = self.flags_by_command()
+        assert {c for c, f in flags.items() if "--seed" in f} == {"mp", "nonexist"}
+        assert {c for c, f in flags.items() if "--tol" in f} == {
+            "mp", "continue", "sweep", "nonexist"}
+
+    @pytest.mark.parametrize("flag", ["--seed", "--tol"])
+    def test_unread_option_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli(tmp_path, "constants", "--m", "1", flag, "1")
+        assert exc.value.code == 2
+        assert not (tmp_path / "constants").exists()
 
 
 class TestConstantsCmd:
