@@ -29,8 +29,9 @@ from .functional import _normalized_exp_weight, constants, energy_value
 from .solver import (
     SolveResult,
     _green_kernel,
+    _multistart_guesses,
+    _solve_from_guesses,
     concentration_direction,
-    multi_start,
     random_low_mode_field,
 )
 
@@ -296,10 +297,12 @@ def nonexistence_sweep(lambda_grid, spec: TorusSpec, n_seeds: int = 20, seed: in
     for lam in lams:
         if not (0.0 < lam < bound):
             raise ValueError(f"lam={lam} outside the working regime (0, {bound:.6f})")
+    # multi_start's guesses do not depend on lam: build them once for the sweep
+    guesses = _multistart_guesses(spec, n_seeds, seed)
     rows = []
     all_trivial = True
     for lam in lams:
-        results = multi_start(lam, spec, n_seeds, seed, tol=tol, jobs=jobs)
+        results = _solve_from_guesses(lam, guesses, tol=tol, jobs=jobs)
         converged = [r for r in results if r.converged]
         for r in converged:
             _check_solution_inequalities(r)

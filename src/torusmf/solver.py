@@ -18,10 +18,17 @@ its adjoint, so the operator stays symmetric; it is the identity on the
 components irfftn discards (the non-Hermitian parts of the self-conjugate
 planes) and on the constant mode.  B^-1 is diagonal there, so a product
 costs one irfftn and one rfftn.  MINRES gets the right-hand side scaled to
-unit norm: scipy's estimate of ||A|| includes ||b||, which would otherwise
-let a large right-hand side pass the stopping test after one iteration.
+unit norm: its estimate of ||A|| includes ||b||, which would otherwise let a
+large right-hand side pass the stopping test after one iteration.
 Each Newton iterate carries its values and its (-Lap)^m values, so line
 search candidates u + s*delta need no transform.
+
+MINRES itself is an in-house port of scipy.sparse.linalg.minres for the one
+case used here (zero start, no preconditioner, no shift), with scipy's
+recurrences and stopping tests in scipy's order, so its iterates are
+bit-identical to scipy's.  Importing scipy.sparse.linalg costs more than the
+rest of the package together; it loads only when ARPACK runs (the
+singularity probe and smallest_hessian_eigenvalue).
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, minres
 
 from .errors import SingularHessianError
 from .field import (
@@ -100,8 +106,8 @@ def _as_coordinates(z: np.ndarray, spec: TorusSpec) -> np.ndarray:
     return np.ascontiguousarray(z).view(np.complex128).reshape(_multiplicity(spec).shape)
 
 
-def _preconditioned_operator(spec: TorusSpec, weight: np.ndarray, lam: float) -> LinearOperator:
-    """LinearOperator for B^-1 H(u) B^-1 in half-spectrum coordinates.
+def _preconditioned_operator(spec: TorusSpec, weight: np.ndarray, lam: float):
+    """Matvec of B^-1 H(u) B^-1 on flat half-spectrum coordinate vectors.
 
     B^-1 (-Lap)^m B^-1 is the mean-zero projector, so the operator reduces to
     the identity minus 2m lam B^-1 [W v - W mean(W v)] B^-1, with W the
@@ -120,7 +126,94 @@ def _preconditioned_operator(spec: TorusSpec, weight: np.ndarray, lam: float) ->
         nonlinear = coef * (wv - weight * wv.mean())
         return z.reshape(size) + (np.fft.rfftn(nonlinear) * inward).view(np.float64).reshape(size)
 
-    return LinearOperator((size, size), matvec=matvec, dtype=np.float64)
+    return matvec
+
+
+def minres(matvec, b: np.ndarray, *, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
+    """MINRES (Paige & Saunders 1975) for A x = b, A symmetric, from x = 0.
+
+    A port of scipy.sparse.linalg.minres without preconditioner or shift:
+    the same Lanczos and plane-rotation recurrences, reductions and stopping
+    tests in the same order, so x is bit-identical to scipy's.  info is
+    maxiter when the iteration limit ends the solve, else 0.
+    """
+    n = b.shape[0]
+    eps = np.finfo(np.float64).eps
+    x = np.zeros(n)
+    beta1 = np.inner(b, b)
+    if beta1 == 0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+
+    istop = itn = 0
+    oldb = dbar = epsln = sn = gmax = 0
+    cs = -1
+    beta = phibar = beta1
+    tnorm2 = 0
+    gmin = np.finfo(np.float64).max
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r1 = r2 = y = b
+    while itn < maxiter:
+        itn += 1
+        # Lanczos step: y becomes beta_{k+1} v_{k+1}
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.inner(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        oldb = beta
+        beta = math.sqrt(np.inner(r2, y))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1  # b is an eigenvector of A
+
+        # apply the previous rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        denom = 1.0 / gamma
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * denom
+        x = x + phi * w
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+
+        # norm estimates and stopping tests; a later test overrides an earlier one
+        anorm = math.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        epsx = anorm * ynorm * eps
+        test1 = math.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
+        test2 = math.inf if anorm == 0 else root / anorm
+        if istop == 0:
+            if 1 + test2 <= 1:
+                istop = 2
+            if 1 + test1 <= 1:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if gmax / gmin >= 0.1 / eps:
+                istop = 4
+            if epsx >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+        if istop != 0:
+            break
+    return x, (maxiter if istop == 6 else 0)
 
 
 def smallest_hessian_eigenvalue(u: Field, lam: float) -> float:
@@ -130,12 +223,18 @@ def smallest_hessian_eigenvalue(u: Field, lam: float) -> float:
     from the high modes; a value near zero signals a bifurcation point, a
     negative one a saddle direction.
     """
-    op = _preconditioned_operator(u.spec, _normalized_exp_weight(u.values, u.spec.m), lam)
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    size = 2 * _multiplicity(u.spec).size
+    matvec = _preconditioned_operator(u.spec, _normalized_exp_weight(u.values, u.spec.m), lam)
+    op = LinearOperator((size, size), matvec=matvec, dtype=np.float64)
     vals = eigsh(op, k=1, which="SA", tol=1e-6, return_eigenvectors=False, maxiter=5000)
     return float(vals[0])
 
 
 def _probe_singular(u: Field, lam: float) -> None:
+    from scipy.sparse.linalg import ArpackNoConvergence
+
     try:
         low = smallest_hessian_eigenvalue(u, lam)
     except ArpackNoConvergence:
@@ -342,6 +441,11 @@ def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
     independent and run on `jobs` threads; results are reduced in seed
     order, so the output does not depend on the degree of parallelism.
     """
+    return _solve_from_guesses(lam, _multistart_guesses(spec, n_seeds, seed), tol=tol, jobs=jobs)
+
+
+def _multistart_guesses(spec: TorusSpec, n_seeds: int, seed: int) -> list[Field]:
+    """multi_start's starting fields; they do not depend on lam."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     n_directed = n_seeds // 4
@@ -354,6 +458,12 @@ def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
     for child in sequences:
         rng = np.random.default_rng(child)
         guesses.append(random_low_mode_field(spec, rng, rng.uniform(0.1, 3.0)))
+    return guesses
+
+
+def _solve_from_guesses(lam: float, guesses: list[Field], *, tol: float,
+                        jobs: int) -> list[SolveResult]:
+    """multi_start's solves and reduction for given starting fields."""
 
     def solve_one(guess: Field) -> SolveResult:
         try:

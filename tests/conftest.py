@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import torusmf
 from torusmf import (
     Field,
     TorusSpec,
@@ -10,6 +16,15 @@ from torusmf import (
     mountain_pass,
     random_low_mode_field,
 )
+
+
+def run_fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this torusmf."""
+    src = Path(torusmf.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,25 @@ class TestCoercivity:
         with pytest.raises(ValueError, match="threshold"):
             coercivity_band(13.0, [zero_field(spec64)])
 
+    def test_failed_validation_raises(self, spec64, monkeypatch):
+        # real data never trips the held-out check, so lower one held-out
+        # energy until its gap clears the fitted C by more than the 10% slack
+        from torusmf import diagnostics
+
+        lam = 10.0
+        fit = [zero_field(spec64), smooth_field(spec64, 1, norm=1.0)]
+        held = smooth_field(spec64, 2, norm=1.0)
+        fitted_C = coercivity_band(lam, fit).fitted_C
+        energy = diagnostics.energy_value
+
+        def lowered(u, lam):
+            return energy(u, lam) - (fitted_C + 1.0) if u is held else energy(u, lam)
+
+        monkeypatch.setattr(diagnostics, "energy_value", lowered)
+        with pytest.raises(RuntimeError,
+                           match=r"held-out gap .* exceeds fitted C=.* with 10% slack"):
+            coercivity_band(lam, fit, [held])
+
 
 class TestGreen:
     def test_reproduction_identity(self):

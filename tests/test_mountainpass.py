@@ -1,10 +1,6 @@
 """Min-max machinery: anchors, path relaxation, pass levels."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +28,7 @@ from torusmf import (
     zero_field,
 )
 
-from conftest import smooth_field
+from conftest import run_fresh, smooth_field
 
 PI = math.pi
 
@@ -40,15 +36,6 @@ PI = math.pi
 @pytest.fixture(scope="module")
 def anchor32(spec32):
     return find_u0(14.0, spec32)
-
-
-def _run_fresh(code: str) -> str:
-    """stdout of code run in a fresh interpreter that imports this torusmf."""
-    src = Path(torusmf.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    return out.stdout.strip()
 
 
 class TestFindU0:
@@ -108,7 +95,7 @@ class TestFindU0:
                 "bubble_field(make_spec(1, 64), BubbleParams(3.0, 0.4, (0.0, 0.0)))\n"
                 "bubble_asymptotics([10**p for p in (2.0, 2.5, 3.0, 3.5, 4.0)], 14.0, 1)\n"
                 "print('sympy' in sys.modules)\n")
-        assert _run_fresh(code) == "False"
+        assert run_fresh(code) == "False"
 
 
 class TestInitPath:
@@ -391,7 +378,7 @@ class TestMountainPass:
                 "mountain_pass(14.0, make_spec(1, 32), max_sweeps=2)\n"
                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
                 "'scipy.special') if m in sys.modules))\n")
-        assert _run_fresh(code) == "[]"
+        assert run_fresh(code) == "[]"
 
     def test_rejects_quantum_multiple(self, spec32):
         with pytest.raises(ValueError, match="quantum"):

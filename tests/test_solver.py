@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator
 
 from torusmf import (
     SingularHessianError,
@@ -28,9 +27,9 @@ from torusmf import (
 )
 from torusmf.field import _multiplicity
 from torusmf.functional import _normalized_exp_weight
-from torusmf.solver import _preconditioned_operator
+from torusmf.solver import _preconditioned_operator, minres
 
-from conftest import cos_mode, smooth_field
+from conftest import cos_mode, run_fresh, smooth_field
 
 PI = math.pi
 
@@ -117,15 +116,13 @@ class TestNewton:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counting)
-        minres = solver.minres
 
-        def counted_minres(A, b, *args, **kwargs):
-            def matvec(x):
+        def counted_minres(matvec, b, *args, **kwargs):
+            def counting_matvec(x):
                 counts["matvec"] += 1
-                return A.matvec(x)
+                return matvec(x)
 
-            return minres(LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), b,
-                          *args, **kwargs)
+            return minres(counting_matvec, b, *args, **kwargs)
 
         monkeypatch.setattr(solver, "minres", counted_minres)
         out = newton_solve(guess, 50.0)
@@ -150,6 +147,10 @@ class TestPreconditionedOperator:
         u = smooth_field(spec, 1, norm=2.0)
         return u, _preconditioned_operator(spec, _normalized_exp_weight(u.values, m), lam)
 
+    @staticmethod
+    def _size(spec) -> int:
+        return 2 * _multiplicity(spec).size
+
     @pytest.mark.parametrize("m,n,lam", CASES)
     def test_matches_physical_operator(self, m, n, lam):
         u, op = self._operator(m, n, lam)
@@ -160,18 +161,78 @@ class TestPreconditionedOperator:
             # B^-1 H B^-1 w, with B = (-Lap)^(m/2)
             ref = solve_poisson_power(hessian_action(u, lam, solve_poisson_power(w, m / 2)), m / 2)
             want = _coordinates(ref)
-            got = op.matvec(_coordinates(w))
+            got = op(_coordinates(w))
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("m,n,lam", CASES)
     def test_symmetric_on_full_coordinate_space(self, m, n, lam):
-        _, op = self._operator(m, n, lam)
+        u, op = self._operator(m, n, lam)
         rng = np.random.default_rng(6)
         for _ in range(3):
-            z1, z2 = rng.standard_normal((2, op.shape[0]))
-            a1, a2 = op.matvec(z1), op.matvec(z2)
+            z1, z2 = rng.standard_normal((2, self._size(u.spec)))
+            a1, a2 = op(z1), op(z2)
             scale = np.linalg.norm(z1) * np.linalg.norm(a2)
             assert abs(z1 @ a2 - a1 @ z2) <= 1e-12 * scale
+
+
+class TestMinres:
+    """The in-house MINRES against scipy.sparse.linalg.minres, bit for bit."""
+
+    CASES = TestPreconditionedOperator.CASES
+
+    @staticmethod
+    def _problem(m: int, n: int, lam: float):
+        u, op = TestPreconditionedOperator._operator(m, n, lam)
+        b = np.random.default_rng(8).standard_normal(TestPreconditionedOperator._size(u.spec))
+        return op, b / np.linalg.norm(b)
+
+    @staticmethod
+    def _scipy(op, b: np.ndarray, **kwargs):
+        from scipy.sparse.linalg import LinearOperator, minres as scipy_minres
+
+        size = b.shape[0]
+        return scipy_minres(LinearOperator((size, size), matvec=op, dtype=np.float64), b,
+                            **kwargs)
+
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-10])
+    @pytest.mark.parametrize("m,n,lam", CASES)
+    def test_matches_scipy(self, m, n, lam, rtol):
+        op, b = self._problem(m, n, lam)
+        x, info = minres(op, b, rtol=rtol, maxiter=600)
+        want, want_info = self._scipy(op, b, rtol=rtol, maxiter=600)
+        assert info == want_info == 0
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("m,n,lam", CASES)
+    def test_iteration_limit(self, m, n, lam):
+        op, b = self._problem(m, n, lam)
+        x, info = minres(op, b, rtol=1e-14, maxiter=1)
+        want, want_info = self._scipy(op, b, rtol=1e-14, maxiter=1)
+        assert info == want_info == 1
+        assert np.array_equal(x, want)
+
+    def test_zero_right_hand_side(self):
+        op, b = self._problem(*self.CASES[0])
+        x, info = minres(op, np.zeros_like(b), rtol=1e-6, maxiter=600)
+        assert info == 0
+        assert x.shape == b.shape and not np.any(x)
+
+
+def test_import_loads_no_sparse_linalg():
+    # scipy.sparse.linalg costs more to import than the rest of torusmf;
+    # neither the import nor a Newton solve may load it, an eigenvalue probe
+    # still does
+    code = ("import sys\n"
+            "import torusmf, torusmf.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "spec = torusmf.make_spec(1, 16)\n"
+            "guess = torusmf.scaled(torusmf.concentration_direction(spec), 2.0)\n"
+            "assert torusmf.newton_solve(guess, 10.0).converged\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+            "print(torusmf.smallest_hessian_eigenvalue(torusmf.zero_field(spec), 10.0))\n")
+    on_import, after_solve, low = run_fresh(code).splitlines()
+    assert on_import == after_solve == "[]"
+    assert float(low) == pytest.approx(1 - 2 * 10.0 / (4 * PI**2), abs=1e-6)
 
 
 class TestSingularityProbe:
