@@ -39,12 +39,10 @@ from .field import (
 )
 from .functional import (
     Constants,
-    EnergyReport,
     constants,
     directional_derivative,
     dual_lipschitz_gap,
     el_residual,
-    energy,
     energy_value,
     expansion_gap,
     gradient_h,

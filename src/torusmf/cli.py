@@ -142,16 +142,16 @@ def cmd_bubble(args) -> int:
 def cmd_mp(args) -> int:
     spec = make_spec(int(args.m), int(args.n))
     result = _mountainpass.mountain_pass(float(args.lam), spec, tol=float(args.tol),
-                                         max_sweeps=int(args.max_sweeps),
-                                         segments=int(args.path_nodes))
+                                         max_sweeps=int(args.max_sweeps))
     out = _prepare_outdir(args, "mp")
     solve = result.solve
     _write_csv(out / "summary.csv",
                ["lambda", "c_estimate", "grad_norm", "sweeps", "converged",
-                "residual_l2", "energy", "norm"],
+                "residual_l2", "energy", "norm", "anchor_min_energy", "anchor_failed_floor"],
                [(solve.lam, result.c_estimate, solve.grad_norm, result.iterations,
                  result.converged, solve.residual_l2, solve.energy,
-                 math.sqrt(sobolev_norm_sq(solve.field)))])
+                 math.sqrt(sobolev_norm_sq(solve.field)), result.anchor_min_energy,
+                 result.anchor_failed_floor)])
     write_field(out / "maximizer.pbfld", solve.field)
     print(f"c_estimate = {result.c_estimate:.8f}  converged = {result.converged}")
     if not result.converged:
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=400)
-    p.add_argument("--path-nodes", dest="path_nodes", type=int, default=16)
     p.set_defaults(func=cmd_mp)
 
     p = sub.add_parser("continue", help="natural-parameter continuation in lambda")

@@ -71,31 +71,12 @@ def constants(m: int) -> Constants:
     )
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    lam: float
-    dirichlet: float
-    log_mass: float
-    energy: float
-
-
-def energy(u: Field, lam: float) -> EnergyReport:
-    """Energy split into its quadratic part and the (overflow-safe) log mass."""
+def energy_value(u: Field, lam: float) -> float:
+    """I(u): the quadratic part minus lam/2m times the (overflow-safe) log mass."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     m = u.spec.m
-    dirichlet = 0.5 * sobolev_norm_sq(u)
-    log_mass = log_integrate_exp(u, 2.0 * m)
-    return EnergyReport(
-        lam=float(lam),
-        dirichlet=dirichlet,
-        log_mass=log_mass,
-        energy=dirichlet - lam / (2.0 * m) * log_mass,
-    )
-
-
-def energy_value(u: Field, lam: float) -> float:
-    return energy(u, lam).energy
+    return 0.5 * sobolev_norm_sq(u) - lam / (2.0 * m) * log_integrate_exp(u, 2.0 * m)
 
 
 def _normalized_exp_weight(values: np.ndarray, m: int) -> np.ndarray:

@@ -34,27 +34,41 @@ _LEVEL_SLACK = 0.02  # relative rise between sweep rows counted as a violation
 
 @dataclass
 class PathState:
-    """Discrete path of mean-zero fields from 0 to the anchor u0."""
+    """Discrete path of mean-zero fields from 0 to the anchor u0, at one lam.
+
+    table (a _SegmentTable) holds the Gram entries and sampled crests of its
+    segments.  relax_path and the ridge capture hand it on to the path they
+    return, so later calls at this lam read the crests earlier ones left.
+    """
 
     lam: float
     nodes: list[Field]
+    table: _SegmentTable | None = dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.nodes) < 9:
             raise ValueError("path needs at least 9 nodes (8 segments)")
         if float(np.max(np.abs(self.nodes[0].values))) != 0.0:
             raise ValueError("path must start at the zero field")
+        if self.table is None:
+            self.table = _SegmentTable(self.lam, self.nodes[0], self.nodes[-1])
 
 
 @dataclass(frozen=True)
 class MPResult:
-    """Pass level, sweeps used, the polished solve (or first failed one), captured path."""
+    """Pass level, sweeps used, the polished solve (or first failed one), captured path.
+
+    The anchor met anchor_min_energy: -1, or -0.05 after the search for -1
+    stalled at anchor_failed_floor (NaN when it did not); see _start_path.
+    """
 
     c_estimate: float
     iterations: int
     converged: bool
     solve: SolveResult
     path: PathState
+    anchor_min_energy: float
+    anchor_failed_floor: float
 
 
 @dataclass
@@ -80,20 +94,17 @@ class RelaxInfo:
         return len(self.max_energies)
 
 
-def _interval_check(lam: float, m: int) -> None:
+def _check_lam(lam: float, m: int) -> None:
+    """Refuse lam on a multiple of the quantum Lambda1, then lam outside the existence interval."""
     cst = constants(m)
+    k = round(lam / cst.Lambda1)
+    if k >= 1 and abs(lam - k * cst.Lambda1) <= 1e-9 * cst.Lambda1:
+        raise ValueError(f"lam={lam} is an integer multiple of the quantum {cst.Lambda1:.6f}")
     if not (cst.threshold_low < lam < cst.threshold_high):
         raise ValueError(
             f"lam={lam} outside the existence interval "
             f"({cst.threshold_low:.6f}, {cst.threshold_high:.6f}) for m={m}"
         )
-
-
-def _multiple_of_quantum_check(lam: float, m: int) -> None:
-    cst = constants(m)
-    k = round(lam / cst.Lambda1)
-    if k >= 1 and abs(lam - k * cst.Lambda1) <= 1e-9 * cst.Lambda1:
-        raise ValueError(f"lam={lam} is an integer multiple of the quantum {cst.Lambda1:.6f}")
 
 
 def _nontrivial(u: Field) -> bool:
@@ -130,7 +141,7 @@ def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0) -> Field:
     if no amplitude qualifies (happens for lam barely above the coercivity
     threshold on coarse grids).
     """
-    _interval_check(lam, spec.m)
+    _check_lam(lam, spec.m)
     direction = concentration_direction(spec)
     energies = []
     for t in np.linspace(0.5, 40.0, 160):
@@ -153,7 +164,18 @@ def init_path(u0: Field, segments: int, lam: float) -> PathState:
     return PathState(lam=float(lam), nodes=nodes)
 
 
-def _respace(nodes: list[Field], energies: list[float], cache: _SegmentCache,
+def _start_path(lam: float, spec: TorusSpec) -> tuple[PathState, float, float]:
+    """16-segment path to find_u0's anchor, and the anchor fields of MPResult."""
+    min_energy, failed_floor = -1.0, math.nan
+    try:
+        u0 = find_u0(lam, spec, min_energy=min_energy)
+    except ConvergenceError as exc:
+        min_energy, failed_floor = -0.05, exc.floor
+        u0 = find_u0(lam, spec, min_energy=min_energy)
+    return init_path(u0, 16, lam), min_energy, failed_floor
+
+
+def _respace(nodes: list[Field], energies: list[float], table: _SegmentTable,
              ceiling: float) -> tuple[list[Field], list[float]] | None:
     """Re-sample the polyline so successive energy gaps equalize, or None.
 
@@ -164,12 +186,12 @@ def _respace(nodes: list[Field], energies: list[float], cache: _SegmentCache,
     and crest comes from the same operations as when the whole candidate is
     built first, so the verdict is that of its sampled supremum, bit for bit.
     """
-    lam = cache.lam
+    lam = table.lam
     p = len(nodes) - 1
     weights = []
     for a, b, ea, eb in zip(nodes, nodes[1:], energies, energies[1:]):
         # ||b - a||^2 from the cached norms and Gram entry: no transform
-        dsq = sobolev_norm_sq(a) + sobolev_norm_sq(b) - 2.0 * cache.inner(a, b)
+        dsq = sobolev_norm_sq(a) + sobolev_norm_sq(b) - 2.0 * table.inner(a, b)
         weights.append(abs(eb - ea) + _RESPACE_NORM_WEIGHT * math.sqrt(max(dsq, 0.0)) + 1e-30)
     cum = np.concatenate([[0.0], np.cumsum(weights)])
     targets = np.linspace(0.0, cum[-1], p + 1)
@@ -185,7 +207,7 @@ def _respace(nodes: list[Field], energies: list[float], cache: _SegmentCache,
             node, e = nodes[-1], energies[-1]
         if e > ceiling:
             return None
-        crest, _ = cache.crest(new_nodes[-1], node, _segment_ts(j - 1, p))
+        crest, _ = table.crest(new_nodes[-1], node)
         if crest > ceiling:
             return None
         new_nodes.append(node)
@@ -195,15 +217,7 @@ def _respace(nodes: list[Field], energies: list[float], cache: _SegmentCache,
 
 _SEGMENT_TS = (0.25, 0.5, 0.75)
 _FINE_TS = tuple(float(t) for t in np.geomspace(1.0 / 256.0, 0.5, 8)) + (0.75, 0.875)
-
-
-def _segment_ts(i: int, nseg: int) -> tuple[float, ...]:
-    """Sampling parameters inside segment i; end segments get fine geometric tails."""
-    if i == 0:
-        return _FINE_TS
-    if i == nseg - 1:
-        return tuple(1.0 - t for t in _FINE_TS)
-    return _SEGMENT_TS
+_TAIL_TS = tuple(1.0 - t for t in _FINE_TS)
 
 
 def _segment_energies(a: Field, b: Field, ab: float, lam: float, ts) -> np.ndarray:
@@ -228,20 +242,29 @@ def _segment_energies(a: Field, b: Field, ab: float, lam: float, ts) -> np.ndarr
     return dirichlet - lam / m2 * _log_mean_exp(vals)
 
 
-class _SegmentCache:
-    """Gram entries <a, b> and sampled crests of path segments at one lam.
+class _SegmentTable:
+    """Gram entries <a, b> and sampled crests of a path's segments at one lam, keyed on (a, b).
 
-    Entries are keyed on the node objects (a Field is immutable and hashes by
-    identity; ids would be reused after garbage collection) and computed by
-    the same operations as without the cache, so every energy and every
-    decision taken from them is bit-identical.  Local to one caller, so
-    concurrent calls share nothing.
+    Sampling parameters follow from the endpoints: _FINE_TS when a segment
+    leaves the path's zero node, its mirror when it enters the anchor, and
+    _SEGMENT_TS otherwise (no path replaces either endpoint object).  Keys
+    are the node objects (a Field is immutable and hashes by identity; ids
+    would be reused after garbage collection), and entries are computed by
+    the same operations as without the table, so every energy and decision
+    taken from them is bit-identical.  Two threads must not relax paths sharing one.
     """
 
-    def __init__(self, lam: float):
-        self.lam = lam
+    def __init__(self, lam: float, zero: Field, anchor: Field):
+        self.lam, self.zero, self.anchor = lam, zero, anchor
         self._inner: dict[tuple[Field, Field], float] = {}
-        self._crest: dict[tuple[Field, Field, tuple[float, ...]], tuple[float, float]] = {}
+        self._crest: dict[tuple[Field, Field], tuple[float, float]] = {}
+
+    def ts(self, a: Field, b: Field) -> tuple[float, ...]:
+        if a is self.zero:
+            return _FINE_TS
+        if b is self.anchor:
+            return _TAIL_TS
+        return _SEGMENT_TS
 
     def inner(self, a: Field, b: Field) -> float:
         ab = self._inner.get((a, b))
@@ -249,37 +272,34 @@ class _SegmentCache:
             ab = self._inner[(a, b)] = sobolev_inner(a, b)
         return ab
 
-    def crest(self, a: Field, b: Field, ts: tuple[float, ...]) -> tuple[float, float]:
+    def crest(self, a: Field, b: Field) -> tuple[float, float]:
         """(max sampled energy, its t) on the segment from a to b."""
-        key = (a, b, ts)
-        hit = self._crest.get(key)
+        hit = self._crest.get((a, b))
         if hit is None:
+            ts = self.ts(a, b)
             es = _segment_energies(a, b, self.inner(a, b), self.lam, ts)
             j = int(np.argmax(es))
-            hit = self._crest[key] = (float(es[j]), ts[j])
+            hit = self._crest[(a, b)] = (float(es[j]), ts[j])
         return hit
 
     def keep_live(self, nodes: list[Field]) -> None:
         """Drop every entry that is not a segment of nodes, freeing dead node arrays."""
-        nseg = len(nodes) - 1
-        live = {(a, b, _segment_ts(i, nseg)) for i, (a, b) in enumerate(zip(nodes, nodes[1:]))}
+        live = set(zip(nodes, nodes[1:]))
         self._crest = {key: v for key, v in self._crest.items() if key in live}
-        pairs = {key[:2] for key in live}
-        self._inner = {key: v for key, v in self._inner.items() if key in pairs}
+        self._inner = {key: v for key, v in self._inner.items() if key in live}
 
 
-def _sampled_supremum(nodes: list[Field], energies: list[float], cache: _SegmentCache):
+def _sampled_supremum(nodes: list[Field], energies: list[float], table: _SegmentTable):
     """Max of node energies and segment samples; returns (energy, seg, t).
 
     seg is -1 when a node already attains the supremum; otherwise the sample
     is (1 - t) nodes[seg] + t nodes[seg + 1].  Segment crests are read
-    through cache, so a segment already sampled at this lam costs nothing.
+    through table, so a segment already sampled at this lam costs nothing.
     """
-    nseg = len(nodes) - 1
     best_e = max(energies)
     best_seg, best_t = -1, 0.0
-    for i in range(nseg):
-        e, t = cache.crest(nodes[i], nodes[i + 1], _segment_ts(i, nseg))
+    for i, (a, b) in enumerate(zip(nodes, nodes[1:])):
+        e, t = table.crest(a, b)
         if e > best_e:
             best_e, best_seg, best_t = e, i, t
     return best_e, best_seg, best_t
@@ -301,30 +321,30 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     between sweeps the capture may honestly reveal a higher crest hiding
     inside a segment.
 
-    Gram entries and segment crests are cached for the duration of the call
-    (a segment is sampled once however many checks read it) and pruned to
-    the live segments after each sweep; the results are bit-identical to
+    Gram entries and segment crests are read through the path's table (a
+    segment is sampled once however many checks, sweeps or calls at this
+    lam read it), which is pruned to the live segments after each sweep and
+    handed on to the returned path; the results are bit-identical to
     sampling every segment afresh.
     """
     lam = path.lam
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
     info = RelaxInfo()
-    cache = _SegmentCache(lam)
+    table = path.table
     step = 1.0
-    max_nodes = max(3 * len(nodes), 24)
+    max_nodes = 3 * len(nodes)
 
     def crest_free(i: int, cand: Field, ceiling: float) -> bool:
         slack = 1e-9 * (1.0 + abs(ceiling))
-        nseg = len(nodes) - 1
-        left, _ = cache.crest(nodes[i - 1], cand, _segment_ts(i - 1, nseg))
+        left, _ = table.crest(nodes[i - 1], cand)
         if left > ceiling + slack:
             return False
-        right, _ = cache.crest(cand, nodes[i + 1], _segment_ts(i, nseg))
+        right, _ = table.crest(cand, nodes[i + 1])
         return right <= ceiling + slack
 
     for _ in range(sweeps):
-        captured, pruned = _capture_insert(nodes, energies, cache, rounds=3, max_nodes=max_nodes)
+        captured, pruned = _capture_insert(nodes, energies, table, rounds=3, max_nodes=max_nodes)
         info.captured.append(captured)
         info.pruned.append(pruned)
         # the captured max is the sweep ceiling: descent and re-spacing below
@@ -344,22 +364,22 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
         info.descent_refused.append(refused)
         if moved:
             ceiling = max(energies) + 1e-12 * (1.0 + abs(max(energies)))
-            respaced = _respace(nodes, energies, cache, ceiling)
+            respaced = _respace(nodes, energies, table, ceiling)
             if respaced is None:
                 info.respace_rejected += 1
             else:
                 nodes, energies = respaced
         if max(energies) > ceiling0 + 1e-9 * (1.0 + abs(ceiling0)):
             raise ArithmeticError("descent raised the max-node energy within a sweep")
-        cache.keep_live(nodes)
+        table.keep_live(nodes)
         info.max_energies.append(max(energies))
         if not moved:
             info.stalled = True
             break
-    return PathState(lam=lam, nodes=nodes), info
+    return PathState(lam=lam, nodes=nodes, table=table), info
 
 
-def _capture_insert(nodes: list[Field], energies: list[float], cache: _SegmentCache,
+def _capture_insert(nodes: list[Field], energies: list[float], table: _SegmentTable,
                     rounds: int, max_nodes: int) -> tuple[int, int]:
     """Insert sampled crest points as nodes (in place); returns (inserted, pruned).
 
@@ -371,7 +391,7 @@ def _capture_insert(nodes: list[Field], energies: list[float], cache: _SegmentCa
     """
     captured = pruned = 0
     for _ in range(rounds):
-        top_e, seg, t = _sampled_supremum(nodes, energies, cache)
+        top_e, seg, t = _sampled_supremum(nodes, energies, table)
         if seg < 0 or top_e <= max(energies) + 1e-9 * (1.0 + abs(top_e)):
             break
         nodes.insert(seg + 1, lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1]))
@@ -382,7 +402,7 @@ def _capture_insert(nodes: list[Field], energies: list[float], cache: _SegmentCa
             k = min((i for i in interior if i != seg + 1), key=lambda i: energies[i])
             pruned_nodes = nodes[:k] + nodes[k + 1:]
             pruned_energies = energies[:k] + energies[k + 1:]
-            top_after, _, _ = _sampled_supremum(pruned_nodes, pruned_energies, cache)
+            top_after, _, _ = _sampled_supremum(pruned_nodes, pruned_energies, table)
             if top_after <= max(energies) + 1e-9 * (1.0 + abs(top_e)):
                 nodes[:] = pruned_nodes
                 energies[:] = pruned_energies
@@ -397,17 +417,16 @@ def _capture(path: PathState) -> tuple[PathState, float, Field]:
     path sup, the crest) and the point attaining the refined path's sampled
     maximum (a node, or a segment sample still above every node).
     """
-    lam = path.lam
+    lam, table = path.lam, path.table
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
-    cache = _SegmentCache(lam)
-    _capture_insert(nodes, energies, cache, rounds=4, max_nodes=3 * len(nodes))
-    _, seg, t = _sampled_supremum(nodes, energies, cache)
+    _capture_insert(nodes, energies, table, rounds=4, max_nodes=3 * len(nodes))
+    _, seg, t = _sampled_supremum(nodes, energies, table)
     if seg < 0:
         top = nodes[int(np.argmax(energies))]
     else:
         top = lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
-    return PathState(lam=lam, nodes=nodes), float(max(energies)), top
+    return PathState(lam=lam, nodes=nodes, table=table), float(max(energies)), top
 
 
 def _polish(path: PathState, tol: float,
@@ -444,21 +463,19 @@ def _relax_in_chunks(path: PathState, budget: int) -> tuple[PathState, int]:
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
-                  max_sweeps: int = 400, *, segments: int = 16) -> MPResult:
+                  max_sweeps: int = 400) -> MPResult:
     """Estimate the pass level and polish the maximizer into a solution.
 
-    The path runs from 0 to find_u0's anchor and relaxes in chunks of 30
+    The path runs from 0 to _start_path's anchor and relaxes in chunks of 30
     sweeps; after each chunk the captured path's sampled maximum is handed
     to the Newton solver (_polish).  A polish that collapses to the trivial
     state just means the sampling is still coarse, and relaxation of the
     uncaptured path resumes.  converged means: the polished field solves the
     equation to tol (L^2 residual) and is non-constant.
     """
-    _multiple_of_quantum_check(lam, spec.m)
-    _interval_check(lam, spec.m)
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    path = init_path(find_u0(lam, spec), segments, lam)
+    path, min_energy, failed_floor = _start_path(lam, spec)
     total_sweeps = 0
     best: SolveResult | None = None
     while total_sweeps < max_sweeps:
@@ -470,7 +487,8 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
         if solved or info.stalled:
             break
     return MPResult(c_estimate=c_estimate, iterations=total_sweeps, converged=solved,
-                    solve=best, path=captured)
+                    solve=best, path=captured, anchor_min_energy=min_energy,
+                    anchor_failed_floor=failed_floor)
 
 
 @dataclass(frozen=True)
@@ -505,7 +523,7 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     """Pass-level estimates over an increasing lam grid with one shared path.
 
     The anchor is found once at the smallest lam (its energy only decreases
-    at larger lam), and the 16-segment path from 0 to it is re-relaxed at
+    at larger lam) by _start_path, and the path from 0 to it is re-relaxed at
     each lam with a fixed sweep budget.  Because the energy is pointwise
     non-increasing in lam, warm-started estimates are monotone by
     construction; the report still counts violations beyond a 2% slack.
@@ -517,14 +535,8 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     if not lams:
         raise ValueError("empty lam grid")
     for lam in lams:
-        _interval_check(lam, spec.m)
-    min_energy, failed_floor = -1.0, math.nan
-    try:
-        u0 = find_u0(lams[0], spec, min_energy=min_energy)
-    except ConvergenceError as exc:
-        min_energy, failed_floor = -0.05, exc.floor
-        u0 = find_u0(lams[0], spec, min_energy=min_energy)
-    path = init_path(u0, 16, lams[0])
+        _check_lam(lam, spec.m)
+    path, min_energy, failed_floor = _start_path(lams[0], spec)
     rows: list[LevelRow] = []
     prev_solution: Field | None = None
     for lam in lams:

@@ -2,6 +2,8 @@
 
 import argparse
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,16 @@ class TestParser:
         assert {c for c, f in flags.items() if "--seed" in f} == {"mp", "nonexist"}
         assert {c for c, f in flags.items() if "--tol" in f} == {
             "mp", "continue", "sweep", "nonexist"}
+
+    def test_readme_commands_parse(self):
+        # README's "Command line" block shows every subcommand, with live flags only
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        argvs = [shlex.split(line)[1:] for line in block.splitlines()
+                 if line.startswith("torusmf ")]
+        assert {argv[0] for argv in argvs} == set(self.flags_by_command())
+        for argv in argvs:
+            build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("flag", ["--seed", "--tol"])
     def test_unread_option_rejected(self, tmp_path, flag):

@@ -185,9 +185,9 @@ def respace_calls(spec32):
     calls = []
     respace = mp._respace
 
-    def recorded(nodes, energies, cache, ceiling):
-        calls.append((cache.lam, list(nodes), list(energies), ceiling))
-        return respace(nodes, energies, cache, ceiling)
+    def recorded(nodes, energies, table, ceiling):
+        calls.append((table.lam, list(nodes), list(energies), ceiling))
+        return respace(nodes, energies, table, ceiling)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mp, "_respace", recorded)
@@ -200,29 +200,26 @@ class TestRespace:
     """Early-exit re-spacing against the candidate built whole."""
 
     def test_matches_eager_candidate(self, respace_calls):
-        from torusmf.mountainpass import (
-            _SegmentCache, _respace, _sampled_supremum, _segment_ts,
-        )
+        from torusmf.mountainpass import _SegmentTable, _respace, _sampled_supremum
 
         verdicts = set()
         for lam, nodes, energies, ceiling in respace_calls:
             cand_nodes, cand_energies = _eager_respace(nodes, energies, lam)
-            eager_cache, cache = _SegmentCache(lam), _SegmentCache(lam)
-            top, _, _ = _sampled_supremum(cand_nodes, cand_energies, eager_cache)
-            got = _respace(nodes, energies, cache, ceiling)
+            eager_table = _SegmentTable(lam, nodes[0], nodes[-1])
+            table = _SegmentTable(lam, nodes[0], nodes[-1])
+            top, _, _ = _sampled_supremum(cand_nodes, cand_energies, eager_table)
+            got = _respace(nodes, energies, table, ceiling)
             assert (got is None) == (top > ceiling)
             verdicts.add(got is None)
             if got is not None:
                 assert got[1] == cand_energies
                 assert all(np.array_equal(a.values, b.values)
                            for a, b in zip(got[0], cand_nodes))
-                # the accepted candidate's crests are cached under the keys
-                # the next sweep reads
-                p = len(nodes) - 1
-                for i in range(p):
-                    ts = _segment_ts(i, p)
-                    assert (cache._crest[(got[0][i], got[0][i + 1], ts)]
-                            == eager_cache.crest(cand_nodes[i], cand_nodes[i + 1], ts))
+                # the accepted candidate's crests are in the table under the
+                # node pairs the next sweep reads
+                for i in range(len(nodes) - 1):
+                    assert (table._crest[(got[0][i], got[0][i + 1])]
+                            == eager_table.crest(cand_nodes[i], cand_nodes[i + 1]))
         assert verdicts == {True, False}
 
     def test_rejection_stops_early(self, monkeypatch, respace_calls):
@@ -231,16 +228,19 @@ class TestRespace:
         sample = mp._segment_energies
         monkeypatch.setattr(mp, "_segment_energies",
                             lambda *args: segments.append(args) or sample(*args))
+        def fresh():
+            return mp._SegmentTable(lam, nodes[0], nodes[-1])
+
         for lam, nodes, energies, ceiling in respace_calls:
             candidate = _eager_respace(nodes, energies, lam)
-            if mp._sampled_supremum(*candidate, mp._SegmentCache(lam))[0] > ceiling:
+            if mp._sampled_supremum(*candidate, fresh())[0] > ceiling:
                 break
         segments.clear()
-        assert mp._respace(nodes, energies, mp._SegmentCache(lam), ceiling) is None
+        assert mp._respace(nodes, energies, fresh(), ceiling) is None
         assert 0 < len(segments) < len(nodes) - 1
         # a first new node above the ceiling ends it before any segment is sampled
         segments.clear()
-        assert mp._respace(nodes, energies, mp._SegmentCache(lam), -1e300) is None
+        assert mp._respace(nodes, energies, fresh(), -1e300) is None
         assert not segments
 
     @pytest.mark.parametrize("lam,rejected", [(14.0, 26), (19.0, 27)])
@@ -274,7 +274,7 @@ class TestDescentRefusals:
 
 
 class TestSegmentCache:
-    """Each segment is sampled once per relax_path call, with unchanged results."""
+    """Each segment is sampled once per path at one lam, with unchanged results."""
 
     def test_no_segment_or_gram_pair_evaluated_twice(self, monkeypatch, anchor32):
         mp = torusmf.mountainpass
@@ -297,8 +297,22 @@ class TestSegmentCache:
         assert len({(id(a), id(b), ts) for a, b, ts in segments}) == len(segments)
         assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
 
+    def test_second_call_samples_no_live_segment(self, monkeypatch, anchor32):
+        # the returned path keeps its table: a further call at the same lam
+        # reads the crests the first one left instead of sampling them again
+        mp = torusmf.mountainpass
+        relaxed, _ = relax_path(init_path(anchor32, 16, 14.0), 5)
+        live = set(relaxed.table._crest)
+        sampled = []
+        sample = mp._segment_energies
+        monkeypatch.setattr(mp, "_segment_energies",
+                            lambda a, b, *rest: sampled.append((a, b)) or sample(a, b, *rest))
+        relax_path(relaxed, 1)
+        assert live and sampled
+        assert not live & set(sampled)
+
     def test_cached_supremum_equals_uncached(self, anchor32):
-        from torusmf.mountainpass import _SegmentCache, _sampled_supremum
+        from torusmf.mountainpass import _SegmentTable, _sampled_supremum
 
         lam = 14.0
         relaxed, _ = relax_path(init_path(anchor32, 16, lam), 5)
@@ -306,13 +320,14 @@ class TestSegmentCache:
         energies = [energy_value(nd, lam) for nd in nodes]
         k = len(nodes) // 2
         mid = lincomb(0.5, nodes[k], 0.5, nodes[k + 1])
-        cache = _SegmentCache(lam)
-        # warm the cache on a refinement sharing every segment but the split one
+        table = _SegmentTable(lam, nodes[0], nodes[-1])
+        # warm the table on a refinement sharing every segment but the split one
         _sampled_supremum(nodes[:k + 1] + [mid] + nodes[k + 1:],
-                          energies[:k + 1] + [energy_value(mid, lam)] + energies[k + 1:], cache)
-        cached = _sampled_supremum(nodes, energies, cache)
-        assert cached == _sampled_supremum(nodes, energies, _SegmentCache(lam))
-        assert cached == _sampled_supremum(nodes, energies, cache)
+                          energies[:k + 1] + [energy_value(mid, lam)] + energies[k + 1:], table)
+        cached = _sampled_supremum(nodes, energies, table)
+        fresh = _SegmentTable(lam, nodes[0], nodes[-1])
+        assert cached == _sampled_supremum(nodes, energies, fresh)
+        assert cached == _sampled_supremum(nodes, energies, table)
 
 
 class TestSegmentEnergies:
@@ -320,15 +335,17 @@ class TestSegmentEnergies:
 
     @pytest.mark.parametrize("m,n,lam", [(1, 64, 14.0), (2, 16, 250.0)])
     def test_matches_energy_value(self, m, n, lam):
-        from torusmf.mountainpass import _segment_energies, _segment_ts
+        from torusmf.mountainpass import _SegmentTable, _segment_energies
 
         spec = make_spec(m, n)
         a, b = smooth_field(spec, 1, norm=2.0), smooth_field(spec, 2, norm=3.0)
         # three segments: the geometric tail at t -> 0 (from the zero field, as
-        # a path starts), the interior samples, and the tail at t -> 1
+        # a path starts), the interior samples, and the tail at t -> 1 (into
+        # the anchor a)
         ends = [(zero_field(spec), a), (a, b), (b, a)]
+        table = _SegmentTable(lam, ends[0][0], a)
         for i, (left, right) in enumerate(ends):
-            ts = _segment_ts(i, len(ends))
+            ts = table.ts(left, right)
             got = _segment_energies(left, right, sobolev_inner(left, right), lam, ts)
             for t, e in zip(ts, got):
                 want = energy_value(lincomb(1.0 - t, left, t, right), lam)
@@ -337,13 +354,14 @@ class TestSegmentEnergies:
     @pytest.mark.parametrize("m,n,lam", [(1, 64, 14.0), (2, 16, 250.0)])
     def test_in_place_sampler_is_bit_exact(self, m, n, lam):
         # reference: the out-of-place formula, 2m applied after the sum
-        from torusmf.mountainpass import _segment_energies, _segment_ts
+        from torusmf.mountainpass import _SegmentTable, _segment_energies
 
         spec = make_spec(m, n)
         a, b = smooth_field(spec, 1, norm=2.0), smooth_field(spec, 2, norm=3.0)
         ends = [(zero_field(spec), a), (a, b), (b, a)]
+        table = _SegmentTable(lam, ends[0][0], a)
         for i, (left, right) in enumerate(ends):
-            ts = _segment_ts(i, len(ends))
+            ts = table.ts(left, right)
             t = np.asarray(ts)
             s = 1.0 - t
             ab = sobolev_inner(left, right)
@@ -387,6 +405,14 @@ class TestMountainPass:
     def test_rejects_outside_interval(self, spec32):
         with pytest.raises(ValueError, match="interval"):
             mountain_pass(2 * PI**2, spec32)
+
+    def test_anchor_fallback_recorded(self):
+        # at lam = 13, n = 128 no amplitude reaches -1; the anchor comes from
+        # the second search at -0.05, as in level_sweep
+        res = mountain_pass(13.0, make_spec(1, 128), tol=1e-10)
+        assert res.converged
+        assert res.anchor_min_energy == -0.05
+        assert -1.0 < res.anchor_failed_floor < -0.05
 
     def test_refinement_weakly_decreases_estimate(self, spec32):
         # refine the SAME relaxed path by midpoint insertion (the polyline is
@@ -444,6 +470,20 @@ class TestOrderTwo:
             ("max_u", float(sol.field.values.max()), float(fine.field.values.max())),
         ):
             assert abs(fine_val - coarse_val) <= 0.01 * abs(coarse_val), name
+
+
+@pytest.mark.parametrize("run", [mountain_pass, lambda lam, spec: level_sweep([lam], spec)],
+                         ids=["mountain_pass", "level_sweep"])
+@pytest.mark.parametrize("m,lam,want", [
+    (1, 4 * PI, "lam={lam} is an integer multiple of the quantum 12.566371"),
+    (1, 2 * PI**2, "lam={lam} outside the existence interval (12.566371, 19.739209) for m=1"),
+    (2, 32 * PI**2, "lam={lam} is an integer multiple of the quantum 157.913670"),
+], ids=["quantum_m1", "interval_m1", "quantum_m2"])
+def test_pass_and_sweep_refuse_the_same_lam(run, m, lam, want):
+    # Lambda1 and 2 Lambda1 are quantum multiples; 2 pi^2 ends the m = 1 interval
+    with pytest.raises(ValueError) as err:
+        run(lam, make_spec(m, 8))
+    assert str(err.value) == want.format(lam=lam)
 
 
 class TestLevelSweep:
