@@ -1,6 +1,6 @@
 """Golden values: outputs frozen before numerics refactors.
 
-The fixture `golden.json` was written by this module's `capture()` on the
+The fixture `golden.json` was written by this module's `ENTRIES` on the
 complex-FFT field core; numerics refactors must reproduce it.  The
 find_u0 anchors, concentration directions and Adams values were added on the
 real-FFT core, before the anchor search lost its glued-profile stage; the
@@ -26,10 +26,36 @@ derivative vanishes at r = 3/8).  Add entries only on purpose, with
     PYTHONPATH=src python tests/test_golden.py
 
 which keeps every entry already in the fixture as first captured.
+
+Re-pin rule.  Every leaf of the fixture (a value that is not a dict: a
+number, flag, string or list) belongs to exactly one of two tiers, declared
+in FIRST_TIER and SECOND_TIER below and checked by test_tiers_cover_the_fixture.
+
+- First tier: outputs that no discrete decision of the path relaxation
+  reaches: saddle energies, norms, eigenvalues, anchors, field values, the
+  continuation branch, the nonexistence counts, convergence flags, the lam
+  grid, quant, cutoff and radial energies.  A change reproduces them at
+  their tolerances, and no first-tier leaf is ever re-pinned.
+- Second tier: outputs of the discrete relaxation itself: mountain_pass's
+  c_estimate and the criterion-6 c-estimates and sweep counts.  A change
+  may re-pin them, one leaf at a time, with
+
+      PYTHONPATH=src python tests/test_golden.py --repin <leaf> [<leaf> ...]
+
+  (leaf names join the keys with dots, e.g. level_sweep.c_estimates or
+  mp.19.0.c_estimate), and only if its CHANGES.md entry gives the old and
+  new value of each re-pinned leaf, names the decision of the relaxation
+  that flipped and the first sweep where the paths diverge, and shows that
+  c_estimate >= the polished energy still holds on every row.
+
+Tolerances and the acceptance criteria's bounds do not move under this rule.
 """
 
+import copy
+import functools
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,26 +171,99 @@ def _quant_values() -> dict:
     return {"plateau_mass": rep.plateau_mass, "deviation": rep.deviation}
 
 
-def capture() -> dict:
-    sweep = criterion6_sweep()
-    return {
-        "mp": {repr(lam): _mp_values(lam) for lam in MP_LAMS},
-        "mp_m2": _order_two_values(order_two_mountain_pass()),
-        "nonexist": _nonexist_values(),
-        "fields": {f"{m},{n}": _field_values(m, n, lam) for m, n, lam in FIELD_CASES},
-        "find_u0": {f"{m},{n},{lam!r}": _anchor_values(m, n, lam)
-                    for m, n, lam in ANCHOR_CASES},
-        "concentration_direction": {f"{m},{n}": _direction_values(m, n) for m, n in GRID_CASES},
-        "adams_value": {f"{m},{n}": _adams_value(m, n) for m, n in GRID_CASES},
-        "continuation": _branch_values(),
-        "hessian_eigenvalue": _hessian_eigenvalue(),
-        "level_sweep": _sweep_values(sweep),
-        "level_sweep_energies": [r.energy for r in sweep.rows],
-        "quant": _quant_values(),
-        "cutoff": {f"{k},{r!r}": cutoff(r, k) for k, r in CUTOFF_CASES},
-        "radial_energy": {f"{m},{s!r}": radial_energy(s, m)
-                          for m in (1, 2) for s in RADIAL_SIGMAS},
-    }
+@functools.cache
+def _sweep():
+    return criterion6_sweep()
+
+
+# each top-level fixture key and the function that captures its entry
+ENTRIES = {
+    "mp": lambda: {repr(lam): _mp_values(lam) for lam in MP_LAMS},
+    "mp_m2": lambda: _order_two_values(order_two_mountain_pass()),
+    "nonexist": _nonexist_values,
+    "fields": lambda: {f"{m},{n}": _field_values(m, n, lam) for m, n, lam in FIELD_CASES},
+    "find_u0": lambda: {f"{m},{n},{lam!r}": _anchor_values(m, n, lam)
+                        for m, n, lam in ANCHOR_CASES},
+    "concentration_direction": lambda: {f"{m},{n}": _direction_values(m, n)
+                                        for m, n in GRID_CASES},
+    "adams_value": lambda: {f"{m},{n}": _adams_value(m, n) for m, n in GRID_CASES},
+    "continuation": _branch_values,
+    "hessian_eigenvalue": _hessian_eigenvalue,
+    "level_sweep": lambda: _sweep_values(_sweep()),
+    "level_sweep_energies": lambda: [r.energy for r in _sweep().rows],
+    "quant": _quant_values,
+    "cutoff": lambda: {f"{k},{r!r}": cutoff(r, k) for k, r in CUTOFF_CASES},
+    "radial_energy": lambda: {f"{m},{s!r}": radial_energy(s, m)
+                              for m in (1, 2) for s in RADIAL_SIGMAS},
+}
+
+# leaf patterns: a pattern covers the leaves whose key path it prefixes ("*" is any key)
+SECOND_TIER = (
+    ("mp", "*", "c_estimate"),
+    ("level_sweep", "c_estimates"),
+    ("level_sweep", "sweeps"),
+)
+FIRST_TIER = (
+    ("mp", "*", "energy"),
+    ("mp", "*", "converged"),
+    ("mp_m2",),
+    ("nonexist",),
+    ("fields",),
+    ("find_u0",),
+    ("concentration_direction",),
+    ("adams_value",),
+    ("continuation",),
+    ("hessian_eigenvalue",),
+    ("level_sweep", "lams"),
+    ("level_sweep", "converged"),
+    ("level_sweep_energies",),
+    ("quant",),
+    ("cutoff",),
+    ("radial_energy",),
+)
+
+
+def leaves(tree: dict, prefix: tuple = ()):
+    """(key path, value) of every non-dict value in tree."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,), value
+
+
+def _covers(pattern: tuple, path: tuple) -> bool:
+    return len(pattern) <= len(path) and all(p in ("*", k) for p, k in zip(pattern, path))
+
+
+def tiers_of(path: tuple) -> list[int]:
+    """The tiers (1, 2) whose patterns cover the leaf at path."""
+    return [tier for tier, patterns in ((1, FIRST_TIER), (2, SECOND_TIER))
+            if any(_covers(pattern, path) for pattern in patterns)]
+
+
+def repin(frozen: dict, names: list[str]) -> list[str]:
+    """Recapture the named second-tier leaves in frozen (in place); one line per leaf.
+
+    Refuses a name that is no leaf of the fixture, or a leaf that is not in
+    the second tier alone, before anything is captured.
+    """
+    paths = dict((".".join(path), path) for path, _ in leaves(frozen))
+    for name in names:
+        if name not in paths:
+            raise ValueError(f"{name}: no such leaf in {GOLDEN.name}")
+        if tiers_of(paths[name]) != [2]:
+            raise ValueError(f"{name}: first-tier leaves are never re-pinned")
+    fresh = {key: ENTRIES[key]() for key in dict.fromkeys(paths[n][0] for n in names)}
+    lines = []
+    for name in names:
+        *parents, last = paths[name]
+        old, new = frozen, fresh
+        for key in parents:
+            old, new = old[key], new[key]
+        lines.append(f"{name}: {old[last]!r} -> {new[last]!r}")
+        old[last] = new[last]
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +337,37 @@ def test_hessian_eigenvalue(golden):
                                                   abs=EIG_ATOL)
 
 
+def test_tiers_cover_the_fixture(golden):
+    paths = [path for path, _ in leaves(golden)]
+    assert [path for path in paths if len(tiers_of(path)) != 1] == []
+    unused = [pattern for pattern in FIRST_TIER + SECOND_TIER
+              if not any(_covers(pattern, path) for path in paths)]
+    assert unused == []
+
+
+@pytest.mark.parametrize("name", ["level_sweep.lams", "mp.14.0.energy", "quant.deviation",
+                                  "continuation.energies"])
+def test_repin_refuses_first_tier(golden, name):
+    with pytest.raises(ValueError, match="first-tier"):
+        repin(golden, [name])
+
+
+def test_repin_refuses_unknown_leaf(golden):
+    with pytest.raises(ValueError, match="no such leaf"):
+        repin(golden, ["level_sweep.c_estimate"])
+
+
+def test_repin_rewrites_only_the_named_leaf(golden, monkeypatch):
+    fresh = {"lams": [0.0], "c_estimates": [1.0], "sweeps": [2], "converged": [False]}
+    monkeypatch.setitem(ENTRIES, "level_sweep", lambda: fresh)
+    frozen = copy.deepcopy(golden)
+    lines = repin(frozen, ["level_sweep.c_estimates"])
+    want = copy.deepcopy(golden)
+    want["level_sweep"]["c_estimates"] = [1.0]
+    assert frozen == want
+    assert lines == [f"level_sweep.c_estimates: {golden['level_sweep']['c_estimates']!r} -> [1.0]"]
+
+
 def test_level_sweep_rows(golden, sweep128):
     want = golden["level_sweep"]
     got = _sweep_values(sweep128)
@@ -272,7 +402,11 @@ def test_radial_energy(golden, m, sigma):
 
 
 if __name__ == "__main__":
-    # entries already in the fixture stay as first captured; only new ones are added
+    # with no arguments, capture only the entries missing from the fixture;
+    # with --repin, recapture the named second-tier leaves and nothing else
     frozen = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    GOLDEN.write_text(json.dumps(capture() | frozen, indent=2, sort_keys=True) + "\n",
-                      encoding="utf-8")
+    if sys.argv[1:2] == ["--repin"]:
+        print("\n".join(repin(frozen, sys.argv[2:])))
+    else:
+        frozen |= {key: capture() for key, capture in ENTRIES.items() if key not in frozen}
+    GOLDEN.write_text(json.dumps(frozen, indent=2, sort_keys=True) + "\n", encoding="utf-8")
