@@ -22,17 +22,14 @@ import numpy as np
 
 from .errors import QuadratureError, UnresolvedBubbleError
 from .field import Field, TorusSpec, from_values, grid_coordinates
-from .functional import constants
-
-# Surface volume of S^(2m-1), i.e. the weight of radial integration in R^(2m).
-OMEGA_SPHERE = {1: 2.0 * math.pi, 2: 2.0 * math.pi**2}
+from .functional import constants, sphere_volume
 
 _PLATEAU_EPS = 1e-8  # snap-to-plateau margin for the cutoff (flat to ~exp(-1/eps))
 
 
 def ball_volume(m: int) -> float:
     """Volume of the unit ball in R^(2m)."""
-    return OMEGA_SPHERE[m] / (2.0 * m)
+    return sphere_volume(2 * m - 1) / (2.0 * m)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +164,7 @@ def radial_energy(sigma: float, m: int) -> float:
     """
     if sigma < 2:
         raise ValueError("sigma must be >= 2")
-    omega = OMEGA_SPHERE[m]
+    omega = sphere_volume(2 * m - 1)
     power = 2 * m - 1
 
     def integrand(r: float) -> float:
@@ -179,7 +176,7 @@ def radial_energy(sigma: float, m: int) -> float:
 
 def radial_exp_mass(sigma: float, m: int) -> float:
     """Integral over the unit ball of exp(2m v); bounded in sigma."""
-    omega = OMEGA_SPHERE[m]
+    omega = sphere_volume(2 * m - 1)
     power = 2 * m - 1
 
     def integrand(r: float) -> float:
@@ -191,7 +188,7 @@ def radial_exp_mass(sigma: float, m: int) -> float:
 
 def radial_profile_mean(sigma: float, alpha: float, m: int) -> float:
     """Mean over the torus of the embedded (pre-projection) profile."""
-    omega = OMEGA_SPHERE[m]
+    omega = sphere_volume(2 * m - 1)
     power = 2 * m - 1
 
     def integrand(r: float) -> float:
@@ -219,6 +216,11 @@ def default_alpha(sigma: float) -> float:
     return min(0.4, sigma**-0.5)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha <= 0.5 - 1e-9):
+        raise ValueError("alpha must lie in (0, 1/2) (torus injectivity radius)")
+
+
 @dataclass(frozen=True)
 class BubbleParams:
     """Peak sharpness sigma, ball dilation alpha, and torus center."""
@@ -230,8 +232,7 @@ class BubbleParams:
     def __post_init__(self):
         if not self.sigma > 1:
             raise ValueError("sigma must exceed 1")
-        if not (0.0 < self.alpha <= 0.5 - 1e-9):
-            raise ValueError("alpha must lie in (0, 1/2) (torus injectivity radius)")
+        _check_alpha(self.alpha)
         if any(not (0.0 <= c < 1.0) for c in self.center):
             raise ValueError("center coordinates must lie in [0, 1)")
 
@@ -304,8 +305,7 @@ def bubble_asymptotics(sigma_list, lam: float, m: int, alpha: float = 0.4) -> Bu
         raise ValueError("sigma values must be strictly increasing")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if not (0.0 < alpha <= 0.5 - 1e-9):
-        raise ValueError("alpha must lie in (0, 1/2)")
+    _check_alpha(alpha)
     cst = constants(m)
     norms_sq = np.array([radial_energy(s, m) for s in sigmas])
     log_masses = np.array([radial_log_mass(s, alpha, m) for s in sigmas])

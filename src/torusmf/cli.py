@@ -163,6 +163,7 @@ def cmd_mp(args) -> int:
 def cmd_continue(args) -> int:
     spec = make_spec(int(args.m), int(args.n))
     lam_start = float(args.lam_start)
+    _solver._check_branch_request(float(args.lam_end), float(args.dlambda0))
     start_mp = _mountainpass.mountain_pass(lam_start, spec, tol=float(args.tol),
                                            max_sweeps=int(args.max_sweeps))
     if not start_mp.converged:

@@ -107,11 +107,6 @@ def _check_lam(lam: float, m: int) -> None:
         )
 
 
-def _nontrivial(u: Field) -> bool:
-    """Away from the trivial solution u = 0 in the H^m norm."""
-    return math.sqrt(sobolev_norm_sq(u)) > 1e-6
-
-
 def _armijo_steps(u: Field, e: float, lam: float, step: float):
     """Armijo backtracking along -g = -gradient_h(u) from I(u) = e.
 
@@ -429,37 +424,42 @@ def _capture(path: PathState) -> tuple[PathState, float, Field]:
     return PathState(lam=lam, nodes=nodes, table=table), float(max(energies)), top
 
 
-def _polish(path: PathState, tol: float,
-            warm: Field | None = None) -> tuple[PathState, float, SolveResult, bool]:
-    """Capture the ridge and polish into a solution; returns (path, level, solve, solved).
+def _check_budget(sweeps: int) -> None:
+    """Refuse a sweep budget below one: an unrelaxed path's crest is no pass level."""
+    if sweeps < 1:
+        raise ValueError(f"sweep budget must be >= 1, got {sweeps}")
 
-    Newton runs from warm (when given), then from the captured path's sampled
-    maximum, until a solve converges to tol away from the trivial state (else
-    solve is the first failed one).  A path polished to a saddle crossed the
-    ridge next to it, so the level is then the larger of crest and saddle
-    energy, and the crest otherwise.
+
+def _relax_and_polish(path: PathState, tol: float, chunk: int, budget: int,
+                      warm: Field | None = None
+                      ) -> tuple[PathState, float, SolveResult, bool, int]:
+    """Relax chunk sweeps and polish, until a polish solves, a chunk stalls or budget is spent.
+
+    Each polish captures the ridge of the relaxed path and runs Newton from
+    warm (when given), then from the captured path's sampled maximum, until a
+    solve converges to tol away from the trivial state u = 0 (H^m norm above
+    1e-6).  A polish that collapses to the trivial state just means the
+    sampling is still coarse, and relaxation of the uncaptured path resumes.
+    A path polished to a saddle crossed the ridge next to it, so the level is
+    then the larger of crest and saddle energy, and the crest otherwise.
+
+    Returns (captured path, level, solve, solved, sweeps used); solve is the
+    converged one, else the first failed one.
     """
-    path, crest, top = _capture(path)
-    guesses = [top] if warm is None else [warm, top]
-    first = None
-    for guess in guesses:
-        solve = newton_solve(guess, path.lam, tol=tol)
-        if solve.converged and _nontrivial(solve.field):
-            return path, max(crest, solve.energy), solve, True
-        if first is None:
-            first = solve
-    return path, crest, first, False
-
-
-def _relax_in_chunks(path: PathState, budget: int) -> tuple[PathState, int]:
-    """20-sweep relax_path calls until budget is spent or one stalls; returns (path, used)."""
     used = 0
-    while used < budget:
-        path, info = relax_path(path, min(20, budget - used))
+    first = None
+    while True:
+        path, info = relax_path(path, min(chunk, budget - used))
         used += info.sweeps
-        if info.stalled:
-            break
-    return path, used
+        captured, crest, top = _capture(path)
+        for guess in ([top] if warm is None else [warm, top]):
+            solve = newton_solve(guess, path.lam, tol=tol)
+            if solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6:
+                return captured, max(crest, solve.energy), solve, True, used
+            if first is None:
+                first = solve
+        if info.stalled or used >= budget:
+            return captured, crest, first, False, used
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
@@ -467,27 +467,15 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
     """Estimate the pass level and polish the maximizer into a solution.
 
     The path runs from 0 to _start_path's anchor and relaxes in chunks of 30
-    sweeps; after each chunk the captured path's sampled maximum is handed
-    to the Newton solver (_polish).  A polish that collapses to the trivial
-    state just means the sampling is still coarse, and relaxation of the
-    uncaptured path resumes.  converged means: the polished field solves the
-    equation to tol (L^2 residual) and is non-constant.
+    sweeps, each followed by a polish (_relax_and_polish).  converged means:
+    the polished field solves the equation to tol (L^2 residual) and is
+    non-constant.
     """
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    _check_budget(max_sweeps)
     path, min_energy, failed_floor = _start_path(lam, spec)
-    total_sweeps = 0
-    best: SolveResult | None = None
-    while total_sweeps < max_sweeps:
-        path, info = relax_path(path, min(30, max_sweeps - total_sweeps))
-        total_sweeps += info.sweeps
-        captured, c_estimate, solve, solved = _polish(path, tol)
-        if solved or best is None:
-            best = solve
-        if solved or info.stalled:
-            break
-    return MPResult(c_estimate=c_estimate, iterations=total_sweeps, converged=solved,
-                    solve=best, path=captured, anchor_min_energy=min_energy,
+    captured, c_estimate, solve, solved, used = _relax_and_polish(path, tol, 30, max_sweeps)
+    return MPResult(c_estimate=c_estimate, iterations=used, converged=solved, solve=solve,
+                    path=captured, anchor_min_energy=min_energy,
                     anchor_failed_floor=failed_floor)
 
 
@@ -527,10 +515,12 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     each lam with a fixed sweep budget.  Because the energy is pointwise
     non-increasing in lam, warm-started estimates are monotone by
     construction; the report still counts violations beyond a 2% slack.
-    Each row also carries a polished solution (_polish), continued from the
-    previous lam's solution where available; a solved row's estimate is at
-    least its solution's energy.
+    Each row relaxes its whole budget in one relax_path call, then polishes
+    once (_relax_and_polish), continued from the previous lam's solution
+    where available; a solved row's estimate is at least its solution's
+    energy.
     """
+    _check_budget(sweeps_per_lam)
     lams = sorted(float(v) for v in lambda_grid)
     if not lams:
         raise ValueError("empty lam grid")
@@ -540,8 +530,9 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     rows: list[LevelRow] = []
     prev_solution: Field | None = None
     for lam in lams:
-        path, used = _relax_in_chunks(PathState(lam=lam, nodes=list(path.nodes)), sweeps_per_lam)
-        path, c_est, best, converged = _polish(path, tol, warm=prev_solution)
+        path, c_est, best, converged, used = _relax_and_polish(
+            PathState(lam=lam, nodes=list(path.nodes)), tol, sweeps_per_lam, sweeps_per_lam,
+            warm=prev_solution)
         if converged:
             prev_solution = best.field
         rows.append(LevelRow(lam=lam, c_estimate=c_est, grad_norm=best.grad_norm,

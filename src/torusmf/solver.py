@@ -322,6 +322,14 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
     )
 
 
+def _check_branch_request(lam_end: float, dlam0: float) -> None:
+    """Refuse a branch end below 0 or a nonpositive first step, before any solve."""
+    if lam_end < 0:
+        raise ValueError(f"lam_end must be nonnegative, got {lam_end}")
+    if dlam0 <= 0:
+        raise ValueError("invalid step: dlam0 must be positive")
+
+
 def continuation(start: SolveResult, lam_end: float, dlam0: float,
                  *, blowup_cap: float = 12.0, tol: float = 1e-10) -> Branch:
     """Natural-parameter continuation with adaptive steps and a blow-up guard.
@@ -334,8 +342,7 @@ def continuation(start: SolveResult, lam_end: float, dlam0: float,
     """
     if not start.converged:
         raise ValueError("continuation must start from a converged solution")
-    if dlam0 <= 0:
-        raise ValueError("invalid step: dlam0 must be positive")
+    _check_branch_request(lam_end, dlam0)
     direction = math.copysign(1.0, lam_end - start.lam)
     branch = Branch(results=[start])
     if lam_end == start.lam:

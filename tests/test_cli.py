@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import torusmf
 from torusmf import make_spec, read_field, write_field
 from torusmf.cli import build_parser, main
 
@@ -123,6 +124,13 @@ class TestContinueCmd:
         assert rows[0] == "lambda,norm,max_abs_u,energy,residual_l2"
         assert len(rows) >= 3
 
+    def test_negative_end_rejected_before_the_pass(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(torusmf.mountainpass, "mountain_pass", None)
+        rc = cli(tmp_path, "continue", "--n", "32", "--lambda-start", "14",
+                 "--lambda-end", "-1")
+        assert rc == 2
+        assert not (tmp_path / "continue").exists()
+
 
 class TestQuantCmd:
     def test_round_trip(self, tmp_path):
@@ -180,6 +188,12 @@ class TestSweepCmd:
         assert summary[0] == ("monotonicity_violations,slack,anchor_min_energy,"
                               "anchor_failed_floor")
         assert summary[1].split(",")[2:] == ["-1", "nan"]
+
+    def test_zero_sweeps_rejected(self, tmp_path):
+        rc = cli(tmp_path, "sweep", "--n", "32", "--lambda-grid", "14",
+                 "--sweeps-per-lambda", "0")
+        assert rc == 2
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestGreenCmd:

@@ -418,7 +418,7 @@ class TestMountainPass:
         # refine the SAME relaxed path by midpoint insertion (the polyline is
         # unchanged, so its supremum cannot rise), then relax further: the
         # sampled level estimates must weakly decrease through P = 8, 16, 32
-        from torusmf.mountainpass import _capture, _relax_in_chunks
+        from torusmf.mountainpass import _capture
 
         lam = 15.0
         u0 = find_u0(lam, spec32)
@@ -433,7 +433,7 @@ class TestMountainPass:
         estimates = []
         path = init_path(u0, 8, lam)
         for _ in range(3):
-            path, _ = _relax_in_chunks(path, 200)
+            path, _ = relax_path(path, 200)
             path, c, _ = _capture(path)
             estimates.append(c)
             path = subdivide(path)
@@ -486,7 +486,51 @@ def test_pass_and_sweep_refuse_the_same_lam(run, m, lam, want):
     assert str(err.value) == want.format(lam=lam)
 
 
+@pytest.mark.parametrize("run", [
+    lambda spec, budget: mountain_pass(14.0, spec, max_sweeps=budget),
+    lambda spec, budget: level_sweep([14.0], spec, sweeps_per_lam=budget),
+], ids=["mountain_pass", "level_sweep"])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_pass_and_sweep_refuse_the_same_budget(monkeypatch, run, budget):
+    # refused at entry: neither driver reaches the anchor search
+    monkeypatch.setattr(torusmf.mountainpass, "_start_path", None)
+    with pytest.raises(ValueError) as err:
+        run(make_spec(1, 32), budget)
+    assert str(err.value) == f"sweep budget must be >= 1, got {budget}"
+
+
+def recorded_calls(monkeypatch) -> list[tuple]:
+    """Record ("relax_path", lam, sweeps) and ("newton_solve", lam) in call order."""
+    mp = torusmf.mountainpass
+    calls = []
+    relax, solve = mp.relax_path, mp.newton_solve
+
+    def relax_recorded(path, sweeps):
+        calls.append(("relax_path", path.lam, sweeps))
+        return relax(path, sweeps)
+
+    def solve_recorded(guess, lam, **kwargs):
+        calls.append(("newton_solve", lam))
+        return solve(guess, lam, **kwargs)
+
+    monkeypatch.setattr(mp, "relax_path", relax_recorded)
+    monkeypatch.setattr(mp, "newton_solve", solve_recorded)
+    return calls
+
+
+def test_mountain_pass_relaxes_30_sweeps_before_its_first_polish(monkeypatch, spec32):
+    calls = recorded_calls(monkeypatch)
+    mountain_pass(14.0, spec32)
+    assert calls[:2] == [("relax_path", 14.0, 30), ("newton_solve", 14.0)]
+
+
 class TestLevelSweep:
+    def test_one_relax_path_call_per_lam(self, monkeypatch, spec32):
+        calls = recorded_calls(monkeypatch)
+        level_sweep([14.0, 16.0], spec32, tol=1e-8, sweeps_per_lam=60)
+        relaxed = [call[1:] for call in calls if call[0] == "relax_path"]
+        assert relaxed == [(14.0, 60), (16.0, 60)]
+
     def test_single_point_grid(self, spec32):
         rep = level_sweep([14.0], spec32, tol=1e-8, sweeps_per_lam=40)
         assert len(rep.rows) == 1

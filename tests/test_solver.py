@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import torusmf
 from torusmf import (
     SingularHessianError,
     concentration,
@@ -299,6 +300,13 @@ class TestContinuation:
     def test_invalid_step(self, saddle32):
         with pytest.raises(ValueError, match="invalid step"):
             continuation(saddle32, 19.0, 0.0)
+
+    def test_negative_end_refused_before_any_solve(self, saddle32, monkeypatch):
+        calls = []
+        monkeypatch.setattr(torusmf.solver, "newton_solve", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match="lam_end must be nonnegative"):
+            continuation(saddle32, -1.0, 4.0)
+        assert calls == []
 
     def test_needs_converged_start(self, saddle32, spec32):
         from torusmf import SolveResult
