@@ -179,19 +179,34 @@ def transform(f: Field) -> np.ndarray:
     """Normalized real FFT (rfftn(values)/N, read-only); cached on the field."""
     cached = f._cache.get("spectrum")
     if cached is None:
-        cached = np.fft.rfftn(f.values) / f.spec.npoints
+        cached = _forward_rfft(f.values)
+        cached /= f.spec.npoints
         cached.flags.writeable = False
         f._cache["spectrum"] = cached
     return cached
 
 
-def _inverse_rfft(c: np.ndarray, spec: TorusSpec) -> np.ndarray:
-    """Grid values from an unnormalized half spectrum (the inverse of rfftn)."""
-    return np.fft.irfftn(c, s=spec.shape, axes=tuple(range(spec.dim)))
+def _forward_rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized half spectrum rfftn(values), written into out when given."""
+    return np.fft.rfftn(values, out=out)
+
+
+def _inverse_rfft(c: np.ndarray, spec: TorusSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Grid values from an unnormalized half spectrum (the inverse of rfftn); overwrites c.
+
+    c may carry leading batch axes.  The complex passes run in place on c in
+    irfftn's axis order (ifftn goes last to first), then the real pass
+    writes into out, so the result is bit-identical to irfftn's.
+    """
+    axes = tuple(range(c.ndim - spec.dim, c.ndim))
+    np.fft.ifftn(c, axes=axes[-2::-1], out=c)
+    return np.fft.irfftn(c, s=(spec.n,), axes=axes[-1:], out=out)
 
 
 def _apply_multiplier(f: Field, mult: np.ndarray) -> np.ndarray:
-    return _inverse_rfft(transform(f) * mult * f.spec.npoints, f.spec)
+    c = transform(f) * mult
+    c *= f.spec.npoints
+    return _inverse_rfft(c, f.spec)
 
 
 def apply_power_laplacian(f: Field, s: float) -> Field:

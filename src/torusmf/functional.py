@@ -79,27 +79,39 @@ def energy_value(u: Field, lam: float) -> float:
     return 0.5 * sobolev_norm_sq(u) - lam / (2.0 * m) * log_integrate_exp(u, 2.0 * m)
 
 
-def _normalized_exp_weight(values: np.ndarray, m: int) -> np.ndarray:
-    """exp(2m u) / integral(exp(2m u)) on grid values; grid mean exactly 1, overflow-safe."""
-    t = 2.0 * m * values
-    p = np.exp(t - t.max())
-    return p / p.mean()
+def _normalized_exp_weight(values: np.ndarray, m: int,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2m u) / integral(exp(2m u)) on grid values; grid mean exactly 1, overflow-safe.
+
+    Computed in one array, out when given.
+    """
+    p = np.multiply(2.0 * m, values, out=out)
+    p -= p.max()
+    np.exp(p, out=p)
+    p /= p.mean()
+    return p
 
 
-def _residual_and_weight(values: np.ndarray, lap_values: np.ndarray, lam: float,
-                         m: int) -> tuple[np.ndarray, np.ndarray]:
+def _residual_and_weight(values: np.ndarray, lap_values: np.ndarray, lam: float, m: int,
+                         res: np.ndarray | None = None,
+                         weight: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Residual values from the values of u and of (-Lap)^m u, and the weight W.
 
     The residual integrates to zero analytically; the tiny numerical mean is
-    checked against 1e-10 * scale and then removed.
+    checked against 1e-10 * scale and then removed.  Both are written into
+    res and weight when given.
     """
-    weight = _normalized_exp_weight(values, m)
-    res = lap_values + lam * (1.0 - weight)
+    weight = _normalized_exp_weight(values, m, out=weight)
+    res = np.subtract(1.0, weight, out=res)
+    np.multiply(lam, res, out=res)
+    np.add(lap_values, res, out=res)
     mean = float(res.mean())
-    scale = 1.0 + float(np.max(np.abs(res)))
+    # max|res| without a temporary; NaN propagates through both reductions
+    scale = 1.0 + max(float(res.max()), -float(res.min()))
     if abs(mean) > 1e-10 * scale:
         raise ArithmeticError(f"residual mean {mean:.3e} exceeds 1e-10 * {scale:.3e}")
-    return res - mean, weight
+    res -= mean
+    return res, weight
 
 
 def el_residual(u: Field, lam: float) -> Field:

@@ -23,6 +23,12 @@ large right-hand side pass the stopping test after one iteration.
 Each Newton iterate carries its values and its (-Lap)^m values, so line
 search candidates u + s*delta need no transform.
 
+The Newton loop, MINRES and the operator's products work in per-thread
+scratch arrays, kept between calls and reallocated when the grid changes, so
+a solve allocates almost nothing per iteration; each in-place operation
+keeps the order of its out-of-place form, so the iterates are the same bits.
+Results never alias the scratch arrays, and each thread has its own.
+
 MINRES itself is an in-house port of scipy.sparse.linalg.minres for the one
 case used here (zero start, no preconditioner, no shift), with scipy's
 recurrences and stopping tests in scipy's order, so its iterates are
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -43,6 +50,7 @@ from .errors import SingularHessianError
 from .field import (
     Field,
     TorusSpec,
+    _forward_rfft,
     _inverse_rfft,
     _multiplicity,
     _multiplier,
@@ -73,6 +81,7 @@ class SolveResult:
     iterations: int
     converged: bool
     message: str = ""
+    residual_history: tuple[float, ...] = ()  # L^2 residual at each iterate
 
 
 @dataclass
@@ -81,6 +90,28 @@ class Branch:
 
     results: list[SolveResult] = dataclass_field(default_factory=list)
     termination: str = "reached_end"
+
+
+class _Workspace(threading.local):
+    """The calling thread's scratch arrays by name, reallocated when the shape changes.
+
+    Uses of one array are never live together: "pair" is the operator's two
+    grid temporaries and Newton's step pair; row 0 of "spectra" is the
+    operator's half spectrum, row 1 Newton's right-hand side, and both rows
+    are Newton's step spectra once MINRES has returned.
+    """
+
+    def __init__(self):
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        array = self.arrays.get(name)
+        if array is None or array.shape != shape:
+            array = self.arrays[name] = np.empty(shape, dtype)
+        return array
+
+
+_workspace = _Workspace()
 
 
 @functools.lru_cache(maxsize=16)
@@ -117,14 +148,20 @@ def _preconditioned_operator(spec: TorusSpec, weight: np.ndarray, lam: float):
     """
     inward, outward = _coordinate_diagonals(spec)
     coef = -2.0 * spec.m * lam
-    axes = tuple(range(spec.dim))
     size = 2 * inward.size
 
     def matvec(z: np.ndarray) -> np.ndarray:
-        v = np.fft.irfftn(_as_coordinates(z, spec) * outward[0], s=spec.shape, axes=axes)
-        wv = weight * v
-        nonlinear = coef * (wv - weight * wv.mean())
-        return z.reshape(size) + (np.fft.rfftn(nonlinear) * inward).view(np.float64).reshape(size)
+        wv, nonlinear = _workspace.get("pair", (2,) + spec.shape)
+        half = _workspace.get("spectra", (2,) + inward.shape, np.complex128)[0]
+        np.multiply(_as_coordinates(z, spec), outward[0], out=half)
+        _inverse_rfft(half, spec, out=wv)
+        wv *= weight
+        np.multiply(weight, wv.mean(), out=nonlinear)
+        np.subtract(wv, nonlinear, out=nonlinear)
+        nonlinear *= coef
+        _forward_rfft(nonlinear, out=half)
+        half *= inward
+        return z.reshape(size) + half.view(np.float64).reshape(size)
 
     return matvec
 
@@ -136,6 +173,9 @@ def minres(matvec, b: np.ndarray, *, rtol: float, maxiter: int) -> tuple[np.ndar
     the same Lanczos and plane-rotation recurrences, reductions and stopping
     tests in the same order, so x is bit-identical to scipy's.  info is
     maxiter when the iteration limit ends the solve, else 0.
+
+    matvec must return a new array, which minres updates in place; b is
+    only read.  x is a new array, the other vectors are scratch arrays.
     """
     n = b.shape[0]
     eps = np.finfo(np.float64).eps
@@ -144,6 +184,9 @@ def minres(matvec, b: np.ndarray, *, rtol: float, maxiter: int) -> tuple[np.ndar
     if beta1 == 0:
         return x, 0
     beta1 = math.sqrt(beta1)
+    v, w, w2, scratch = _workspace.get("minres", (4, n))
+    w.fill(0.0)
+    w2.fill(0.0)
 
     istop = itn = 0
     oldb = dbar = epsln = sn = gmax = 0
@@ -151,18 +194,16 @@ def minres(matvec, b: np.ndarray, *, rtol: float, maxiter: int) -> tuple[np.ndar
     beta = phibar = beta1
     tnorm2 = 0
     gmin = np.finfo(np.float64).max
-    w = np.zeros(n)
-    w2 = np.zeros(n)
     r1 = r2 = y = b
     while itn < maxiter:
         itn += 1
         # Lanczos step: y becomes beta_{k+1} v_{k+1}
-        v = (1.0 / beta) * y
+        np.multiply(1.0 / beta, y, out=v)
         y = matvec(v)
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            y -= np.multiply(beta / oldb, r1, out=scratch)
         alfa = np.inner(v, y)
-        y = y - (alfa / beta) * r2
+        y -= np.multiply(alfa / beta, r2, out=scratch)
         r1, r2 = r2, y
         oldb = beta
         beta = math.sqrt(np.inner(r2, y))
@@ -184,9 +225,14 @@ def minres(matvec, b: np.ndarray, *, rtol: float, maxiter: int) -> tuple[np.ndar
         phibar = sn * phibar
 
         denom = 1.0 / gamma
+        # w = (v - oldeps * w1 - delta * w2) * denom, built in the storage
+        # of w1, which no later step reads
         w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * denom
-        x = x + phi * w
+        w = np.multiply(oldeps, w1, out=w1)
+        np.subtract(v, w, out=w)
+        w -= np.multiply(delta, w2, out=scratch)
+        w *= denom
+        x += np.multiply(phi, w, out=scratch)
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)
 
@@ -256,20 +302,29 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
     spec = guess.spec
     m = spec.m
     inward, outward = _coordinate_diagonals(spec)
-    axes = tuple(range(1, spec.dim + 1))
-    # the iterate as (values, (-Lap)^m values): both move linearly along a step
-    u = Field(spec, guess.values - float(guess.values.mean()))
-    u, lap = u.values, apply_power_laplacian(u, m).values
-    residual, weight = _residual_and_weight(u, lap, lam, m)
+    start = Field(spec, guess.values - float(guess.values.mean()))
+    # the iterate as (values, (-Lap)^m values): both move linearly along a
+    # step.  A line-search candidate goes to the other array of each pair,
+    # its residual and weight over the iterate's, which are no longer read
+    u, cand, lap, cand_lap, residual, weight, squares = _workspace.get(
+        "newton", (7,) + spec.shape)
+    np.copyto(u, start.values)
+    np.copyto(lap, apply_power_laplacian(start, m).values)
+    _residual_and_weight(u, lap, lam, m, residual, weight)
+    spectra = _workspace.get("spectra", (2,) + inward.shape, np.complex128)
+    delta, lap_delta = step_pair = _workspace.get("pair", (2,) + spec.shape)
+    rhs = spectra[1].view(np.float64).reshape(-1)  # MINRES's float view of row 1
     message = ""
     converged = False
     iterations = 0
     history: list[float] = []
     probed = False
     for iterations in range(max_iter + 1):
-        res_l2 = math.sqrt(float(np.mean(residual**2)))
+        res_l2 = math.sqrt(float(np.square(residual, out=squares).mean()))
         # coordinates of -B^-1 r; their norm is the H^m dual norm of the residual
-        rhs = -(np.fft.rfftn(residual) * inward).view(np.float64).reshape(-1)
+        half = _forward_rfft(residual, out=spectra[1])
+        half *= inward
+        np.negative(rhs, out=rhs)
         grad_norm = float(np.linalg.norm(rhs))
         history.append(res_l2)
         if res_l2 <= tol:
@@ -282,34 +337,37 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
             # geometric stalling is the signature of a (near-)null direction
             # of the linearization, e.g. at a bifurcation point
             probed = True
-            _probe_singular(Field(spec, u), lam)
+            _probe_singular(Field(spec, u.copy()), lam)
         rtol = min(1e-2, max(res_l2, 0.01 * tol / max(res_l2, tol)))
-        y, info = minres(_preconditioned_operator(spec, weight, lam), rhs / grad_norm,
+        rhs /= grad_norm
+        y, info = minres(_preconditioned_operator(spec, weight, lam), rhs,
                          rtol=rtol, maxiter=600)
         if info != 0 or not np.all(np.isfinite(y)):
-            _probe_singular(Field(spec, u), lam)
+            _probe_singular(Field(spec, u.copy()), lam)
             message = f"linear solve breakdown (minres info={info})"
             break
-        y = _as_coordinates(y * grad_norm, spec)
-        delta, lap_delta = np.fft.irfftn(y * outward, s=spec.shape, axes=axes)
+        y *= grad_norm
+        np.multiply(_as_coordinates(y, spec), outward, out=spectra)
+        _inverse_rfft(spectra, spec, out=step_pair)
         delta -= delta.mean()
         step = 1.0
         accepted = False
         while step > 1e-12:
-            cand = u + step * delta
+            np.add(u, np.multiply(step, delta, out=cand), out=cand)
             cand -= cand.mean()
-            cand_lap = lap + step * lap_delta
-            cand_residual, cand_weight = _residual_and_weight(cand, cand_lap, lam, m)
-            if math.sqrt(float(np.mean(cand_residual**2))) <= (1.0 - 1e-4 * step) * res_l2:
-                u, lap, residual, weight = cand, cand_lap, cand_residual, cand_weight
+            np.add(lap, np.multiply(step, lap_delta, out=cand_lap), out=cand_lap)
+            _residual_and_weight(cand, cand_lap, lam, m, residual, weight)
+            cand_l2 = math.sqrt(float(np.square(residual, out=squares).mean()))
+            if cand_l2 <= (1.0 - 1e-4 * step) * res_l2:
+                u, cand, lap, cand_lap = cand, u, cand_lap, lap
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            _probe_singular(Field(spec, u), lam)
+            _probe_singular(Field(spec, u.copy()), lam)
             message = "line search stall"
             break
-    result = Field(spec, u)
+    result = Field(spec, u.copy())
     return SolveResult(
         field=result,
         lam=float(lam),
@@ -319,6 +377,7 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
         iterations=iterations,
         converged=converged,
         message=message,
+        residual_history=tuple(history),
     )
 
 
@@ -408,7 +467,7 @@ def _green_kernel(spec: TorusSpec, base: tuple[int, ...]) -> Field:
 def random_low_mode_field(spec: TorusSpec, rng: np.random.Generator,
                           target_norm: float, max_wavenumber: int = 2) -> Field:
     """Random band-limited mean-zero field scaled to an H^m norm target."""
-    c = np.fft.rfftn(rng.standard_normal(spec.shape))
+    c = _forward_rfft(rng.standard_normal(spec.shape))
     k = np.abs(np.fft.fftfreq(spec.n, d=1.0 / spec.n))
     keep = np.ones(c.shape, dtype=bool)
     for axis in range(spec.dim):

@@ -93,6 +93,21 @@ class TestNewton:
         with pytest.raises(ValueError):
             newton_solve(zero_field(spec32), -2.0)
 
+    def test_residual_history(self, spec32):
+        out = newton_solve(scaled(concentration_direction(spec32), 6.0), 14.0)
+        assert out.converged and out.iterations >= 2
+        assert len(out.residual_history) == out.iterations + 1
+        assert out.residual_history[-1] == out.residual_l2
+        assert out.residual_history[0] > out.residual_history[-1]
+
+    def test_failed_start_has_no_history(self, spec32):
+        from torusmf.solver import _solve_from_guesses
+
+        guess = scaled(cos_mode(spec32), 1e-2)  # singular at the threshold, as above
+        (out,) = _solve_from_guesses(2 * PI**2, [guess], tol=1e-12, jobs=1)
+        assert not out.converged and "singular" in out.message
+        assert out.residual_history == ()
+
     def test_large_right_hand_side_start_converges(self):
         # the first MINRES right-hand side has norm ~1.6e3 here; the solve
         # must not stop on a stopping test that scales with that norm
@@ -129,6 +144,59 @@ class TestNewton:
         out = newton_solve(guess, 50.0)
         assert out.converged and out.iterations >= 2
         assert counts["fft"] <= 2 * counts["matvec"] + 3 * out.iterations + 4, counts
+
+
+class TestScratchArrays:
+    """The solver's per-thread scratch arrays: reused, never aliased, never shared."""
+
+    def test_results_survive_interleaved_solves(self, spec32):
+        def solve32():
+            return newton_solve(scaled(concentration_direction(spec32), 6.0), 14.0)
+
+        first = solve32()
+        kept = first.field.values.tobytes()
+        spec64 = make_spec(1, 64)
+        assert newton_solve(scaled(concentration_direction(spec64), 6.0), 14.0).converged
+        with pytest.raises(SingularHessianError):
+            newton_solve(scaled(cos_mode(spec32), 1e-2), 2 * PI**2, tol=1e-12)
+        again = solve32()
+        assert first.converged and again.converged
+        assert again.field.values.tobytes() == kept
+        assert first.field.values.tobytes() == kept
+        assert not first.field.values.flags.writeable
+
+    def test_threads_do_not_change_order_two_output(self):
+        # two threads solve at once, each in its own scratch arrays; one BLAS
+        # thread, because threaded BLAS reductions round differently
+        code = ("import os\n"
+                "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+                "import torusmf\n"
+                "spec = torusmf.make_spec(2, 16)\n"
+                "for jobs in (1, 2):\n"
+                "    res = torusmf.multi_start(0.5, spec, 8, seed=3, jobs=jobs)\n"
+                "    print(b''.join(r.field.values.tobytes() for r in res).hex(),\n"
+                "          [r.residual_history for r in res])\n")
+        serial, threaded = run_fresh(code).splitlines()
+        assert serial == threaded
+
+    def test_warm_solve_allocates_little(self):
+        # the m=2 Newton loop works in the scratch arrays: a warm solve
+        # allocates its result, MINRES solutions and operator products
+        # (11.2 MB peak when every temporary was a new array)
+        import tracemalloc
+
+        from torusmf.solver import _multistart_guesses
+
+        guess = _multistart_guesses(make_spec(2, 16), 20, 1)[7]
+        newton_solve(guess, 0.5)
+        tracemalloc.start()
+        try:
+            out = newton_solve(guess, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.converged
+        assert peak <= 6_000_000, peak
 
 
 def _coordinates(f) -> np.ndarray:
