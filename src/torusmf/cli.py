@@ -147,11 +147,12 @@ def cmd_mp(args) -> int:
     solve = result.solve
     _write_csv(out / "summary.csv",
                ["lambda", "c_estimate", "grad_norm", "sweeps", "converged",
-                "residual_l2", "energy", "norm", "anchor_min_energy", "anchor_failed_floor"],
+                "residual_l2", "energy", "norm", "anchor_min_energy", "anchor_failed_floor",
+                "path_origin"],
                [(solve.lam, result.c_estimate, solve.grad_norm, result.iterations,
                  result.converged, solve.residual_l2, solve.energy,
                  math.sqrt(sobolev_norm_sq(solve.field)), result.anchor_min_energy,
-                 result.anchor_failed_floor)])
+                 result.anchor_failed_floor, result.path_origin)])
     write_field(out / "maximizer.pbfld", solve.field)
     print(f"c_estimate = {result.c_estimate:.8f}  converged = {result.converged}")
     if not result.converged:
@@ -222,9 +223,10 @@ def cmd_sweep(args) -> int:
     report = _mountainpass.level_sweep(lams, spec, tol=float(args.tol),
                                        sweeps_per_lam=int(args.sweeps_per_lambda))
     out = _prepare_outdir(args, "sweep")
-    rows = [(r.lam, r.c_estimate, r.grad_norm, r.sweeps, r.energy) for r in report.rows]
-    _write_csv(out / "levels.csv", ["lambda", "c_estimate", "grad_norm", "sweeps", "energy"],
-               rows)
+    rows = [(r.lam, r.c_estimate, r.grad_norm, r.sweeps, r.energy, r.path_origin)
+            for r in report.rows]
+    _write_csv(out / "levels.csv",
+               ["lambda", "c_estimate", "grad_norm", "sweeps", "energy", "path_origin"], rows)
     _write_csv(out / "summary.csv",
                ["monotonicity_violations", "slack", "anchor_min_energy", "anchor_failed_floor"],
                [(report.monotonicity_violations, report.slack, report.anchor_min_energy,

@@ -1,10 +1,15 @@
-"""Numerical min-max: paths from 0 to a negative-energy anchor, relaxed downhill.
+"""Numerical min-max: paths from 0 to a negative-energy anchor, through the saddle.
 
-The pass level is estimated from above by the max-node energy of a discrete
-path whose dominant nodes are pushed along the preconditioned descent
-direction with a backtracking line search; the near-critical maximizer is
-then polished by the Newton solver.  Estimates are always upper bounds of
-the discrete min-max level.
+A discrete path's dominant nodes are pushed along the preconditioned
+descent direction with a backtracking line search for a few sweeps, enough
+for Newton to polish its crest into a saddle u*.  The returned path then
+runs 0 -> steepest descent -> u* -> steepest descent -> anchor (Fukui,
+J. Phys. Chem. 74 (1970) 4161; the mountain-pass algorithm of Choi and
+McKenna, Nonlinear Anal. 20 (1993) 417), and its sampled supremum, the
+energy of u*, is the pass-level estimate.  When that fails, relaxation goes
+on and the estimate is the relaxed crest, raised to the saddle energy.
+Either way it is at least the sampled maximum of a path from 0 to the
+anchor, so an upper bound of the discrete min-max level.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .solver import SolveResult, concentration_direction, newton_solve
 
 _RESPACE_NORM_WEIGHT = 1e-3  # regularizes energy-gap respacing on flat stretches
 _LEVEL_SLACK = 0.02  # relative rise between sweep rows counted as a violation
+_LOCATOR_SWEEPS = 8  # relaxation before the first polish (see _relax_and_polish)
+_DESCENT_STEPS = 400  # cap on each steepest-descent leg of the saddle path
 
 
 @dataclass
@@ -56,10 +63,13 @@ class PathState:
 
 @dataclass(frozen=True)
 class MPResult:
-    """Pass level, sweeps used, the polished solve (or first failed one), captured path.
+    """Pass level, sweeps used, the polished solve (or first failed one), returned path.
 
-    The anchor met anchor_min_energy: -1, or -0.05 after the search for -1
-    stalled at anchor_failed_floor (NaN when it did not); see _start_path.
+    path_origin is "saddle" when path is the descent path through the
+    polished saddle and c_estimate its sampled supremum, and "relaxed" when
+    path is the captured relaxed path (see _relax_and_polish).  The anchor
+    met anchor_min_energy: -1, or -0.05 after the search for -1 stalled at
+    anchor_failed_floor (NaN when it did not); see _start_path.
     """
 
     c_estimate: float
@@ -69,6 +79,7 @@ class MPResult:
     path: PathState
     anchor_min_energy: float
     anchor_failed_floor: float
+    path_origin: str
 
 
 @dataclass
@@ -405,23 +416,87 @@ def _capture_insert(nodes: list[Field], energies: list[float], table: _SegmentTa
     return captured, pruned
 
 
-def _capture(path: PathState) -> tuple[PathState, float, Field]:
+def _capture(path: PathState) -> tuple[PathState, float, Field, int]:
     """Pull the node sampling up to the sampled path supremum.
 
     Returns the refined path, its max-node energy (an honest estimate of the
-    path sup, the crest) and the point attaining the refined path's sampled
-    maximum (a node, or a segment sample still above every node).
+    path sup, the crest), the point attaining the refined path's sampled
+    maximum (a node, or a segment sample still above every node) and the
+    index of the max node.
     """
     lam, table = path.lam, path.table
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
     _capture_insert(nodes, energies, table, rounds=4, max_nodes=3 * len(nodes))
+    imax = int(np.argmax(energies))
     _, seg, t = _sampled_supremum(nodes, energies, table)
-    if seg < 0:
-        top = nodes[int(np.argmax(energies))]
-    else:
-        top = lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
-    return PathState(lam=lam, nodes=nodes, table=table), float(max(energies)), top
+    top = nodes[imax] if seg < 0 else lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
+    return PathState(lam=lam, nodes=nodes, table=table), float(energies[imax]), top, imax
+
+
+def _descend(u: Field, end: Field, table: _SegmentTable,
+             level: float) -> tuple[list[Field], list[float]] | None:
+    """Steepest-descent nodes from u until the straight segment to end samples below level.
+
+    end is the path's zero node or its anchor, and the segment is sampled as
+    table samples it on the path (_FINE_TS from 0, _TAIL_TS into the anchor).
+    Each step is _armijo_steps' largest accepted one, the next trial starting
+    at twice it.  Iterates not below level are left out, so the path joins
+    the saddle to the first one below it.  Returns the nodes kept and their
+    energies, or None when the line search finds no decrease or
+    _DESCENT_STEPS run out.
+    """
+    lam = table.lam
+    e, step = energy_value(u, lam), 1.0
+    nodes: list[Field] = []
+    energies: list[float] = []
+    for _ in range(_DESCENT_STEPS):
+        if e < level:
+            nodes.append(u)
+            energies.append(e)
+            chord = (end, u) if end is table.zero else (u, end)
+            if table.crest(*chord)[0] < level:
+                return nodes, energies
+        taken = next(_armijo_steps(u, e, lam, step), None)
+        if taken is None:
+            return None
+        u, e, step = taken
+    return None
+
+
+def _saddle_path(captured: PathState, solve: SolveResult,
+                 top: int) -> tuple[PathState, float] | None:
+    """The path 0 -> descent -> saddle -> descent -> anchor, and its sampled supremum.
+
+    The saddle u* = solve.field is left along the captured path's tangent d
+    at its top node, oriented so <d, u*> > 0, by the steps +-eps d with
+    eps ||d|| = 1e-3 ||u*||; the - side descends toward 0 and the + side
+    toward the anchor (Fukui's steepest-descent path from a saddle).  The
+    supremum is read through a fresh table, and u* attains it when no sample
+    lies above solve.energy.  Returns None when a descent stalls or the
+    supremum exceeds solve.energy by more than relax_path's 1e-9 slack.
+    """
+    lam, zero, anchor = captured.lam, captured.nodes[0], captured.nodes[-1]
+    saddle, level = solve.field, solve.energy
+    d = lincomb(1.0, captured.nodes[top + 1], -1.0, captured.nodes[top - 1])
+    eps = math.copysign(1e-3 * math.sqrt(sobolev_norm_sq(saddle) / sobolev_norm_sq(d)),
+                        sobolev_inner(d, saddle))
+    table = _SegmentTable(lam, zero, anchor)
+    down = _descend(lincomb(1.0, saddle, -eps, d), zero, table, level)
+    up = _descend(lincomb(1.0, saddle, eps, d), anchor, table, level)
+    if down is None or up is None:
+        return None
+    nodes = [zero, *reversed(down[0]), saddle, *up[0], anchor]
+    energies = [energy_value(zero, lam), *reversed(down[1]), level, *up[1],
+                energy_value(anchor, lam)]
+    while len(nodes) < 9:  # PathState's minimum: halve the segment leaving 0
+        nodes.insert(1, scaled(nodes[1], 0.5))
+        energies.insert(1, energy_value(nodes[1], lam))
+    sup, _, _ = _sampled_supremum(nodes, energies, table)
+    if sup > level + 1e-9 * (1.0 + abs(level)):
+        return None
+    table.keep_live(nodes)
+    return PathState(lam=lam, nodes=nodes, table=table), sup
 
 
 def _check_budget(sweeps: int) -> None:
@@ -432,56 +507,83 @@ def _check_budget(sweeps: int) -> None:
 
 def _relax_and_polish(path: PathState, tol: float, chunk: int, budget: int,
                       warm: Field | None = None
-                      ) -> tuple[PathState, float, SolveResult, bool, int]:
-    """Relax chunk sweeps and polish, until a polish solves, a chunk stalls or budget is spent.
+                      ) -> tuple[PathState, float, SolveResult, bool, int, str]:
+    """Relax a locator chunk, polish, and pass through the saddle; else relax on in chunks.
 
     Each polish captures the ridge of the relaxed path and runs Newton from
     warm (when given), then from the captured path's sampled maximum, until a
     solve converges to tol away from the trivial state u = 0 (H^m norm above
     1e-6).  A polish that collapses to the trivial state just means the
     sampling is still coarse, and relaxation of the uncaptured path resumes.
-    A path polished to a saddle crossed the ridge next to it, so the level is
-    then the larger of crest and saddle energy, and the crest otherwise.
 
-    Returns (captured path, level, solve, solved, sweeps used); solve is the
+    The first polish follows _LOCATOR_SWEEPS sweeps (from 6 on, the polish
+    of every measured case converges in 4-5 Newton steps and never reaches
+    Newton's stall probe).  When it lands on a saddle, the returned path is
+    _saddle_path's descent path through it, and the level is that path's
+    sampled supremum, the saddle energy: origin "saddle".  Otherwise
+    relaxation resumes in chunks of chunk sweeps, polishing first from the
+    located saddle if there is one.  A path polished to a saddle crossed the
+    ridge next to it, so the level is then the larger of crest and saddle
+    energy, and the crest when no polish solved: origin "relaxed".  budget
+    counts the sweeps of both.
+
+    Returns (path, level, solve, solved, sweeps used, origin); solve is the
     converged one, else the first failed one.
     """
     used = 0
     first = None
+    size = min(_LOCATOR_SWEEPS, budget)
     while True:
-        path, info = relax_path(path, min(chunk, budget - used))
+        path, info = relax_path(path, size)
+        locating = used == 0
         used += info.sweeps
-        captured, crest, top = _capture(path)
+        captured, crest, top, imax = _capture(path)
         for guess in ([top] if warm is None else [warm, top]):
             solve = newton_solve(guess, path.lam, tol=tol)
             if solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6:
-                return captured, max(crest, solve.energy), solve, True, used
+                break
             if first is None:
                 first = solve
-        if info.stalled or used >= budget:
-            return captured, crest, first, False, used
+        else:
+            solve = None
+        if solve is not None and locating:
+            assembled = _saddle_path(captured, solve, imax)
+            if assembled is not None:
+                return (*assembled, solve, True, used, "saddle")
+        done = info.stalled or used >= budget
+        if solve is not None and (done or not locating):
+            return captured, max(crest, solve.energy), solve, True, used, "relaxed"
+        if done:
+            return captured, crest, first, False, used, "relaxed"
+        if solve is not None:
+            warm = solve.field
+        size = min(chunk, budget - used)
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
                   max_sweeps: int = 400) -> MPResult:
     """Estimate the pass level and polish the maximizer into a solution.
 
-    The path runs from 0 to _start_path's anchor and relaxes in chunks of 30
-    sweeps, each followed by a polish (_relax_and_polish).  converged means:
-    the polished field solves the equation to tol (L^2 residual) and is
+    The path runs from 0 to _start_path's anchor; _relax_and_polish, with
+    fallback chunks of 30 sweeps, returns the path, c_estimate and
+    path_origin.  max_sweeps bounds all sweeps.  converged means: the
+    polished field solves the equation to tol (L^2 residual) and is
     non-constant.
     """
     _check_budget(max_sweeps)
     path, min_energy, failed_floor = _start_path(lam, spec)
-    captured, c_estimate, solve, solved, used = _relax_and_polish(path, tol, 30, max_sweeps)
+    path, c_estimate, solve, solved, used, origin = _relax_and_polish(path, tol, 30, max_sweeps)
     return MPResult(c_estimate=c_estimate, iterations=used, converged=solved, solve=solve,
-                    path=captured, anchor_min_energy=min_energy,
-                    anchor_failed_floor=failed_floor)
+                    path=path, anchor_min_energy=min_energy,
+                    anchor_failed_floor=failed_floor, path_origin=origin)
 
 
 @dataclass(frozen=True)
 class LevelRow:
-    """One lam of a level sweep; energy and grad_norm belong to the polished solve."""
+    """One lam of a level sweep; energy and grad_norm belong to the polished solve.
+
+    sweeps counts locator and fallback sweeps; path_origin reads as in MPResult.
+    """
 
     lam: float
     c_estimate: float
@@ -489,6 +591,7 @@ class LevelRow:
     sweeps: int
     converged: bool
     energy: float
+    path_origin: str
 
 
 @dataclass(frozen=True)
@@ -515,10 +618,11 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     each lam with a fixed sweep budget.  Because the energy is pointwise
     non-increasing in lam, warm-started estimates are monotone by
     construction; the report still counts violations beyond a 2% slack.
-    Each row relaxes its whole budget in one relax_path call, then polishes
-    once (_relax_and_polish), continued from the previous lam's solution
-    where available; a solved row's estimate is at least its solution's
-    energy.
+    Each row runs _relax_and_polish with sweeps_per_lam as chunk and whole
+    budget, polishing first from the previous lam's solution where
+    available, and the next row starts from the path it returns.  A solved
+    row's estimate is at least its solution's energy, and equals it when
+    the row's path_origin is "saddle".
     """
     _check_budget(sweeps_per_lam)
     lams = sorted(float(v) for v in lambda_grid)
@@ -530,13 +634,14 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     rows: list[LevelRow] = []
     prev_solution: Field | None = None
     for lam in lams:
-        path, c_est, best, converged, used = _relax_and_polish(
+        path, c_est, best, converged, used, origin = _relax_and_polish(
             PathState(lam=lam, nodes=list(path.nodes)), tol, sweeps_per_lam, sweeps_per_lam,
             warm=prev_solution)
         if converged:
             prev_solution = best.field
         rows.append(LevelRow(lam=lam, c_estimate=c_est, grad_norm=best.grad_norm,
-                             sweeps=used, converged=converged, energy=best.energy))
+                             sweeps=used, converged=converged, energy=best.energy,
+                             path_origin=origin))
     violations = sum(
         1 for a, b in zip(rows, rows[1:])
         if b.c_estimate > a.c_estimate * (1.0 + _LEVEL_SLACK) + 1e-12

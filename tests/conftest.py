@@ -10,6 +10,8 @@ import torusmf
 from torusmf import (
     Field,
     TorusSpec,
+    energy_value,
+    find_u0,
     grid_coordinates,
     level_sweep,
     make_spec,
@@ -38,7 +40,7 @@ def spec32() -> TorusSpec:
 
 
 def criterion6_sweep():
-    """The criterion-6 pass-level sweep: lam = 13..19 at m=1, n=128 (about 7 s)."""
+    """The criterion-6 pass-level sweep: lam = 13..19 at m=1, n=128 (about 1.5 s)."""
     return level_sweep([13, 14, 15, 16, 17, 18, 19], make_spec(1, 128), tol=1e-8)
 
 
@@ -49,7 +51,7 @@ def sweep128():
 
 
 def order_two_mountain_pass():
-    """The m=2 existence run: mountain_pass at lam = 250, n = 16 (about 4 s)."""
+    """The m=2 existence run: mountain_pass at lam = 250, n = 16 (about 1.5 s)."""
     return mountain_pass(250.0, make_spec(2, 16))
 
 
@@ -57,6 +59,28 @@ def order_two_mountain_pass():
 def mp250():
     """order_two_mountain_pass() computed once per session: m=2 tests and golden values."""
     return order_two_mountain_pass()
+
+
+def assert_honest_path(res) -> None:
+    """res.path runs from the zero field to find_u0's anchor, and c_estimate is its sampled max.
+
+    The supremum is recomputed with a fresh segment table and fresh node
+    energies and must equal c_estimate bit for bit; a path through the
+    polished saddle must have the saddle's energy as that maximum.
+    """
+    from torusmf.mountainpass import _SegmentTable, _sampled_supremum
+
+    path = res.path
+    zero, anchor = path.nodes[0], path.nodes[-1]
+    assert float(np.max(np.abs(zero.values))) == 0.0
+    assert path.table.zero is zero and path.table.anchor is anchor
+    want = find_u0(path.lam, zero.spec, min_energy=res.anchor_min_energy)
+    assert np.array_equal(anchor.values, want.values)
+    energies = [energy_value(node, path.lam) for node in path.nodes]
+    sup, _, _ = _sampled_supremum(path.nodes, energies, _SegmentTable(path.lam, zero, anchor))
+    assert sup == res.c_estimate
+    if res.path_origin == "saddle":
+        assert res.c_estimate == res.solve.energy
 
 
 def cos_mode(spec: TorusSpec, axis: int = 0, freq: int = 1) -> Field:

@@ -39,7 +39,7 @@ from torusmf import (
 )
 from torusmf.diagnostics import nonexistence_sweep
 
-from conftest import cos_mode, smooth_field
+from conftest import assert_honest_path, cos_mode, smooth_field
 
 PI = math.pi
 
@@ -128,6 +128,12 @@ def test_criterion_5_existence_run(mp_solutions):
         details.append(f"lam={lam}: residual {sol.residual_l2:.1e}, "
                        f"norm {norm:.3f}, energy {sol.energy:.5f}")
     report(5, "; ".join(details))
+
+
+def test_existence_run_paths_pass_through_their_saddles(mp_solutions):
+    for res in mp_solutions.values():
+        assert res.path_origin == "saddle"
+        assert_honest_path(res)
 
 
 def test_criterion_6_level_monotonicity(sweep128):

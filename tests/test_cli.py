@@ -12,7 +12,7 @@ import torusmf
 from torusmf import make_spec, read_field, write_field
 from torusmf.cli import build_parser, main
 
-from conftest import smooth_field
+from conftest import run_fresh, smooth_field
 
 
 def cli(tmp_path, command, *flags) -> int:
@@ -95,6 +95,19 @@ class TestMpCmd:
         values = dict(zip(summary[0].split(","), summary[1].split(",")))
         assert values["converged"] == "true"
         assert float(values["c_estimate"]) > 0.0
+        assert values["path_origin"] == "saddle"
+        assert values["c_estimate"] == values["energy"]
+
+    def test_run_loads_no_sparse_module(self, tmp_path):
+        # the pass through the polished saddle needs neither ARPACK nor
+        # Newton's stall probe, each of which imports scipy.sparse.linalg
+        code = ("import sys\n"
+                "from torusmf.cli import main\n"
+                "for lam in ('14', '19'):\n"
+                "    assert main(['mp', '--m', '1', '--n', '64', '--lambda', lam, '--tol', '1e-10',\n"
+                f"                 '--outdir', {str(tmp_path / 'out')!r} + lam]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+        assert run_fresh(code).splitlines()[-1] == "[]"
 
     def test_zero_sweeps_rejected(self, tmp_path):
         rc = cli(tmp_path, "mp", "--n", "32", "--lambda", "14", "--max-sweeps", "0")
@@ -179,8 +192,9 @@ class TestSweepCmd:
                  "--sweeps-per-lambda", "30", "--tol", "1e-8")
         assert rc == 0
         rows = (tmp_path / "sweep" / "levels.csv").read_text().splitlines()
-        assert rows[0] == "lambda,c_estimate,grad_norm,sweeps,energy"
+        assert rows[0] == "lambda,c_estimate,grad_norm,sweeps,energy,path_origin"
         assert len(rows) == 3
+        assert [r.split(",")[5] for r in rows[1:]] == ["saddle", "saddle"]
         cs = [float(r.split(",")[1]) for r in rows[1:]]
         assert cs[0] > cs[1] > 0
         assert all(float(r.split(",")[4]) > 0 for r in rows[1:])

@@ -14,7 +14,12 @@ enough for every run, without its c-estimate, whose last digits move with
 the BLAS thread count.
 The criterion-6 c-estimates at lam = 15..18 were re-pinned once, to their
 rows' polished energies, when level_sweep took mountain_pass's rule that a
-solved row's level is at least its saddle's energy.
+solved row's level is at least its saddle's energy.  When both path drivers
+began to return the steepest-descent path through the polished saddle, the
+criterion-6 c-estimates (again, to their rows' energies), their sweep
+counts (60 to 8) and mp's c-estimate at lam = 19 were re-pinned, and the m=2
+run's c-estimate, now its saddle energy and no longer moved by the BLAS
+thread count, joined the fixture in the first tier at the m=2 tolerance.
 Tolerances were fixed before any refactor ran: 1e-8 relative on pass levels,
 energies and norms, 1e-8 times the product of the H^m norms on inner
 products, exact equality on flags, counts, sweeps and continuation steps,
@@ -151,7 +156,8 @@ def _hessian_eigenvalue() -> float:
 
 def _order_two_values(res) -> dict:
     sol = res.solve
-    return {"energy": sol.energy, "norm_sq": sobolev_norm_sq(sol.field),
+    return {"c_estimate": res.c_estimate, "energy": sol.energy,
+            "norm_sq": sobolev_norm_sq(sol.field),
             "hessian_eigenvalue": smallest_hessian_eigenvalue(sol.field, sol.lam)}
 
 
@@ -283,7 +289,7 @@ def test_mountain_pass(golden, lam):
 def test_order_two_mountain_pass(golden, mp250):
     want = golden["mp_m2"]
     got = _order_two_values(mp250)
-    for key in ("energy", "norm_sq", "hessian_eigenvalue"):
+    for key in ("c_estimate", "energy", "norm_sq", "hessian_eigenvalue"):
         assert got[key] == pytest.approx(want[key], rel=0.0, abs=EIG_ATOL), key
 
 

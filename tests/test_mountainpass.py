@@ -28,7 +28,7 @@ from torusmf import (
     zero_field,
 )
 
-from conftest import run_fresh, smooth_field
+from conftest import assert_honest_path, run_fresh, smooth_field
 
 PI = math.pi
 
@@ -434,7 +434,7 @@ class TestMountainPass:
         path = init_path(u0, 8, lam)
         for _ in range(3):
             path, _ = relax_path(path, 200)
-            path, c, _ = _capture(path)
+            path, c, _, _ = _capture(path)
             estimates.append(c)
             path = subdivide(path)
         assert estimates[1] <= estimates[0] * 1.02 + 1e-12
@@ -448,9 +448,9 @@ class TestOrderTwo:
         assert mp250.converged
         assert mp250.solve.residual_l2 <= 1e-8
         assert mp250.solve.energy > 0.0
-        # the path's own crest depends on the BLAS thread count in the last
-        # digits; only its bound on the saddle level is checked
-        assert mp250.c_estimate >= mp250.solve.energy
+        # the pass level is the saddle's energy, whatever the BLAS thread count
+        assert mp250.path_origin == "saddle"
+        assert mp250.c_estimate == pytest.approx(mp250.solve.energy, rel=0.0, abs=1e-6)
 
     def test_solution_is_a_saddle(self, mp250):
         assert smallest_hessian_eigenvalue(mp250.solve.field, 250.0) < 0.0
@@ -500,10 +500,10 @@ def test_pass_and_sweep_refuse_the_same_budget(monkeypatch, run, budget):
 
 
 def recorded_calls(monkeypatch) -> list[tuple]:
-    """Record ("relax_path", lam, sweeps) and ("newton_solve", lam) in call order."""
+    """Record ("relax_path", lam, sweeps), ("newton_solve", lam) and ("saddle_path", lam, built)."""
     mp = torusmf.mountainpass
     calls = []
-    relax, solve = mp.relax_path, mp.newton_solve
+    relax, solve, assemble = mp.relax_path, mp.newton_solve, mp._saddle_path
 
     def relax_recorded(path, sweeps):
         calls.append(("relax_path", path.lam, sweeps))
@@ -513,23 +513,84 @@ def recorded_calls(monkeypatch) -> list[tuple]:
         calls.append(("newton_solve", lam))
         return solve(guess, lam, **kwargs)
 
+    def assemble_recorded(captured, solve, top):
+        built = assemble(captured, solve, top)
+        calls.append(("saddle_path", captured.lam, built is not None))
+        return built
+
     monkeypatch.setattr(mp, "relax_path", relax_recorded)
     monkeypatch.setattr(mp, "newton_solve", solve_recorded)
+    monkeypatch.setattr(mp, "_saddle_path", assemble_recorded)
     return calls
 
 
-def test_mountain_pass_relaxes_30_sweeps_before_its_first_polish(monkeypatch, spec32):
+def test_mountain_pass_locates_polishes_then_assembles(monkeypatch, spec32):
     calls = recorded_calls(monkeypatch)
-    mountain_pass(14.0, spec32)
-    assert calls[:2] == [("relax_path", 14.0, 30), ("newton_solve", 14.0)]
+    res = mountain_pass(14.0, spec32)
+    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
+                     ("saddle_path", 14.0, True)]
+    assert (res.iterations, res.path_origin) == (8, "saddle")
+
+
+def test_mountain_pass_falls_back_to_relaxation(monkeypatch, spec32):
+    # no descent path: relaxation resumes in a 30-sweep chunk, whose polish
+    # starts at the located saddle, and the level is the old max(crest, E)
+    monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
+    calls = recorded_calls(monkeypatch)
+    res = mountain_pass(14.0, spec32, tol=1e-8)
+    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
+                     ("saddle_path", 14.0, False), ("relax_path", 14.0, 30),
+                     ("newton_solve", 14.0)]
+    assert res.converged and res.path_origin == "relaxed"
+    assert res.iterations == 38
+    assert res.solve.iterations == 0
+    assert res.c_estimate >= res.solve.energy
+
+
+@pytest.mark.parametrize("lam", [14.0, 19.0])
+def test_returned_path_is_honest(spec32, lam):
+    res = mountain_pass(lam, spec32, tol=1e-10)
+    assert res.path_origin == "saddle"
+    assert_honest_path(res)
+
+
+def test_short_saddle_path_is_padded_toward_zero(monkeypatch, spec32):
+    # keep only each descent's last node: 5 nodes, padded to PathState's 9 by
+    # halving the segment that leaves 0
+    descend = torusmf.mountainpass._descend
+
+    def last_node(*args):
+        nodes, energies = descend(*args)
+        return nodes[-1:], energies[-1:]
+
+    monkeypatch.setattr(torusmf.mountainpass, "_descend", last_node)
+    res = mountain_pass(14.0, spec32, tol=1e-10)
+    assert res.path_origin == "saddle"
+    nodes = res.path.nodes
+    assert len(nodes) == 9
+    for k in range(1, 5):
+        assert np.array_equal(nodes[k].values, 0.5 * nodes[k + 1].values)
+    assert_honest_path(res)
 
 
 class TestLevelSweep:
-    def test_one_relax_path_call_per_lam(self, monkeypatch, spec32):
+    def test_locator_chunk_then_polish_then_assembly_per_lam(self, monkeypatch, spec32):
         calls = recorded_calls(monkeypatch)
-        level_sweep([14.0, 16.0], spec32, tol=1e-8, sweeps_per_lam=60)
-        relaxed = [call[1:] for call in calls if call[0] == "relax_path"]
-        assert relaxed == [(14.0, 60), (16.0, 60)]
+        rep = level_sweep([14.0, 16.0], spec32, tol=1e-8, sweeps_per_lam=60)
+        assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
+                         ("saddle_path", 14.0, True),
+                         ("relax_path", 16.0, 8), ("newton_solve", 16.0),
+                         ("saddle_path", 16.0, True)]
+        assert [(r.sweeps, r.path_origin) for r in rep.rows] == [(8, "saddle")] * 2
+
+    def test_fallback_spends_the_rest_of_the_budget(self, monkeypatch, spec32):
+        monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
+        calls = recorded_calls(monkeypatch)
+        rep = level_sweep([14.0], spec32, tol=1e-8, sweeps_per_lam=60)
+        assert [call[1:] for call in calls if call[0] == "relax_path"] == [(14.0, 8), (14.0, 52)]
+        row = rep.rows[0]
+        assert row.converged and row.path_origin == "relaxed"
+        assert row.c_estimate >= row.energy
 
     def test_single_point_grid(self, spec32):
         rep = level_sweep([14.0], spec32, tol=1e-8, sweeps_per_lam=40)
@@ -551,6 +612,8 @@ class TestLevelSweep:
         assert rows
         for row in rows:
             assert row.c_estimate >= row.energy, row.lam
+            if row.path_origin == "saddle":
+                assert row.c_estimate == row.energy, row.lam
 
     def test_three_point_monotone(self, spec32):
         rep = level_sweep([14.0, 16.0, 18.0], spec32, tol=1e-8, sweeps_per_lam=40)
