@@ -6,10 +6,11 @@ for Newton to polish its crest into a saddle u*.  The returned path then
 runs 0 -> steepest descent -> u* -> steepest descent -> anchor (Fukui,
 J. Phys. Chem. 74 (1970) 4161; the mountain-pass algorithm of Choi and
 McKenna, Nonlinear Anal. 20 (1993) 417), and its sampled supremum, the
-energy of u*, is the pass-level estimate.  When that fails, relaxation goes
-on and the estimate is the relaxed crest, raised to the saddle energy.
-Either way it is at least the sampled maximum of a path from 0 to the
-anchor, so an upper bound of the discrete min-max level.
+energy of u*, is the pass-level estimate.  When the descent path cannot be
+built, the estimate is the relaxed crest, raised to the saddle energy; when
+the polish fails, relaxation goes on in locator-sized runs.  Either way it
+is at least the sampled maximum of a path from 0 to the anchor, so an upper
+bound of the discrete min-max level.
 """
 
 from __future__ import annotations
@@ -86,16 +87,15 @@ class MPResult:
 class RelaxInfo:
     """Trajectory of one relax_path call, one list entry per sweep.
 
-    captured and pruned count the nodes the crest capture inserted and
-    removed; descent_refused counts the line-search candidates refused
-    because a crest of one of their two segments rose above the ceiling;
-    respace_rejected counts the sweeps whose re-spaced polyline was refused
-    because a node energy or a segment crest rose above the ceiling.
+    captured counts the nodes the crest capture inserted; descent_refused
+    counts the line-search candidates refused because a crest of one of their
+    two segments rose above the ceiling; respace_rejected counts the sweeps
+    whose re-spaced polyline was refused because a node energy or a segment
+    crest rose above the ceiling.
     """
 
     max_energies: list[float] = dataclass_field(default_factory=list)
     captured: list[int] = dataclass_field(default_factory=list)
-    pruned: list[int] = dataclass_field(default_factory=list)
     descent_refused: list[int] = dataclass_field(default_factory=list)
     respace_rejected: int = 0
     stalled: bool = False
@@ -339,7 +339,6 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     info = RelaxInfo()
     table = path.table
     step = 1.0
-    max_nodes = 3 * len(nodes)
 
     def crest_free(i: int, cand: Field, ceiling: float) -> bool:
         slack = 1e-9 * (1.0 + abs(ceiling))
@@ -350,9 +349,7 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
         return right <= ceiling + slack
 
     for _ in range(sweeps):
-        captured, pruned = _capture_insert(nodes, energies, table, rounds=3, max_nodes=max_nodes)
-        info.captured.append(captured)
-        info.pruned.append(pruned)
+        info.captured.append(_capture_insert(nodes, energies, table, rounds=3))
         # the captured max is the sweep ceiling: descent and re-spacing below
         # are guarded so they can only lower it
         ceiling0 = max(energies)
@@ -386,16 +383,13 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
 
 
 def _capture_insert(nodes: list[Field], energies: list[float], table: _SegmentTable,
-                    rounds: int, max_nodes: int) -> tuple[int, int]:
-    """Insert sampled crest points as nodes (in place); returns (inserted, pruned).
+                    rounds: int) -> int:
+    """Insert sampled crest points as nodes (in place); returns how many.
 
     Insertion refines the polyline without changing it as a set, so the
     path supremum cannot increase; the max node just catches up to it.
-    When the node count exceeds max_nodes, the lowest interior node is
-    pruned, but only if the pruned polyline's sampled supremum stays below
-    the current max (pruning creates a new chord).
     """
-    captured = pruned = 0
+    captured = 0
     for _ in range(rounds):
         top_e, seg, t = _sampled_supremum(nodes, energies, table)
         if seg < 0 or top_e <= max(energies) + 1e-9 * (1.0 + abs(top_e)):
@@ -403,17 +397,7 @@ def _capture_insert(nodes: list[Field], energies: list[float], table: _SegmentTa
         nodes.insert(seg + 1, lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1]))
         energies.insert(seg + 1, top_e)
         captured += 1
-        if len(nodes) > max_nodes:
-            interior = range(1, len(nodes) - 1)
-            k = min((i for i in interior if i != seg + 1), key=lambda i: energies[i])
-            pruned_nodes = nodes[:k] + nodes[k + 1:]
-            pruned_energies = energies[:k] + energies[k + 1:]
-            top_after, _, _ = _sampled_supremum(pruned_nodes, pruned_energies, table)
-            if top_after <= max(energies) + 1e-9 * (1.0 + abs(top_e)):
-                nodes[:] = pruned_nodes
-                energies[:] = pruned_energies
-                pruned += 1
-    return captured, pruned
+    return captured
 
 
 def _capture(path: PathState) -> tuple[PathState, float, Field, int]:
@@ -427,7 +411,7 @@ def _capture(path: PathState) -> tuple[PathState, float, Field, int]:
     lam, table = path.lam, path.table
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
-    _capture_insert(nodes, energies, table, rounds=4, max_nodes=3 * len(nodes))
+    _capture_insert(nodes, energies, table, rounds=4)
     imax = int(np.argmax(energies))
     _, seg, t = _sampled_supremum(nodes, energies, table)
     top = nodes[imax] if seg < 0 else lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
@@ -505,74 +489,62 @@ def _check_budget(sweeps: int) -> None:
         raise ValueError(f"sweep budget must be >= 1, got {sweeps}")
 
 
-def _relax_and_polish(path: PathState, tol: float, chunk: int, budget: int,
+def _relax_and_polish(path: PathState, tol: float, budget: int,
                       warm: Field | None = None
                       ) -> tuple[PathState, float, SolveResult, bool, int, str]:
-    """Relax a locator chunk, polish, and pass through the saddle; else relax on in chunks.
+    """Relax up to _LOCATOR_SWEEPS sweeps, polish, and pass through the saddle.
 
     Each polish captures the ridge of the relaxed path and runs Newton from
     warm (when given), then from the captured path's sampled maximum, until a
     solve converges to tol away from the trivial state u = 0 (H^m norm above
-    1e-6).  A polish that collapses to the trivial state just means the
-    sampling is still coarse, and relaxation of the uncaptured path resumes.
+    1e-6).  From 6 locator sweeps on, the polish of every measured case
+    converges in 4-5 Newton steps and never reaches Newton's stall probe.
 
-    The first polish follows _LOCATOR_SWEEPS sweeps (from 6 on, the polish
-    of every measured case converges in 4-5 Newton steps and never reaches
-    Newton's stall probe).  When it lands on a saddle, the returned path is
-    _saddle_path's descent path through it, and the level is that path's
-    sampled supremum, the saddle energy: origin "saddle".  Otherwise
-    relaxation resumes in chunks of chunk sweeps, polishing first from the
-    located saddle if there is one.  A path polished to a saddle crossed the
-    ridge next to it, so the level is then the larger of crest and saddle
-    energy, and the crest when no polish solved: origin "relaxed".  budget
-    counts the sweeps of both.
+    When the polish solves, the returned path is _saddle_path's descent path
+    through the saddle, and the level is that path's sampled supremum, the
+    saddle energy: origin "saddle".  When that path cannot be built, the
+    captured path is returned at once with the larger of crest and saddle
+    energy (it crossed the ridge next to the saddle): origin "relaxed".  A
+    polish that does not solve (it collapsed to the trivial state, so the
+    sampling is still coarse) means relaxation of the uncaptured path goes on
+    for up to _LOCATOR_SWEEPS more sweeps, until the path stalls or budget
+    sweeps are spent; the level is then the last crest, origin "relaxed".
 
     Returns (path, level, solve, solved, sweeps used, origin); solve is the
     converged one, else the first failed one.
     """
     used = 0
     first = None
-    size = min(_LOCATOR_SWEEPS, budget)
     while True:
-        path, info = relax_path(path, size)
-        locating = used == 0
+        path, info = relax_path(path, min(_LOCATOR_SWEEPS, budget - used))
         used += info.sweeps
         captured, crest, top, imax = _capture(path)
         for guess in ([top] if warm is None else [warm, top]):
             solve = newton_solve(guess, path.lam, tol=tol)
             if solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6:
-                break
+                assembled = _saddle_path(captured, solve, imax)
+                if assembled is None:
+                    return captured, max(crest, solve.energy), solve, True, used, "relaxed"
+                return (*assembled, solve, True, used, "saddle")
             if first is None:
                 first = solve
-        else:
-            solve = None
-        if solve is not None and locating:
-            assembled = _saddle_path(captured, solve, imax)
-            if assembled is not None:
-                return (*assembled, solve, True, used, "saddle")
-        done = info.stalled or used >= budget
-        if solve is not None and (done or not locating):
-            return captured, max(crest, solve.energy), solve, True, used, "relaxed"
-        if done:
+        if info.stalled or used >= budget:
             return captured, crest, first, False, used, "relaxed"
-        if solve is not None:
-            warm = solve.field
-        size = min(chunk, budget - used)
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
                   max_sweeps: int = 400) -> MPResult:
     """Estimate the pass level and polish the maximizer into a solution.
 
-    The path runs from 0 to _start_path's anchor; _relax_and_polish, with
-    fallback chunks of 30 sweeps, returns the path, c_estimate and
-    path_origin.  max_sweeps bounds all sweeps.  converged means: the
-    polished field solves the equation to tol (L^2 residual) and is
-    non-constant.
+    The path runs from 0 to _start_path's anchor; _relax_and_polish returns
+    the path, c_estimate and path_origin.  max_sweeps bounds all sweeps,
+    which only a polish that keeps failing goes on to spend.  converged
+    means: the polished field solves the equation to tol (L^2 residual) and
+    is non-constant.
     """
     _check_budget(max_sweeps)
     path, min_energy, failed_floor = _start_path(lam, spec)
-    path, c_estimate, solve, solved, used, origin = _relax_and_polish(path, tol, 30, max_sweeps)
+    path, c_estimate, solve, solved, used, origin = _relax_and_polish(path, tol, max_sweeps)
     return MPResult(c_estimate=c_estimate, iterations=used, converged=solved, solve=solve,
                     path=path, anchor_min_energy=min_energy,
                     anchor_failed_floor=failed_floor, path_origin=origin)
@@ -582,7 +554,7 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
 class LevelRow:
     """One lam of a level sweep; energy and grad_norm belong to the polished solve.
 
-    sweeps counts locator and fallback sweeps; path_origin reads as in MPResult.
+    sweeps counts every relaxation sweep; path_origin reads as in MPResult.
     """
 
     lam: float
@@ -618,9 +590,9 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     each lam with a fixed sweep budget.  Because the energy is pointwise
     non-increasing in lam, warm-started estimates are monotone by
     construction; the report still counts violations beyond a 2% slack.
-    Each row runs _relax_and_polish with sweeps_per_lam as chunk and whole
-    budget, polishing first from the previous lam's solution where
-    available, and the next row starts from the path it returns.  A solved
+    Each row runs _relax_and_polish with sweeps_per_lam as budget, polishing
+    first from the previous lam's solution where available, and the next row
+    starts from the path it returns.  A solved
     row's estimate is at least its solution's energy, and equals it when
     the row's path_origin is "saddle".
     """
@@ -635,8 +607,7 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     prev_solution: Field | None = None
     for lam in lams:
         path, c_est, best, converged, used, origin = _relax_and_polish(
-            PathState(lam=lam, nodes=list(path.nodes)), tol, sweeps_per_lam, sweeps_per_lam,
-            warm=prev_solution)
+            PathState(lam=lam, nodes=list(path.nodes)), tol, sweeps_per_lam, warm=prev_solution)
         if converged:
             prev_solution = best.field
         rows.append(LevelRow(lam=lam, c_estimate=c_est, grad_norm=best.grad_norm,

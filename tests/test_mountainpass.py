@@ -9,6 +9,7 @@ import torusmf
 from torusmf import (
     ConvergenceError,
     PathState,
+    SolveResult,
     concentration_direction,
     continuation,
     energy_value,
@@ -148,12 +149,10 @@ class TestRelaxPath:
         assert abs(info.max_energies[-1] - start) <= 1e-6
 
     def test_node_count_bookkeeping(self, spec32):
-        # 9 nodes cap the path at 27, so the capture also prunes
         path = init_path(find_u0(19.0, spec32), 8, 19.0)
         relaxed, info = relax_path(path, 30)
-        assert len(info.captured) == len(info.pruned) == info.sweeps
-        assert sum(info.pruned) > 0
-        assert len(relaxed.nodes) == len(path.nodes) + sum(info.captured) - sum(info.pruned)
+        assert len(info.captured) == info.sweeps
+        assert len(relaxed.nodes) == len(path.nodes) + sum(info.captured)
         assert 0 <= info.respace_rejected <= info.sweeps
 
 
@@ -245,7 +244,7 @@ class TestRespace:
 
     @pytest.mark.parametrize("lam,rejected", [(14.0, 26), (19.0, 27)])
     def test_rejection_counts(self, spec64, lam, rejected):
-        # mountain_pass's first 30-sweep chunk at n = 64
+        # 30 sweeps from mountain_pass's starting path at n = 64
         _, info = relax_path(init_path(find_u0(lam, spec64), 16, lam), 30)
         assert info.sweeps == 30
         assert info.respace_rejected == rejected
@@ -532,19 +531,76 @@ def test_mountain_pass_locates_polishes_then_assembles(monkeypatch, spec32):
     assert (res.iterations, res.path_origin) == (8, "saddle")
 
 
-def test_mountain_pass_falls_back_to_relaxation(monkeypatch, spec32):
-    # no descent path: relaxation resumes in a 30-sweep chunk, whose polish
-    # starts at the located saddle, and the level is the old max(crest, E)
+def _pass_at_14(spec, budget):
+    res = mountain_pass(14.0, spec, tol=1e-8, max_sweeps=budget)
+    return res.c_estimate, res.iterations, res.converged, res.path_origin
+
+
+def _sweep_at_14(spec, budget):
+    row = level_sweep([14.0], spec, tol=1e-8, sweeps_per_lam=budget).rows[0]
+    return row.c_estimate, row.sweeps, row.converged, row.path_origin
+
+
+# each driver at lam = 14 with a sweep budget, read as (c_estimate, sweeps, converged, origin)
+DRIVERS = {"mountain_pass": _pass_at_14, "level_sweep": _sweep_at_14}
+
+
+def relax_and_polish_returns(monkeypatch) -> list[tuple]:
+    """Record what each _relax_and_polish call returns: (path, level, solve, solved, used, origin)."""
+    mp = torusmf.mountainpass
+    returned = []
+    relax_and_polish = mp._relax_and_polish
+
+    def recorded(*args, **kwargs):
+        returned.append(relax_and_polish(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(mp, "_relax_and_polish", recorded)
+    return returned
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32, driver):
+    # no descent path: the locator's polish stands, and the captured relaxed
+    # path comes back at once with the level max(crest, E)
+    from torusmf.mountainpass import _SegmentTable, _sampled_supremum
+
     monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
     calls = recorded_calls(monkeypatch)
-    res = mountain_pass(14.0, spec32, tol=1e-8)
+    returned = relax_and_polish_returns(monkeypatch)
+    c_estimate, sweeps, converged, origin = DRIVERS[driver](spec32, 60)
     assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
-                     ("saddle_path", 14.0, False), ("relax_path", 14.0, 30),
-                     ("newton_solve", 14.0)]
-    assert res.converged and res.path_origin == "relaxed"
-    assert res.iterations == 38
-    assert res.solve.iterations == 0
-    assert res.c_estimate >= res.solve.energy
+                     ("saddle_path", 14.0, False)]
+    assert (sweeps, converged, origin) == (8, True, "relaxed")
+    (path, level, solve, _, _, _), = returned
+    assert c_estimate == level >= solve.energy
+    nodes = path.nodes
+    energies = [energy_value(node, 14.0) for node in nodes]
+    sup, _, _ = _sampled_supremum(nodes, energies, _SegmentTable(14.0, nodes[0], nodes[-1]))
+    assert c_estimate >= sup
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_failing_polish_relaxes_on_in_locator_runs(monkeypatch, spec32, driver):
+    # every polish fails: relaxation goes on 8 sweeps at a time until the
+    # budget of 20 is spent, and the first failed solve is returned
+    mp = torusmf.mountainpass
+    failed = []
+
+    def no_solve(guess, lam, **kwargs):
+        failed.append(SolveResult(field=guess, lam=lam, residual_l2=1.0, grad_norm=1.0,
+                                  energy=energy_value(guess, lam), iterations=0,
+                                  converged=False))
+        return failed[-1]
+
+    monkeypatch.setattr(mp, "newton_solve", no_solve)
+    calls = recorded_calls(monkeypatch)
+    returned = relax_and_polish_returns(monkeypatch)
+    _, sweeps, converged, origin = DRIVERS[driver](spec32, 20)
+    assert [call[2] for call in calls if call[0] == "relax_path"] == [8, 8, 4]
+    assert (sweeps, converged, origin) == (20, False, "relaxed")
+    assert len(failed) == 3
+    assert returned[0][2] is failed[0]
 
 
 @pytest.mark.parametrize("lam", [14.0, 19.0])
@@ -582,15 +638,6 @@ class TestLevelSweep:
                          ("relax_path", 16.0, 8), ("newton_solve", 16.0),
                          ("saddle_path", 16.0, True)]
         assert [(r.sweeps, r.path_origin) for r in rep.rows] == [(8, "saddle")] * 2
-
-    def test_fallback_spends_the_rest_of_the_budget(self, monkeypatch, spec32):
-        monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
-        calls = recorded_calls(monkeypatch)
-        rep = level_sweep([14.0], spec32, tol=1e-8, sweeps_per_lam=60)
-        assert [call[1:] for call in calls if call[0] == "relax_path"] == [(14.0, 8), (14.0, 52)]
-        row = rep.rows[0]
-        assert row.converged and row.path_origin == "relaxed"
-        assert row.c_estimate >= row.energy
 
     def test_single_point_grid(self, spec32):
         rep = level_sweep([14.0], spec32, tol=1e-8, sweeps_per_lam=40)
