@@ -69,24 +69,26 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Splice `key = value` lines from --config in as flags after the command.
+    """Splice `key = value` lines from --config PATH (or --config=PATH) in as flags.
 
     A key is a flag name without dashes (`lambda`) or a dest as config.echo
     records it (`lam`); the echoed `command` and `None` (unset) values are
     skipped.  Explicit command-line flags still win because argparse keeps
     the last occurrence of a repeated option.
     """
-    if "--config" not in argv:
+    idx = next((i for i, arg in enumerate(argv) if arg.split("=", 1)[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    _, inline, path = argv[idx].partition("=")
+    if not inline:
+        path = argv[idx + 1] if idx + 1 < len(argv) else ""
+    if not path:
         raise ValueError("--config requires a path")
-    path = Path(argv[idx + 1])
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     dest_flags = {a.dest: a.option_strings[-1] for sub in subparsers.choices.values()
                   for a in sub._actions if a.option_strings}
     flags: list[str] = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -96,7 +98,7 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
         if key == "command" or value == "None":
             continue
         flags.extend([dest_flags.get(key, f"--{key.replace('_', '-')}"), value])
-    rest = argv[:idx] + argv[idx + 2:]
+    rest = argv[:idx] + argv[idx + (1 if inline else 2):]
     if not rest:
         raise ValueError("--config needs a subcommand")
     return rest[:1] + flags + rest[1:]
@@ -141,8 +143,7 @@ def cmd_bubble(args) -> int:
 
 def cmd_mp(args) -> int:
     spec = make_spec(int(args.m), int(args.n))
-    result = _mountainpass.mountain_pass(float(args.lam), spec, tol=float(args.tol),
-                                         max_sweeps=int(args.max_sweeps))
+    result = _mountainpass.mountain_pass(float(args.lam), spec, tol=float(args.tol))
     out = _prepare_outdir(args, "mp")
     solve = result.solve
     _write_csv(out / "summary.csv",
@@ -165,8 +166,7 @@ def cmd_continue(args) -> int:
     spec = make_spec(int(args.m), int(args.n))
     lam_start = float(args.lam_start)
     _solver._check_branch_request(float(args.lam_end), float(args.dlambda0))
-    start_mp = _mountainpass.mountain_pass(lam_start, spec, tol=float(args.tol),
-                                           max_sweeps=int(args.max_sweeps))
+    start_mp = _mountainpass.mountain_pass(lam_start, spec, tol=float(args.tol))
     if not start_mp.converged:
         print("no converged starting solution", file=sys.stderr)
         return 3
@@ -220,8 +220,7 @@ def cmd_quant(args) -> int:
 def cmd_sweep(args) -> int:
     spec = make_spec(int(args.m), int(args.n))
     lams = _parse_float_list(args.lambda_grid)
-    report = _mountainpass.level_sweep(lams, spec, tol=float(args.tol),
-                                       sweeps_per_lam=int(args.sweeps_per_lambda))
+    report = _mountainpass.level_sweep(lams, spec, tol=float(args.tol))
     out = _prepare_outdir(args, "sweep")
     rows = [(r.lam, r.c_estimate, r.grad_norm, r.sweeps, r.energy, r.path_origin)
             for r in report.rows]
@@ -289,7 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, seed: bool = False, tol: bool = False) -> None:
+    def command(name: str, func, help: str, *, seed: bool = False,
+                tol: bool = False) -> argparse.ArgumentParser:
+        # no prefixes: argparse would take --conf for --config, which only _expand_config reads
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="key = value file applied as defaults")
         p.add_argument("--outdir", default=None,
                        help="output directory (default $TORUSMF_OUTDIR or ./torusmf-out)")
@@ -297,71 +300,54 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         if tol:
             p.add_argument("--tol", type=float, default=1e-10)
+        return p
 
-    p = sub.add_parser("constants", help="print spectral thresholds")
-    common(p)
+    p = command("constants", cmd_constants, "print spectral thresholds")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("bubble", help="growth rates of the concentrating family")
-    common(p)
+    p = command("bubble", cmd_bubble, "growth rates of the concentrating family")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--sigma-list", dest="sigma_list", default="1e2,3.1623e2,1e3",
                    help="comma-separated sigmas")
     p.add_argument("--alpha", type=float, default=0.4)
-    p.set_defaults(func=cmd_bubble)
 
-    p = sub.add_parser("mp", help="mountain-pass search and Newton polish")
     # mp draws nothing at random; --seed is accepted because bench/worker.py passes it
-    common(p, seed=True, tol=True)
+    p = command("mp", cmd_mp, "mountain-pass search and Newton polish", seed=True, tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=400)
-    p.set_defaults(func=cmd_mp)
 
-    p = sub.add_parser("continue", help="natural-parameter continuation in lambda")
-    common(p, tol=True)
+    p = command("continue", cmd_continue, "natural-parameter continuation in lambda", tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--lambda-start", dest="lam_start", type=float, required=True)
     p.add_argument("--lambda-end", dest="lam_end", type=float, required=True)
     p.add_argument("--dlambda0", type=float, default=0.5)
     p.add_argument("--blowup-cap", dest="blowup_cap", type=float, default=12.0)
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=400)
-    p.set_defaults(func=cmd_continue)
 
-    p = sub.add_parser("quant", help="concentration analysis of a stored field")
-    common(p)
+    p = command("quant", cmd_quant, "concentration analysis of a stored field")
     p.add_argument("--field", required=True, help="PBFLD1 file")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.set_defaults(func=cmd_quant)
 
-    p = sub.add_parser("sweep", help="pass-level estimates over a lambda grid")
-    common(p, tol=True)
+    p = command("sweep", cmd_sweep, "pass-level estimates over a lambda grid", tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--lambda-grid", dest="lambda_grid", default="13,14,15,16,17,18,19")
-    p.add_argument("--sweeps-per-lambda", dest="sweeps_per_lambda", type=int, default=60)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("green", help="discrete Green kernel and its log coefficient")
-    common(p)
+    p = command("green", cmd_green, "discrete Green kernel and its log coefficient")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--base", default=None, help="grid indices of the base point")
-    p.set_defaults(func=cmd_green)
 
-    p = sub.add_parser("nonexist", help="small-lambda multistart uniqueness sweep")
-    common(p, seed=True, tol=True)
+    p = command("nonexist", cmd_nonexist, "small-lambda multistart uniqueness sweep",
+                seed=True, tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--lambda-grid", dest="lambda_grid", default="0.25,0.5,1.0")
     p.add_argument("--n-seeds", dest="n_seeds", type=int, default=20)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker threads for independent solves")
-    p.set_defaults(func=cmd_nonexist)
 
     return parser
 

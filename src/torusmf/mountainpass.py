@@ -37,6 +37,7 @@ from .solver import SolveResult, concentration_direction, newton_solve
 _RESPACE_NORM_WEIGHT = 1e-3  # regularizes energy-gap respacing on flat stretches
 _LEVEL_SLACK = 0.02  # relative rise between sweep rows counted as a violation
 _LOCATOR_SWEEPS = 8  # relaxation before the first polish (see _relax_and_polish)
+_LOCATOR_RUNS = 50  # relax-and-polish runs before a pass gives up (400 sweeps)
 _DESCENT_STEPS = 400  # cap on each steepest-descent leg of the saddle path
 
 
@@ -145,7 +146,7 @@ def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0) -> Field:
     below min_energy; ||t*d|| = t, so the anchor's norm is at least 1.
     Raises ConvergenceError carrying the deepest scanned energy as its floor
     if no amplitude qualifies (happens for lam barely above the coercivity
-    threshold on coarse grids).
+    threshold, on fine grids too: lam = 13 fails at n = 32 and n = 128).
     """
     _check_lam(lam, spec.m)
     direction = concentration_direction(spec)
@@ -483,16 +484,9 @@ def _saddle_path(captured: PathState, solve: SolveResult,
     return PathState(lam=lam, nodes=nodes, table=table), sup
 
 
-def _check_budget(sweeps: int) -> None:
-    """Refuse a sweep budget below one: an unrelaxed path's crest is no pass level."""
-    if sweeps < 1:
-        raise ValueError(f"sweep budget must be >= 1, got {sweeps}")
-
-
-def _relax_and_polish(path: PathState, tol: float, budget: int,
-                      warm: Field | None = None
+def _relax_and_polish(path: PathState, tol: float, warm: Field | None = None
                       ) -> tuple[PathState, float, SolveResult, bool, int, str]:
-    """Relax up to _LOCATOR_SWEEPS sweeps, polish, and pass through the saddle.
+    """Relax _LOCATOR_SWEEPS sweeps, polish, and pass through the saddle.
 
     Each polish captures the ridge of the relaxed path and runs Newton from
     warm (when given), then from the captured path's sampled maximum, until a
@@ -507,16 +501,16 @@ def _relax_and_polish(path: PathState, tol: float, budget: int,
     energy (it crossed the ridge next to the saddle): origin "relaxed".  A
     polish that does not solve (it collapsed to the trivial state, so the
     sampling is still coarse) means relaxation of the uncaptured path goes on
-    for up to _LOCATOR_SWEEPS more sweeps, until the path stalls or budget
-    sweeps are spent; the level is then the last crest, origin "relaxed".
+    for _LOCATOR_SWEEPS more sweeps, until the path stalls or _LOCATOR_RUNS
+    runs are spent; the level is then the last crest, origin "relaxed".
 
     Returns (path, level, solve, solved, sweeps used, origin); solve is the
     converged one, else the first failed one.
     """
     used = 0
     first = None
-    while True:
-        path, info = relax_path(path, min(_LOCATOR_SWEEPS, budget - used))
+    for _ in range(_LOCATOR_RUNS):
+        path, info = relax_path(path, _LOCATOR_SWEEPS)
         used += info.sweeps
         captured, crest, top, imax = _capture(path)
         for guess in ([top] if warm is None else [warm, top]):
@@ -528,23 +522,22 @@ def _relax_and_polish(path: PathState, tol: float, budget: int,
                 return (*assembled, solve, True, used, "saddle")
             if first is None:
                 first = solve
-        if info.stalled or used >= budget:
-            return captured, crest, first, False, used, "relaxed"
+        if info.stalled:
+            break
+    return captured, crest, first, False, used, "relaxed"
 
 
-def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8,
-                  max_sweeps: int = 400) -> MPResult:
+def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
     """Estimate the pass level and polish the maximizer into a solution.
 
     The path runs from 0 to _start_path's anchor; _relax_and_polish returns
-    the path, c_estimate and path_origin.  max_sweeps bounds all sweeps,
-    which only a polish that keeps failing goes on to spend.  converged
+    the path, c_estimate and path_origin.  Only a polish that keeps failing
+    relaxes past the first _LOCATOR_SWEEPS sweeps.  converged
     means: the polished field solves the equation to tol (L^2 residual) and
     is non-constant.
     """
-    _check_budget(max_sweeps)
     path, min_energy, failed_floor = _start_path(lam, spec)
-    path, c_estimate, solve, solved, used, origin = _relax_and_polish(path, tol, max_sweeps)
+    path, c_estimate, solve, solved, used, origin = _relax_and_polish(path, tol)
     return MPResult(c_estimate=c_estimate, iterations=used, converged=solved, solve=solve,
                     path=path, anchor_min_energy=min_energy,
                     anchor_failed_floor=failed_floor, path_origin=origin)
@@ -581,22 +574,20 @@ class LevelSweepReport:
     anchor_failed_floor: float
 
 
-def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
-                *, sweeps_per_lam: int = 60) -> LevelSweepReport:
+def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8) -> LevelSweepReport:
     """Pass-level estimates over an increasing lam grid with one shared path.
 
     The anchor is found once at the smallest lam (its energy only decreases
     at larger lam) by _start_path, and the path from 0 to it is re-relaxed at
-    each lam with a fixed sweep budget.  Because the energy is pointwise
+    each lam under mountain_pass's sweep bound.  Because the energy is pointwise
     non-increasing in lam, warm-started estimates are monotone by
     construction; the report still counts violations beyond a 2% slack.
-    Each row runs _relax_and_polish with sweeps_per_lam as budget, polishing
+    Each row runs _relax_and_polish as mountain_pass does, polishing
     first from the previous lam's solution where available, and the next row
     starts from the path it returns.  A solved
     row's estimate is at least its solution's energy, and equals it when
     the row's path_origin is "saddle".
     """
-    _check_budget(sweeps_per_lam)
     lams = sorted(float(v) for v in lambda_grid)
     if not lams:
         raise ValueError("empty lam grid")
@@ -607,7 +598,7 @@ def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8,
     prev_solution: Field | None = None
     for lam in lams:
         path, c_est, best, converged, used, origin = _relax_and_polish(
-            PathState(lam=lam, nodes=list(path.nodes)), tol, sweeps_per_lam, warm=prev_solution)
+            PathState(lam=lam, nodes=list(path.nodes)), tol, warm=prev_solution)
         if converged:
             prev_solution = best.field
         rows.append(LevelRow(lam=lam, c_estimate=c_est, grad_norm=best.grad_norm,

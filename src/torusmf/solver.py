@@ -504,8 +504,8 @@ def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
     band-limited fields with H^m norms drawn uniformly from [0.1, 3].
     Converged results are deduplicated modulo grid translations; per-seed
     failures are kept in the list with converged=False.  Solves are
-    independent and run on `jobs` threads; results are reduced in seed
-    order, so the output does not depend on the degree of parallelism.
+    independent and run on `jobs` threads (at least 1); results are reduced
+    in seed order, so the output does not depend on the degree of parallelism.
     """
     return _solve_from_guesses(lam, _multistart_guesses(spec, n_seeds, seed), tol=tol, jobs=jobs)
 
@@ -530,6 +530,8 @@ def _multistart_guesses(spec: TorusSpec, n_seeds: int, seed: int) -> list[Field]
 def _solve_from_guesses(lam: float, guesses: list[Field], *, tol: float,
                         jobs: int) -> list[SolveResult]:
     """multi_start's solves and reduction for given starting fields."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     def solve_one(guess: Field) -> SolveResult:
         try:

@@ -58,7 +58,7 @@ def mp_solutions(spec_n64):
     """Criterion 5 pipeline, shared with criterion 11."""
     out = {}
     for lam in (14.0, 19.0):
-        res = mountain_pass(lam, spec_n64, tol=1e-10, max_sweeps=400)
+        res = mountain_pass(lam, spec_n64, tol=1e-10)
         assert res.converged, f"mountain pass failed at lam={lam}"
         out[lam] = res
     return out

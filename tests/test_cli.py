@@ -29,11 +29,24 @@ class TestParser:
                        if flag not in ("-h", "--help")}
                 for name, sub in subparsers.choices.items()}
 
-    def test_seed_and_tol_only_where_read(self):
+    def test_flags_of_each_command(self):
+        # every command takes only the flags it reads (mp accepts --seed for
+        # bench/worker.py): a new knob has to edit this table
+        common = {"--config", "--outdir"}
         flags = self.flags_by_command()
-        assert {c for c, f in flags.items() if "--seed" in f} == {"mp", "nonexist"}
-        assert {c for c, f in flags.items() if "--tol" in f} == {
-            "mp", "continue", "sweep", "nonexist"}
+        assert flags == {
+            "constants": common | {"--m"},
+            "bubble": common | {"--m", "--lambda", "--sigma-list", "--alpha"},
+            "mp": common | {"--seed", "--tol", "--m", "--n", "--lambda"},
+            "continue": common | {"--tol", "--m", "--n", "--lambda-start", "--lambda-end",
+                                  "--dlambda0", "--blowup-cap"},
+            "quant": common | {"--field", "--lambda"},
+            "sweep": common | {"--tol", "--m", "--n", "--lambda-grid"},
+            "green": common | {"--m", "--n", "--base"},
+            "nonexist": common | {"--seed", "--tol", "--m", "--n", "--lambda-grid",
+                                  "--n-seeds", "--jobs"},
+        }
+        assert sum(len(f) for f in flags.values()) == 49
 
     def test_readme_commands_parse(self):
         # README's "Command line" block shows every subcommand, with live flags only
@@ -45,12 +58,23 @@ class TestParser:
         for argv in argvs:
             build_parser().parse_args(argv)
 
-    @pytest.mark.parametrize("flag", ["--seed", "--tol"])
-    def test_unread_option_rejected(self, tmp_path, flag):
+    @pytest.mark.parametrize("argv,flag", [
+        pytest.param(["constants", "--m", "1"], "--seed", id="--seed"),
+        pytest.param(["constants", "--m", "1"], "--tol", id="--tol"),
+        # the sweep bounds are fixed: relaxation stops after 50 runs of 8 sweeps
+        pytest.param(["mp", "--n", "16", "--lambda", "14"], "--max-sweeps",
+                     id="mp/--max-sweeps"),
+        pytest.param(["continue", "--n", "16", "--lambda-start", "14", "--lambda-end", "13"],
+                     "--max-sweeps", id="continue/--max-sweeps"),
+        pytest.param(["sweep", "--n", "16", "--lambda-grid", "14"], "--sweeps-per-lambda",
+                     id="sweep/--sweeps-per-lambda"),
+    ])
+    def test_unread_option_rejected(self, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
-            cli(tmp_path, "constants", "--m", "1", flag, "1")
+            cli(tmp_path, *argv, flag, "1")
         assert exc.value.code == 2
-        assert not (tmp_path / "constants").exists()
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / argv[0]).exists()
 
 
 class TestConstantsCmd:
@@ -86,7 +110,7 @@ class TestBubbleCmd:
 class TestMpCmd:
     def test_solution_dump(self, tmp_path):
         rc = cli(tmp_path, "mp", "--m", "1", "--n", "32", "--lambda", "14",
-                 "--tol", "1e-8", "--max-sweeps", "200")
+                 "--tol", "1e-8")
         assert rc == 0
         field = read_field(tmp_path / "mp" / "maximizer.pbfld")
         assert field.spec == make_spec(1, 32)
@@ -109,11 +133,6 @@ class TestMpCmd:
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
         assert run_fresh(code).splitlines()[-1] == "[]"
 
-    def test_zero_sweeps_rejected(self, tmp_path):
-        rc = cli(tmp_path, "mp", "--n", "32", "--lambda", "14", "--max-sweeps", "0")
-        assert rc == 2
-        assert not (tmp_path / "mp").exists()
-
     def test_quantum_multiple_rejected(self, tmp_path):
         rc = cli(tmp_path, "mp", "--n", "32", "--lambda", repr(4 * math.pi))
         assert rc == 2
@@ -122,7 +141,7 @@ class TestMpCmd:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert cli(out, "mp", "--m", "1", "--n", "32", "--lambda", "14",
-                       "--tol", "1e-8", "--max-sweeps", "200") == 0
+                       "--tol", "1e-8") == 0
         for name in ("summary.csv", "maximizer.pbfld"):
             assert (a / "mp" / name).read_bytes() == (b / "mp" / name).read_bytes()
 
@@ -177,6 +196,14 @@ class TestNonexistCmd:
         rc = cli(tmp_path, "nonexist", "--n", "32", "--lambda-grid", "2.5")
         assert rc == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        rc = cli(tmp_path, "nonexist", "--n", "16", "--lambda-grid", "0.5",
+                 "--n-seeds", "2", "--jobs", jobs)
+        assert rc == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "nonexist").exists()
+
     def test_jobs_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out, jobs in ((a, "1"), (b, "3")):
@@ -188,8 +215,7 @@ class TestNonexistCmd:
 
 class TestSweepCmd:
     def test_levels_csv(self, tmp_path):
-        rc = cli(tmp_path, "sweep", "--n", "32", "--lambda-grid", "14,16",
-                 "--sweeps-per-lambda", "30", "--tol", "1e-8")
+        rc = cli(tmp_path, "sweep", "--n", "32", "--lambda-grid", "14,16", "--tol", "1e-8")
         assert rc == 0
         rows = (tmp_path / "sweep" / "levels.csv").read_text().splitlines()
         assert rows[0] == "lambda,c_estimate,grad_norm,sweeps,energy,path_origin"
@@ -202,12 +228,6 @@ class TestSweepCmd:
         assert summary[0] == ("monotonicity_violations,slack,anchor_min_energy,"
                               "anchor_failed_floor")
         assert summary[1].split(",")[2:] == ["-1", "nan"]
-
-    def test_zero_sweeps_rejected(self, tmp_path):
-        rc = cli(tmp_path, "sweep", "--n", "32", "--lambda-grid", "14",
-                 "--sweeps-per-lambda", "0")
-        assert rc == 2
-        assert not (tmp_path / "sweep").exists()
 
 
 class TestGreenCmd:
@@ -230,6 +250,35 @@ class TestConfigFile:
         assert rc == 0
         echo = (tmp_path / "bubble" / "config.echo").read_text()
         assert "lam = 14" in echo
+
+    def test_config_with_equals_sign(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda = 14\n")
+        assert cli(tmp_path, "bubble", f"--config={cfg}") == 0
+        assert "lam = 14" in (tmp_path / "bubble" / "config.echo").read_text().splitlines()
+
+    @pytest.mark.parametrize("flag,value", [("--conf", "run.cfg"), ("--out", "out")],
+                             ids=["--conf", "--out"])
+    def test_abbreviated_flag_rejected(self, tmp_path, monkeypatch, capsys, flag, value):
+        # argparse would take --conf for --config, which only _expand_config reads
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TORUSMF_OUTDIR", raising=False)
+        (tmp_path / "run.cfg").write_text("lambda = 14\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bubble", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("bubble"))
+
+    def test_old_echo_with_sweep_bound_rejected(self, tmp_path, capsys):
+        # config.echo of a version with --max-sweeps: the line must go to replay it
+        cfg = tmp_path / "config.echo"
+        cfg.write_text("command = mp\nlam = 14.0\nmax_sweeps = 400\nn = 16\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["mp", "--config", str(cfg), "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-sweeps 400" in capsys.readouterr().err
+        assert not (tmp_path / "mp").exists()
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

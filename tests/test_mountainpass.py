@@ -53,8 +53,8 @@ class TestFindU0:
             find_u0(20.0, spec32)
 
     def test_shallow_regime_reports_floor(self, spec32):
-        # at lam barely above the coercivity threshold the coarse grid has no
-        # point below -1; the failure must carry the achieved floor
+        # at lam barely above the coercivity threshold no scanned amplitude
+        # reaches -1 (at n = 128 neither); the failure must carry the floor
         with pytest.raises(ConvergenceError, match="deepest") as err:
             find_u0(13.0, spec32)
         assert err.value.floor > -1.0
@@ -376,7 +376,7 @@ class TestSegmentEnergies:
 
 class TestMountainPass:
     def test_converged_solution(self, spec32):
-        res = mountain_pass(14.0, spec32, tol=1e-8, max_sweeps=300)
+        res = mountain_pass(14.0, spec32, tol=1e-8)
         assert res.converged
         assert res.c_estimate > 0.0
         assert res.solve.grad_norm <= 1e-8
@@ -384,7 +384,7 @@ class TestMountainPass:
         assert math.sqrt(sobolev_norm_sq(res.solve.field)) > 0.1
 
     def test_c_estimate_dominates_solution_level(self, spec32):
-        res = mountain_pass(14.0, spec32, tol=1e-8, max_sweeps=300)
+        res = mountain_pass(14.0, spec32, tol=1e-8)
         assert res.c_estimate >= res.solve.energy - 1e-9
 
     def test_solve_path_does_not_import_quadrature(self):
@@ -392,7 +392,7 @@ class TestMountainPass:
         # radial calculus only; a path solve loads none of them
         code = ("import sys\n"
                 "from torusmf import make_spec, mountain_pass\n"
-                "mountain_pass(14.0, make_spec(1, 32), max_sweeps=2)\n"
+                "mountain_pass(14.0, make_spec(1, 32))\n"
                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
                 "'scipy.special') if m in sys.modules))\n")
         assert run_fresh(code) == "[]"
@@ -485,19 +485,6 @@ def test_pass_and_sweep_refuse_the_same_lam(run, m, lam, want):
     assert str(err.value) == want.format(lam=lam)
 
 
-@pytest.mark.parametrize("run", [
-    lambda spec, budget: mountain_pass(14.0, spec, max_sweeps=budget),
-    lambda spec, budget: level_sweep([14.0], spec, sweeps_per_lam=budget),
-], ids=["mountain_pass", "level_sweep"])
-@pytest.mark.parametrize("budget", [0, -5])
-def test_pass_and_sweep_refuse_the_same_budget(monkeypatch, run, budget):
-    # refused at entry: neither driver reaches the anchor search
-    monkeypatch.setattr(torusmf.mountainpass, "_start_path", None)
-    with pytest.raises(ValueError) as err:
-        run(make_spec(1, 32), budget)
-    assert str(err.value) == f"sweep budget must be >= 1, got {budget}"
-
-
 def recorded_calls(monkeypatch) -> list[tuple]:
     """Record ("relax_path", lam, sweeps), ("newton_solve", lam) and ("saddle_path", lam, built)."""
     mp = torusmf.mountainpass
@@ -531,17 +518,17 @@ def test_mountain_pass_locates_polishes_then_assembles(monkeypatch, spec32):
     assert (res.iterations, res.path_origin) == (8, "saddle")
 
 
-def _pass_at_14(spec, budget):
-    res = mountain_pass(14.0, spec, tol=1e-8, max_sweeps=budget)
+def _pass_at_14(spec):
+    res = mountain_pass(14.0, spec, tol=1e-8)
     return res.c_estimate, res.iterations, res.converged, res.path_origin
 
 
-def _sweep_at_14(spec, budget):
-    row = level_sweep([14.0], spec, tol=1e-8, sweeps_per_lam=budget).rows[0]
+def _sweep_at_14(spec):
+    row = level_sweep([14.0], spec, tol=1e-8).rows[0]
     return row.c_estimate, row.sweeps, row.converged, row.path_origin
 
 
-# each driver at lam = 14 with a sweep budget, read as (c_estimate, sweeps, converged, origin)
+# each driver at lam = 14, read as (c_estimate, sweeps, converged, origin)
 DRIVERS = {"mountain_pass": _pass_at_14, "level_sweep": _sweep_at_14}
 
 
@@ -568,7 +555,7 @@ def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32, driv
     monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
     calls = recorded_calls(monkeypatch)
     returned = relax_and_polish_returns(monkeypatch)
-    c_estimate, sweeps, converged, origin = DRIVERS[driver](spec32, 60)
+    c_estimate, sweeps, converged, origin = DRIVERS[driver](spec32)
     assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
                      ("saddle_path", 14.0, False)]
     assert (sweeps, converged, origin) == (8, True, "relaxed")
@@ -582,9 +569,11 @@ def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32, driv
 
 @pytest.mark.parametrize("driver", DRIVERS)
 def test_failing_polish_relaxes_on_in_locator_runs(monkeypatch, spec32, driver):
-    # every polish fails: relaxation goes on 8 sweeps at a time until the
-    # budget of 20 is spent, and the first failed solve is returned
+    # every polish fails: both drivers relax on 8 sweeps at a time until the
+    # shared bound of _LOCATOR_RUNS runs is spent (3 here, 50 in production),
+    # and the first failed solve is returned
     mp = torusmf.mountainpass
+    monkeypatch.setattr(mp, "_LOCATOR_RUNS", 3)
     failed = []
 
     def no_solve(guess, lam, **kwargs):
@@ -596,9 +585,9 @@ def test_failing_polish_relaxes_on_in_locator_runs(monkeypatch, spec32, driver):
     monkeypatch.setattr(mp, "newton_solve", no_solve)
     calls = recorded_calls(monkeypatch)
     returned = relax_and_polish_returns(monkeypatch)
-    _, sweeps, converged, origin = DRIVERS[driver](spec32, 20)
-    assert [call[2] for call in calls if call[0] == "relax_path"] == [8, 8, 4]
-    assert (sweeps, converged, origin) == (20, False, "relaxed")
+    _, sweeps, converged, origin = DRIVERS[driver](spec32)
+    assert [call[2] for call in calls if call[0] == "relax_path"] == [8, 8, 8]
+    assert (sweeps, converged, origin) == (24, False, "relaxed")
     assert len(failed) == 3
     assert returned[0][2] is failed[0]
 
@@ -632,7 +621,7 @@ def test_short_saddle_path_is_padded_toward_zero(monkeypatch, spec32):
 class TestLevelSweep:
     def test_locator_chunk_then_polish_then_assembly_per_lam(self, monkeypatch, spec32):
         calls = recorded_calls(monkeypatch)
-        rep = level_sweep([14.0, 16.0], spec32, tol=1e-8, sweeps_per_lam=60)
+        rep = level_sweep([14.0, 16.0], spec32, tol=1e-8)
         assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
                          ("saddle_path", 14.0, True),
                          ("relax_path", 16.0, 8), ("newton_solve", 16.0),
@@ -640,7 +629,7 @@ class TestLevelSweep:
         assert [(r.sweeps, r.path_origin) for r in rep.rows] == [(8, "saddle")] * 2
 
     def test_single_point_grid(self, spec32):
-        rep = level_sweep([14.0], spec32, tol=1e-8, sweeps_per_lam=40)
+        rep = level_sweep([14.0], spec32, tol=1e-8)
         assert len(rep.rows) == 1
         assert rep.monotonicity_violations == 0
         assert rep.rows[0].c_estimate > 0.0
@@ -663,7 +652,7 @@ class TestLevelSweep:
                 assert row.c_estimate == row.energy, row.lam
 
     def test_three_point_monotone(self, spec32):
-        rep = level_sweep([14.0, 16.0, 18.0], spec32, tol=1e-8, sweeps_per_lam=40)
+        rep = level_sweep([14.0, 16.0, 18.0], spec32, tol=1e-8)
         assert rep.monotonicity_violations == 0
         cs = [r.c_estimate for r in rep.rows]
         assert all(c > 0 for c in cs)
@@ -675,7 +664,7 @@ class TestLevelSweep:
         monkeypatch.setattr(torusmf.mountainpass, "newton_solve",
                             lambda *args, **kwargs: solves.append(solve(*args, **kwargs))
                             or solves[-1])
-        rep = level_sweep([14.0, 16.0], spec32, tol=1e-8, sweeps_per_lam=20)
+        rep = level_sweep([14.0, 16.0], spec32, tol=1e-8)
         assert all(r.converged for r in rep.rows)
         for row in rep.rows:
             polished = [s for s in solves if s.lam == row.lam and s.converged][0]

@@ -38,7 +38,7 @@ PI = math.pi
 @pytest.fixture(scope="module")
 def saddle32(spec32):
     """Converged nonconstant solution at lam=14 on the coarse grid."""
-    res = mountain_pass(14.0, spec32, tol=1e-10, max_sweeps=300)
+    res = mountain_pass(14.0, spec32, tol=1e-10)
     assert res.converged
     return res.solve
 
@@ -415,3 +415,11 @@ class TestMultiStart:
     def test_rejects_no_seeds(self, spec32):
         with pytest.raises(ValueError):
             multi_start(1.0, spec32, 0, 0)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one_before_any_solve(self, monkeypatch, spec32, jobs):
+        monkeypatch.setattr(torusmf.solver, "newton_solve",
+                            lambda *args, **kwargs: pytest.fail("solved before the check"))
+        with pytest.raises(ValueError) as err:
+            multi_start(1.0, spec32, 4, 0, jobs=jobs)
+        assert str(err.value) == f"jobs must be >= 1, got {jobs}"
