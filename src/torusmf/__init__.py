@@ -13,7 +13,6 @@ quantization / Green-kernel / small-lam diagnostics.
 from .errors import (
     ConvergenceError,
     QuadratureError,
-    SingularHessianError,
     UnresolvedBubbleError,
 )
 from .field import (

@@ -29,7 +29,7 @@ from . import bubble as _bubble
 from . import diagnostics as _diagnostics
 from . import mountainpass as _mountainpass
 from . import solver as _solver
-from .errors import ConvergenceError, QuadratureError, SingularHessianError
+from .errors import ConvergenceError, QuadratureError
 from .field import make_spec, read_field, sobolev_norm_sq, write_field
 from .functional import constants
 
@@ -65,7 +65,28 @@ def _parse_float_list(text: str) -> list[float]:
     values = [float(tok) for tok in text.replace(",", " ").split()]
     if not values:
         raise ValueError("empty list")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite entry in {text!r}")
     return values
+
+
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"want a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """_finite, and above 0: tolerances, steps and caps."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"want a positive number, got {text!r}")
+    return value
 
 
 def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
@@ -299,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if tol:
-            p.add_argument("--tol", type=float, default=1e-10)
+            p.add_argument("--tol", type=_positive, default=1e-10)
         return p
 
     p = command("constants", cmd_constants, "print spectral thresholds")
@@ -307,28 +328,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bubble", cmd_bubble, "growth rates of the concentrating family")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
     p.add_argument("--sigma-list", dest="sigma_list", default="1e2,3.1623e2,1e3",
                    help="comma-separated sigmas")
-    p.add_argument("--alpha", type=float, default=0.4)
+    p.add_argument("--alpha", type=_finite, default=0.4)
 
     # mp draws nothing at random; --seed is accepted because bench/worker.py passes it
     p = command("mp", cmd_mp, "mountain-pass search and Newton polish", seed=True, tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
 
     p = command("continue", cmd_continue, "natural-parameter continuation in lambda", tol=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--lambda-start", dest="lam_start", type=float, required=True)
-    p.add_argument("--lambda-end", dest="lam_end", type=float, required=True)
-    p.add_argument("--dlambda0", type=float, default=0.5)
-    p.add_argument("--blowup-cap", dest="blowup_cap", type=float, default=12.0)
+    p.add_argument("--lambda-start", dest="lam_start", type=_finite, required=True)
+    p.add_argument("--lambda-end", dest="lam_end", type=_finite, required=True)
+    p.add_argument("--dlambda0", type=_positive, default=0.5)
+    p.add_argument("--blowup-cap", dest="blowup_cap", type=_positive, default=12.0)
 
     p = command("quant", cmd_quant, "concentration analysis of a stored field")
     p.add_argument("--field", required=True, help="PBFLD1 file")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
 
     p = command("sweep", cmd_sweep, "pass-level estimates over a lambda grid", tol=True)
     p.add_argument("--m", type=int, default=1)
@@ -362,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, SingularHessianError, QuadratureError) as exc:
+    except (ConvergenceError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -2,8 +2,9 @@
 
 Validation problems (bad arguments, mismatched grids, unresolvable
 parameters) derive from ValueError; numerical failures at runtime
-(non-convergence, quadrature breakdown, singular linearizations) derive
-from RuntimeError.  The CLI maps the two families to distinct exit codes.
+(no mountain-pass anchor, quadrature breakdown) derive from RuntimeError.
+The CLI maps the two families to distinct exit codes.  A Newton solve does
+not raise when it fails: its SolveResult says converged=False.
 """
 
 from __future__ import annotations
@@ -18,17 +19,6 @@ class UnresolvedBubbleError(ValueError):
         super().__init__(
             f"under-resolution: n={n} gives {n * alpha / sigma:.2f} grid points across "
             f"the core half-width alpha/sigma={alpha / sigma:.3g}; need n >= {required_n}"
-        )
-
-
-class SingularHessianError(RuntimeError):
-    """Linearized operator is (numerically) singular, e.g. at a bifurcation point."""
-
-    def __init__(self, eigenvalue: float):
-        self.eigenvalue = float(eigenvalue)
-        super().__init__(
-            f"singular Hessian: preconditioned second variation has eigenvalue "
-            f"{self.eigenvalue:.3e} (bifurcation point?)"
         )
 
 

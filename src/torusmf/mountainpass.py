@@ -107,7 +107,9 @@ class RelaxInfo:
 
 
 def _check_lam(lam: float, m: int) -> None:
-    """Refuse lam on a multiple of the quantum Lambda1, then lam outside the existence interval."""
+    """Refuse lam non-finite, on a multiple of Lambda1, or outside the existence interval."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lam={lam} is not a finite number")
     cst = constants(m)
     k = round(lam / cst.Lambda1)
     if k >= 1 and abs(lam - k * cst.Lambda1) <= 1e-9 * cst.Lambda1:
@@ -492,7 +494,7 @@ def _relax_and_polish(path: PathState, tol: float, warm: Field | None = None
     warm (when given), then from the captured path's sampled maximum, until a
     solve converges to tol away from the trivial state u = 0 (H^m norm above
     1e-6).  From 6 locator sweeps on, the polish of every measured case
-    converges in 4-5 Newton steps and never reaches Newton's stall probe.
+    converges in 4-5 Newton steps.
 
     When the polish solves, the returned path is _saddle_path's descent path
     through the saddle, and the level is that path's sampled supremum, the

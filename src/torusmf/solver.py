@@ -33,8 +33,8 @@ MINRES itself is an in-house port of scipy.sparse.linalg.minres for the one
 case used here (zero start, no preconditioner, no shift), with scipy's
 recurrences and stopping tests in scipy's order, so its iterates are
 bit-identical to scipy's.  Importing scipy.sparse.linalg costs more than the
-rest of the package together; it loads only when ARPACK runs (the
-singularity probe and smallest_hessian_eigenvalue).
+rest of the package together; it loads only when ARPACK runs
+(smallest_hessian_eigenvalue).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import SingularHessianError
 from .field import (
     Field,
     TorusSpec,
@@ -68,7 +67,7 @@ from .functional import (
     energy_value,
 )
 
-_SINGULAR_EIG_TOL = 1e-4  # on the preconditioned Hessian, whose spectrum is O(1)
+_MAX_ITER = 30  # Newton steps before a solve gives up
 
 
 @dataclass(frozen=True)
@@ -278,24 +277,15 @@ def smallest_hessian_eigenvalue(u: Field, lam: float) -> float:
     return float(vals[0])
 
 
-def _probe_singular(u: Field, lam: float) -> None:
-    from scipy.sparse.linalg import ArpackNoConvergence
-
-    try:
-        low = smallest_hessian_eigenvalue(u, lam)
-    except ArpackNoConvergence:
-        return
-    if abs(low) < _SINGULAR_EIG_TOL:
-        raise SingularHessianError(low)
-
-
-def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 30) -> SolveResult:
+def newton_solve(guess: Field, lam: float, tol: float = 1e-10) -> SolveResult:
     """Damped Newton iteration on the Euler-Lagrange residual.
 
     Convergence means the L^2 residual is below tol (the H^m dual gradient
-    norm is then automatically below tol/(2 pi)^m).  A numerically singular
-    linearization raises SingularHessianError; other failures come back as a
-    non-converged SolveResult.
+    norm is then automatically below tol/(2 pi)^m).  A failed solve does not
+    raise: it returns converged=False, its last iterate, its residual history
+    and a message naming the cause (_MAX_ITER steps spent, a MINRES breakdown
+    or a line-search stall).  At a bifurcation point Newton creeps and spends
+    its steps; smallest_hessian_eigenvalue tells that from a slow start.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -318,8 +308,7 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
     converged = False
     iterations = 0
     history: list[float] = []
-    probed = False
-    for iterations in range(max_iter + 1):
+    for iterations in range(_MAX_ITER + 1):
         res_l2 = math.sqrt(float(np.square(residual, out=squares).mean()))
         # coordinates of -B^-1 r; their norm is the H^m dual norm of the residual
         half = _forward_rfft(residual, out=spectra[1])
@@ -330,20 +319,14 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
         if res_l2 <= tol:
             converged = True
             break
-        if iterations == max_iter:
-            message = f"max_iter={max_iter} exceeded (residual {res_l2:.3e})"
+        if iterations == _MAX_ITER:
+            message = f"max_iter={_MAX_ITER} exceeded (residual {res_l2:.3e})"
             break
-        if not probed and len(history) >= 8 and history[-1] > 0.02 * history[-6]:
-            # geometric stalling is the signature of a (near-)null direction
-            # of the linearization, e.g. at a bifurcation point
-            probed = True
-            _probe_singular(Field(spec, u.copy()), lam)
         rtol = min(1e-2, max(res_l2, 0.01 * tol / max(res_l2, tol)))
         rhs /= grad_norm
         y, info = minres(_preconditioned_operator(spec, weight, lam), rhs,
                          rtol=rtol, maxiter=600)
         if info != 0 or not np.all(np.isfinite(y)):
-            _probe_singular(Field(spec, u.copy()), lam)
             message = f"linear solve breakdown (minres info={info})"
             break
         y *= grad_norm
@@ -364,7 +347,6 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10, max_iter: int = 3
                 break
             step *= 0.5
         if not accepted:
-            _probe_singular(Field(spec, u.copy()), lam)
             message = "line search stall"
             break
     result = Field(spec, u.copy())
@@ -420,11 +402,8 @@ def continuation(start: SolveResult, lam_end: float, dlam0: float,
             guess = lincomb(1.0 + ratio, prev.field, -ratio, prev2.field)
         else:
             guess = prev.field
-        try:
-            res = newton_solve(guess, lam_try, tol=tol)
-        except SingularHessianError:
-            res = None
-        if res is not None and res.converged:
+        res = newton_solve(guess, lam_try, tol=tol)
+        if res.converged:
             branch.results.append(res)
             prev2, prev = prev, res
             lam_cur = lam_try
@@ -533,23 +512,14 @@ def _solve_from_guesses(lam: float, guesses: list[Field], *, tol: float,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    def solve_one(guess: Field) -> SolveResult:
-        try:
-            return newton_solve(guess, lam, tol=tol)
-        except SingularHessianError as exc:
-            return SolveResult(
-                field=guess, lam=float(lam), residual_l2=math.inf,
-                grad_norm=math.inf, energy=energy_value(guess, lam),
-                iterations=0, converged=False, message=str(exc),
-            )
-
+    solve = functools.partial(newton_solve, lam=lam, tol=tol)
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(solve_one, guesses))
+            outcomes = list(pool.map(solve, guesses))
     else:
-        outcomes = [solve_one(guess) for guess in guesses]
+        outcomes = [solve(guess) for guess in guesses]
 
     unique: list[SolveResult] = []
     failures: list[SolveResult] = []

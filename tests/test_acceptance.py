@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criteria 5 and 6 drive the full mountain-pass pipeline and dominate
-the runtime (about 15 s total on a 2-core Xeon VM, half of it criterion 6's
+the runtime (about 5 s total on a 2-core Xeon VM, 1.5 s of it criterion 6's
 level sweep).
 """
 

@@ -10,7 +10,7 @@ import pytest
 
 import torusmf
 from torusmf import make_spec, read_field, write_field
-from torusmf.cli import build_parser, main
+from torusmf.cli import _finite, _positive, build_parser, main
 
 from conftest import run_fresh, smooth_field
 
@@ -21,13 +21,18 @@ def cli(tmp_path, command, *flags) -> int:
 
 class TestParser:
     @staticmethod
-    def flags_by_command() -> dict[str, set[str]]:
+    def types_by_command() -> dict[str, dict[str, object]]:
+        """Each command's flags with the type argparse converts them by."""
         parser = build_parser()
         subparsers = next(a for a in parser._actions
                           if isinstance(a, argparse._SubParsersAction))
-        return {name: {flag for action in sub._actions for flag in action.option_strings
-                       if flag not in ("-h", "--help")}
+        return {name: {flag: action.type for action in sub._actions
+                       for flag in action.option_strings if flag not in ("-h", "--help")}
                 for name, sub in subparsers.choices.items()}
+
+    @classmethod
+    def flags_by_command(cls) -> dict[str, set[str]]:
+        return {name: set(types) for name, types in cls.types_by_command().items()}
 
     def test_flags_of_each_command(self):
         # every command takes only the flags it reads (mp accepts --seed for
@@ -47,6 +52,39 @@ class TestParser:
                                   "--n-seeds", "--jobs"},
         }
         assert sum(len(f) for f in flags.values()) == 49
+
+    def test_float_flags_refuse_non_finite_values(self):
+        # a float flag converts through _finite, or _positive, which calls it:
+        # a new knob with type=float fails here
+        types = {(name, flag): kind for name, by_flag in self.types_by_command().items()
+                 for flag, kind in by_flag.items()}
+        assert set(types.values()) == {None, int, _finite, _positive}
+        assert {key for key, kind in types.items() if kind is _positive} == {
+            ("mp", "--tol"), ("continue", "--tol"), ("sweep", "--tol"), ("nonexist", "--tol"),
+            ("continue", "--dlambda0"), ("continue", "--blowup-cap")}
+
+    @pytest.mark.parametrize("argv", [
+        ["mp", "--lambda", "inf"],
+        ["mp", "--lambda", "nan"],
+        ["sweep", "--lambda-grid", "14,inf"],
+        ["nonexist", "--lambda-grid", "0.5,nan"],
+        ["bubble", "--lambda", "inf"],
+        ["bubble", "--sigma-list", "1e2,1e3,inf"],
+        ["mp", "--n", "32", "--lambda", "14", "--tol", "0"],
+        ["mp", "--n", "32", "--lambda", "14", "--tol", "-1"],
+        ["mp", "--n", "32", "--lambda", "14", "--tol", "nan"],
+        ["continue", "--lambda-start", "14", "--lambda-end", "13", "--blowup-cap", "nan"],
+        ["continue", "--lambda-start", "14", "--lambda-end", "13", "--dlambda0", "inf"],
+    ], ids=shlex.join)
+    def test_non_finite_or_non_positive_number_rejected(self, tmp_path, capsys, argv):
+        try:
+            rc = cli(tmp_path, *argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "finite" in err or "positive" in err
+        assert not (tmp_path / argv[0]).exists()
 
     def test_readme_commands_parse(self):
         # README's "Command line" block shows every subcommand, with live flags only
@@ -123,8 +161,8 @@ class TestMpCmd:
         assert values["c_estimate"] == values["energy"]
 
     def test_run_loads_no_sparse_module(self, tmp_path):
-        # the pass through the polished saddle needs neither ARPACK nor
-        # Newton's stall probe, each of which imports scipy.sparse.linalg
+        # the pass through the polished saddle needs no ARPACK run, which
+        # would import scipy.sparse.linalg
         code = ("import sys\n"
                 "from torusmf.cli import main\n"
                 "for lam in ('14', '19'):\n"
