@@ -243,14 +243,14 @@ def cmd_sweep(args) -> int:
     lams = _parse_float_list(args.lambda_grid)
     report = _mountainpass.level_sweep(lams, spec, tol=float(args.tol))
     out = _prepare_outdir(args, "sweep")
-    rows = [(r.lam, r.c_estimate, r.grad_norm, r.sweeps, r.energy, r.path_origin)
+    rows = [(r.lam, r.c_estimate, r.grad_norm, r.sweeps, r.energy, r.path_origin,
+             r.anchor_min_energy, r.anchor_failed_floor)
             for r in report.rows]
     _write_csv(out / "levels.csv",
-               ["lambda", "c_estimate", "grad_norm", "sweeps", "energy", "path_origin"], rows)
-    _write_csv(out / "summary.csv",
-               ["monotonicity_violations", "slack", "anchor_min_energy", "anchor_failed_floor"],
-               [(report.monotonicity_violations, report.slack, report.anchor_min_energy,
-                 report.anchor_failed_floor)])
+               ["lambda", "c_estimate", "grad_norm", "sweeps", "energy", "path_origin",
+                "anchor_min_energy", "anchor_failed_floor"], rows)
+    _write_csv(out / "summary.csv", ["monotonicity_violations", "slack"],
+               [(report.monotonicity_violations, report.slack)])
     print(f"{len(rows)} levels, {report.monotonicity_violations} monotonicity "
           f"violations at {report.slack:.0%} slack")
     if any(not r.converged for r in report.rows):

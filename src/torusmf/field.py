@@ -262,18 +262,28 @@ def _log_mean_exp(t: np.ndarray) -> np.ndarray:
 
 
 def upsample(f: Field, n_new: int) -> Field:
-    """Spectral zero-padding onto a finer grid (exact for the trig interpolant)."""
-    if n_new < f.spec.n or n_new % 2 != 0:
-        raise ValueError("upsample target must be an even n >= current n")
-    if n_new == f.spec.n:
-        return f
-    from scipy.signal import resample
+    """Spectral zero-padding onto a finer grid (exact for the trig interpolant).
 
-    vals = f.values
-    for axis in range(f.spec.dim):
-        vals = resample(vals, n_new, axis=axis)
+    Each Nyquist plane k = -n/2 of the field's half spectrum is split in half
+    between -n/2 and +n/2, as scipy.signal.resample does axis by axis.
+    """
+    n, h = f.spec.n, f.spec.n // 2
+    if n_new < n or n_new % 2 != 0:
+        raise ValueError("upsample target must be an even n >= current n")
+    if n_new == n:
+        return f
     new_spec = make_spec(f.spec.m, n_new)
-    return Field(new_spec, np.ascontiguousarray(vals - vals.mean()))
+    padded = np.zeros(new_spec.shape[:-1] + (n_new // 2 + 1,), dtype=np.complex128)
+    full = np.r_[0:h, n_new - h:n_new]  # where the wave numbers 0..n/2-1, -n/2..-1 go
+    padded[np.ix_(*[full] * (f.spec.dim - 1), np.arange(h + 1))] = transform(f)
+    for axis in range(f.spec.dim - 1):
+        planes = np.moveaxis(padded, axis, 0)
+        planes[n_new - h] *= 0.5
+        planes[h] = planes[n_new - h]
+    padded[..., h] *= 0.5
+    padded *= new_spec.npoints
+    vals = _inverse_rfft(padded, new_spec)
+    return Field(new_spec, vals - vals.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .solver import SolveResult, concentration_direction, newton_solve
 
 _RESPACE_NORM_WEIGHT = 1e-3  # regularizes energy-gap respacing on flat stretches
 _LEVEL_SLACK = 0.02  # relative rise between sweep rows counted as a violation
-_LOCATOR_SWEEPS = 8  # relaxation before the first polish (see _relax_and_polish)
+_LOCATOR_SWEEPS = 8  # relaxation before each polish (see mountain_pass)
 _LOCATOR_RUNS = 50  # relax-and-polish runs before a pass gives up (400 sweeps)
 _DESCENT_STEPS = 400  # cap on each steepest-descent leg of the saddle path
 
@@ -69,9 +69,9 @@ class MPResult:
 
     path_origin is "saddle" when path is the descent path through the
     polished saddle and c_estimate its sampled supremum, and "relaxed" when
-    path is the captured relaxed path (see _relax_and_polish).  The anchor
-    met anchor_min_energy: -1, or -0.05 after the search for -1 stalled at
-    anchor_failed_floor (NaN when it did not); see _start_path.
+    path is the captured relaxed path (see mountain_pass).  The anchor met
+    anchor_min_energy: -1, or -0.05 after the search for -1 stalled at
+    anchor_failed_floor (NaN when it did not).
     """
 
     c_estimate: float
@@ -171,17 +171,6 @@ def init_path(u0: Field, segments: int, lam: float) -> PathState:
     nodes += [scaled(u0, i / segments) for i in range(1, segments)]
     nodes.append(u0)
     return PathState(lam=float(lam), nodes=nodes)
-
-
-def _start_path(lam: float, spec: TorusSpec) -> tuple[PathState, float, float]:
-    """16-segment path to find_u0's anchor, and the anchor fields of MPResult."""
-    min_energy, failed_floor = -1.0, math.nan
-    try:
-        u0 = find_u0(lam, spec, min_energy=min_energy)
-    except ConvergenceError as exc:
-        min_energy, failed_floor = -0.05, exc.floor
-        u0 = find_u0(lam, spec, min_energy=min_energy)
-    return init_path(u0, 16, lam), min_energy, failed_floor
 
 
 def _respace(nodes: list[Field], energies: list[float], table: _SegmentTable,
@@ -486,70 +475,65 @@ def _saddle_path(captured: PathState, solve: SolveResult,
     return PathState(lam=lam, nodes=nodes, table=table), sup
 
 
-def _relax_and_polish(path: PathState, tol: float, warm: Field | None = None
-                      ) -> tuple[PathState, float, SolveResult, bool, int, str]:
-    """Relax _LOCATOR_SWEEPS sweeps, polish, and pass through the saddle.
+def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
+    """Estimate the pass level and polish the maximizer into a solution.
 
-    Each polish captures the ridge of the relaxed path and runs Newton from
-    warm (when given), then from the captured path's sampled maximum, until a
-    solve converges to tol away from the trivial state u = 0 (H^m norm above
-    1e-6).  From 6 locator sweeps on, the polish of every measured case
-    converges in 4-5 Newton steps.
+    The path runs from 0 to find_u0's anchor below -1, or below -0.05 when
+    the search for -1 fails, on 16 segments.  Each run relaxes it
+    _LOCATOR_SWEEPS sweeps, captures the ridge and runs Newton from the
+    captured path's sampled maximum; from 6 locator sweeps on, the polish of
+    every measured case converges in 4-5 Newton steps.
 
-    When the polish solves, the returned path is _saddle_path's descent path
-    through the saddle, and the level is that path's sampled supremum, the
+    When the polish converges to tol away from the trivial state u = 0 (H^m
+    norm above 1e-6), the returned path is _saddle_path's descent path
+    through the saddle, and c_estimate is that path's sampled supremum, the
     saddle energy: origin "saddle".  When that path cannot be built, the
     captured path is returned at once with the larger of crest and saddle
     energy (it crossed the ridge next to the saddle): origin "relaxed".  A
     polish that does not solve (it collapsed to the trivial state, so the
     sampling is still coarse) means relaxation of the uncaptured path goes on
-    for _LOCATOR_SWEEPS more sweeps, until the path stalls or _LOCATOR_RUNS
-    runs are spent; the level is then the last crest, origin "relaxed".
-
-    Returns (path, level, solve, solved, sweeps used, origin); solve is the
-    converged one, else the first failed one.
+    for another run, until the path stalls or _LOCATOR_RUNS runs are spent;
+    c_estimate is then the last crest, origin "relaxed", and solve the first
+    failed solve.  converged means: the polished field solves the equation to
+    tol (L^2 residual) and is non-constant.
     """
-    used = 0
-    first = None
+    min_energy, failed_floor = -1.0, math.nan
+    try:
+        u0 = find_u0(lam, spec, min_energy=min_energy)
+    except ConvergenceError as exc:
+        min_energy, failed_floor = -0.05, exc.floor
+        u0 = find_u0(lam, spec, min_energy=min_energy)
+    relaxed = init_path(u0, 16, lam)
+    used, first, origin = 0, None, "relaxed"
     for _ in range(_LOCATOR_RUNS):
-        path, info = relax_path(path, _LOCATOR_SWEEPS)
+        relaxed, info = relax_path(relaxed, _LOCATOR_SWEEPS)
         used += info.sweeps
-        captured, crest, top, imax = _capture(path)
-        for guess in ([top] if warm is None else [warm, top]):
-            solve = newton_solve(guess, path.lam, tol=tol)
-            if solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6:
-                assembled = _saddle_path(captured, solve, imax)
-                if assembled is None:
-                    return captured, max(crest, solve.energy), solve, True, used, "relaxed"
-                return (*assembled, solve, True, used, "saddle")
-            if first is None:
-                first = solve
+        path, level, top, imax = _capture(relaxed)
+        solve = newton_solve(top, path.lam, tol=tol)
+        solved = solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6
+        if solved:
+            assembled = _saddle_path(path, solve, imax)
+            if assembled is None:
+                level = max(level, solve.energy)
+            else:
+                (path, level), origin = assembled, "saddle"
+            break
+        if first is None:
+            first = solve
         if info.stalled:
             break
-    return captured, crest, first, False, used, "relaxed"
-
-
-def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
-    """Estimate the pass level and polish the maximizer into a solution.
-
-    The path runs from 0 to _start_path's anchor; _relax_and_polish returns
-    the path, c_estimate and path_origin.  Only a polish that keeps failing
-    relaxes past the first _LOCATOR_SWEEPS sweeps.  converged
-    means: the polished field solves the equation to tol (L^2 residual) and
-    is non-constant.
-    """
-    path, min_energy, failed_floor = _start_path(lam, spec)
-    path, c_estimate, solve, solved, used, origin = _relax_and_polish(path, tol)
-    return MPResult(c_estimate=c_estimate, iterations=used, converged=solved, solve=solve,
-                    path=path, anchor_min_energy=min_energy,
-                    anchor_failed_floor=failed_floor, path_origin=origin)
+    return MPResult(c_estimate=level, iterations=used, converged=solved,
+                    solve=solve if solved else first, path=path,
+                    anchor_min_energy=min_energy, anchor_failed_floor=failed_floor,
+                    path_origin=origin)
 
 
 @dataclass(frozen=True)
 class LevelRow:
-    """One lam of a level sweep; energy and grad_norm belong to the polished solve.
+    """mountain_pass at one lam of a level sweep, without its path.
 
-    sweeps counts every relaxation sweep; path_origin reads as in MPResult.
+    energy and grad_norm belong to MPResult.solve, sweeps is
+    MPResult.iterations, and the other fields read as in MPResult.
     """
 
     lam: float
@@ -559,56 +543,44 @@ class LevelRow:
     converged: bool
     energy: float
     path_origin: str
-
-
-@dataclass(frozen=True)
-class LevelSweepReport:
-    """Sweep rows and their monotonicity check.
-
-    The anchor met anchor_min_energy: -1, or -0.05 after the search for -1
-    stalled at anchor_failed_floor (NaN when it did not).
-    """
-
-    rows: list[LevelRow]
-    monotonicity_violations: int
-    slack: float
     anchor_min_energy: float
     anchor_failed_floor: float
 
 
-def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8) -> LevelSweepReport:
-    """Pass-level estimates over an increasing lam grid with one shared path.
+@dataclass(frozen=True)
+class LevelSweepReport:
+    """Sweep rows in increasing lam and the count of rises beyond slack between them."""
 
-    The anchor is found once at the smallest lam (its energy only decreases
-    at larger lam) by _start_path, and the path from 0 to it is re-relaxed at
-    each lam under mountain_pass's sweep bound.  Because the energy is pointwise
-    non-increasing in lam, warm-started estimates are monotone by
-    construction; the report still counts violations beyond a 2% slack.
-    Each row runs _relax_and_polish as mountain_pass does, polishing
-    first from the previous lam's solution where available, and the next row
-    starts from the path it returns.  A solved
-    row's estimate is at least its solution's energy, and equals it when
-    the row's path_origin is "saddle".
+    rows: list[LevelRow]
+    monotonicity_violations: int
+    slack: float
+
+
+def level_sweep(lambda_grid, spec: TorusSpec, tol: float = 1e-8) -> LevelSweepReport:
+    """mountain_pass at each lam of the grid, in increasing order, and a monotonicity count.
+
+    Every lam is checked before any run.  Each row has its own anchor and
+    path; its anchor search cannot fall back to -0.05 where that of a
+    smaller lam did not, because I_lam(t d) does not increase with lam.  The
+    true pass level does not increase with lam either, but the estimates are
+    separate runs, so the report counts each rise of c_estimate between
+    successive rows beyond a 2% slack.
     """
     lams = sorted(float(v) for v in lambda_grid)
     if not lams:
         raise ValueError("empty lam grid")
     for lam in lams:
         _check_lam(lam, spec.m)
-    path, min_energy, failed_floor = _start_path(lams[0], spec)
     rows: list[LevelRow] = []
-    prev_solution: Field | None = None
     for lam in lams:
-        path, c_est, best, converged, used, origin = _relax_and_polish(
-            PathState(lam=lam, nodes=list(path.nodes)), tol, warm=prev_solution)
-        if converged:
-            prev_solution = best.field
-        rows.append(LevelRow(lam=lam, c_estimate=c_est, grad_norm=best.grad_norm,
-                             sweeps=used, converged=converged, energy=best.energy,
-                             path_origin=origin))
+        res = mountain_pass(lam, spec, tol)
+        rows.append(LevelRow(lam=lam, c_estimate=res.c_estimate, grad_norm=res.solve.grad_norm,
+                             sweeps=res.iterations, converged=res.converged,
+                             energy=res.solve.energy, path_origin=res.path_origin,
+                             anchor_min_energy=res.anchor_min_energy,
+                             anchor_failed_floor=res.anchor_failed_floor))
     violations = sum(
         1 for a, b in zip(rows, rows[1:])
         if b.c_estimate > a.c_estimate * (1.0 + _LEVEL_SLACK) + 1e-12
     )
-    return LevelSweepReport(rows=rows, monotonicity_violations=violations, slack=_LEVEL_SLACK,
-                            anchor_min_energy=min_energy, anchor_failed_floor=failed_floor)
+    return LevelSweepReport(rows=rows, monotonicity_violations=violations, slack=_LEVEL_SLACK)

@@ -194,12 +194,15 @@ class TestContinueCmd:
         assert rows[0] == "lambda,norm,max_abs_u,energy,residual_l2"
         assert len(rows) >= 3
 
-    def test_negative_end_rejected_before_the_pass(self, tmp_path, monkeypatch):
+    def test_negative_end_rejected_before_the_pass(self, tmp_path, monkeypatch, capsys):
+        # argparse takes "-1e3" after a space for an option, so an exponent
+        # form needs "="
         monkeypatch.setattr(torusmf.mountainpass, "mountain_pass", None)
-        rc = cli(tmp_path, "continue", "--n", "32", "--lambda-start", "14",
-                 "--lambda-end", "-1")
-        assert rc == 2
-        assert not (tmp_path / "continue").exists()
+        for end in (["--lambda-end", "-1"], ["--lambda-end=-1e3"]):
+            rc = cli(tmp_path, "continue", "--n", "32", "--lambda-start", "14", *end)
+            assert rc == 2
+            assert "lam_end must be nonnegative" in capsys.readouterr().err
+            assert not (tmp_path / "continue").exists()
 
 
 class TestQuantCmd:
@@ -256,16 +259,15 @@ class TestSweepCmd:
         rc = cli(tmp_path, "sweep", "--n", "32", "--lambda-grid", "14,16", "--tol", "1e-8")
         assert rc == 0
         rows = (tmp_path / "sweep" / "levels.csv").read_text().splitlines()
-        assert rows[0] == "lambda,c_estimate,grad_norm,sweeps,energy,path_origin"
+        assert rows[0] == ("lambda,c_estimate,grad_norm,sweeps,energy,path_origin,"
+                           "anchor_min_energy,anchor_failed_floor")
         assert len(rows) == 3
-        assert [r.split(",")[5] for r in rows[1:]] == ["saddle", "saddle"]
+        assert [r.split(",")[5:] for r in rows[1:]] == [["saddle", "-1", "nan"]] * 2
         cs = [float(r.split(",")[1]) for r in rows[1:]]
         assert cs[0] > cs[1] > 0
         assert all(float(r.split(",")[4]) > 0 for r in rows[1:])
         summary = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
-        assert summary[0] == ("monotonicity_violations,slack,anchor_min_energy,"
-                              "anchor_failed_floor")
-        assert summary[1].split(",")[2:] == ["-1", "nan"]
+        assert summary == ["monotonicity_violations,slack", "0,0.02"]
 
 
 class TestGreenCmd:

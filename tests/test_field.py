@@ -26,7 +26,7 @@ from torusmf import (
     zero_field,
 )
 
-from conftest import cos_mode, sin_mode, smooth_field
+from conftest import cos_mode, run_fresh, sin_mode, smooth_field
 
 PI = math.pi
 
@@ -329,6 +329,26 @@ class TestShiftAndUpsample:
         assert g.spec.n == 64
         assert np.max(np.abs(g.values[::2, ::2] - f.values)) <= 1e-12
         assert abs(sobolev_norm_sq(g) - sobolev_norm_sq(f)) <= 1e-9
+
+    @pytest.mark.parametrize("m,n,n_new", [(1, 16, 32), (1, 32, 48), (2, 8, 16), (2, 8, 12)])
+    def test_upsample_matches_scipy_resample(self, m, n, n_new):
+        # white noise fills every Nyquist plane, where the halves are split
+        from scipy.signal import resample
+
+        spec = make_spec(m, n)
+        f = from_values(spec, np.random.default_rng(n_new).standard_normal(spec.shape))
+        want = f.values
+        for axis in range(spec.dim):
+            want = resample(want, n_new, axis=axis)
+        got = upsample(f, n_new).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_upsample_loads_no_scipy_signal(self):
+        code = ("import sys\n"
+                "from torusmf import make_spec, upsample, zero_field\n"
+                "upsample(zero_field(make_spec(1, 16)), 32)\n"
+                "print('scipy.signal' in sys.modules)\n")
+        assert run_fresh(code) == "False"
 
     def test_upsample_rejects_downsample(self, spec64):
         with pytest.raises(ValueError):

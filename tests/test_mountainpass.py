@@ -518,60 +518,28 @@ def test_mountain_pass_locates_polishes_then_assembles(monkeypatch, spec32):
     assert (res.iterations, res.path_origin) == (8, "saddle")
 
 
-def _pass_at_14(spec):
-    res = mountain_pass(14.0, spec, tol=1e-8)
-    return res.c_estimate, res.iterations, res.converged, res.path_origin
-
-
-def _sweep_at_14(spec):
-    row = level_sweep([14.0], spec, tol=1e-8).rows[0]
-    return row.c_estimate, row.sweeps, row.converged, row.path_origin
-
-
-# each driver at lam = 14, read as (c_estimate, sweeps, converged, origin)
-DRIVERS = {"mountain_pass": _pass_at_14, "level_sweep": _sweep_at_14}
-
-
-def relax_and_polish_returns(monkeypatch) -> list[tuple]:
-    """Record what each _relax_and_polish call returns: (path, level, solve, solved, used, origin)."""
-    mp = torusmf.mountainpass
-    returned = []
-    relax_and_polish = mp._relax_and_polish
-
-    def recorded(*args, **kwargs):
-        returned.append(relax_and_polish(*args, **kwargs))
-        return returned[-1]
-
-    monkeypatch.setattr(mp, "_relax_and_polish", recorded)
-    return returned
-
-
-@pytest.mark.parametrize("driver", DRIVERS)
-def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32, driver):
+def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32):
     # no descent path: the locator's polish stands, and the captured relaxed
     # path comes back at once with the level max(crest, E)
     from torusmf.mountainpass import _SegmentTable, _sampled_supremum
 
     monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
     calls = recorded_calls(monkeypatch)
-    returned = relax_and_polish_returns(monkeypatch)
-    c_estimate, sweeps, converged, origin = DRIVERS[driver](spec32)
+    res = mountain_pass(14.0, spec32, tol=1e-8)
     assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
                      ("saddle_path", 14.0, False)]
-    assert (sweeps, converged, origin) == (8, True, "relaxed")
-    (path, level, solve, _, _, _), = returned
-    assert c_estimate == level >= solve.energy
-    nodes = path.nodes
+    assert (res.iterations, res.converged, res.path_origin) == (8, True, "relaxed")
+    assert res.c_estimate >= res.solve.energy
+    nodes = res.path.nodes
     energies = [energy_value(node, 14.0) for node in nodes]
     sup, _, _ = _sampled_supremum(nodes, energies, _SegmentTable(14.0, nodes[0], nodes[-1]))
-    assert c_estimate >= sup
+    assert res.c_estimate >= sup
 
 
-@pytest.mark.parametrize("driver", DRIVERS)
-def test_failing_polish_relaxes_on_in_locator_runs(monkeypatch, spec32, driver):
-    # every polish fails: both drivers relax on 8 sweeps at a time until the
-    # shared bound of _LOCATOR_RUNS runs is spent (3 here, 50 in production),
-    # and the first failed solve is returned
+def test_failing_polish_relaxes_on_in_locator_runs(monkeypatch, spec32):
+    # every polish fails: relaxation goes on 8 sweeps at a time until the
+    # bound of _LOCATOR_RUNS runs is spent (3 here, 50 in production), and
+    # the first failed solve is returned
     mp = torusmf.mountainpass
     monkeypatch.setattr(mp, "_LOCATOR_RUNS", 3)
     failed = []
@@ -584,12 +552,11 @@ def test_failing_polish_relaxes_on_in_locator_runs(monkeypatch, spec32, driver):
 
     monkeypatch.setattr(mp, "newton_solve", no_solve)
     calls = recorded_calls(monkeypatch)
-    returned = relax_and_polish_returns(monkeypatch)
-    _, sweeps, converged, origin = DRIVERS[driver](spec32)
+    res = mountain_pass(14.0, spec32, tol=1e-8)
     assert [call[2] for call in calls if call[0] == "relax_path"] == [8, 8, 8]
-    assert (sweeps, converged, origin) == (24, False, "relaxed")
+    assert (res.iterations, res.converged, res.path_origin) == (24, False, "relaxed")
     assert len(failed) == 3
-    assert returned[0][2] is failed[0]
+    assert res.solve is failed[0]
 
 
 @pytest.mark.parametrize("lam", [14.0, 19.0])
@@ -628,20 +595,47 @@ class TestLevelSweep:
                          ("saddle_path", 16.0, True)]
         assert [(r.sweeps, r.path_origin) for r in rep.rows] == [(8, "saddle")] * 2
 
+    def test_rows_are_mountain_pass_results(self, monkeypatch, spec32):
+        # one mountain_pass call per lam, in increasing order, and each row
+        # copies its result; the anchor search reaches -1 at n = 32, so both
+        # floors are NaN
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return mountain_pass(*args)
+
+        monkeypatch.setattr(torusmf.mountainpass, "mountain_pass", recorded)
+        rep = level_sweep([16, 14.0], spec32, tol=1e-8)
+        assert calls == [(14.0, spec32, 1e-8), (16.0, spec32, 1e-8)]
+        for row, lam in zip(rep.rows, (14.0, 16.0)):
+            res = mountain_pass(lam, spec32, tol=1e-8)
+            assert (row.lam, row.c_estimate, row.grad_norm, row.sweeps, row.converged,
+                    row.energy, row.path_origin, row.anchor_min_energy) == (
+                res.solve.lam, res.c_estimate, res.solve.grad_norm, res.iterations,
+                res.converged, res.solve.energy, res.path_origin, res.anchor_min_energy)
+            assert math.isnan(row.anchor_failed_floor) and math.isnan(res.anchor_failed_floor)
+
     def test_single_point_grid(self, spec32):
         rep = level_sweep([14.0], spec32, tol=1e-8)
         assert len(rep.rows) == 1
         assert rep.monotonicity_violations == 0
         assert rep.rows[0].c_estimate > 0.0
-        assert rep.anchor_min_energy == -1.0
-        assert math.isnan(rep.anchor_failed_floor)
+        assert rep.rows[0].anchor_min_energy == -1.0
+        assert math.isnan(rep.rows[0].anchor_failed_floor)
 
     def test_anchor_fallback_recorded(self, sweep128):
         # at lam=13, n=128 the descent toward -1 stalls, and the anchor comes
-        # from the second search at -0.05
-        assert sweep128.rows[0].lam == 13.0
-        assert sweep128.anchor_min_energy == -0.05
-        assert -1.0 < sweep128.anchor_failed_floor < -0.05
+        # from the second search at -0.05; from lam=14 on the search for -1
+        # succeeds
+        first, *rest = sweep128.rows
+        assert first.lam == 13.0
+        assert first.anchor_min_energy == -0.05
+        assert -1.0 < first.anchor_failed_floor < -0.05
+        assert [r.lam for r in rest] == [14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+        for row in rest:
+            assert row.anchor_min_energy == -1.0, row.lam
+            assert math.isnan(row.anchor_failed_floor), row.lam
 
     def test_c_estimate_dominates_solution_level(self, sweep128):
         rows = [r for r in sweep128.rows if r.converged]
