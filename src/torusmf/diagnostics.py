@@ -287,7 +287,9 @@ def nonexistence_sweep(lambda_grid, spec: TorusSpec, n_seeds: int = 20, seed: in
     Valid for 0 < lam < Lambda1/(8m), where only the trivial solution
     exists; any nontrivial converged candidate is reported (and would fail
     the acceptance suite).  Converged candidates are also run through the
-    inequality chain assertions.
+    inequality chain assertions.  multi_start's guesses do not depend on lam,
+    so one pass over them, drawn lazily, solves each at every lam and reduces
+    each result in seed order as it returns.
     """
     lams = [float(v) for v in lambda_grid]
     if not lams:
@@ -297,23 +299,18 @@ def nonexistence_sweep(lambda_grid, spec: TorusSpec, n_seeds: int = 20, seed: in
     for lam in lams:
         if not (0.0 < lam < bound):
             raise ValueError(f"lam={lam} outside the working regime (0, {bound:.6f})")
-    # multi_start's guesses do not depend on lam: build them once for the sweep
-    guesses = _multistart_guesses(spec, n_seeds, seed)
+    per_lam = _solve_from_guesses(lams, _multistart_guesses(spec, n_seeds, seed),
+                                  tol=tol, jobs=jobs)
     rows = []
-    all_trivial = True
-    for lam in lams:
-        results = _solve_from_guesses(lam, guesses, tol=tol, jobs=jobs)
+    for lam, results in zip(lams, per_lam):
         converged = [r for r in results if r.converged]
         for r in converged:
             _check_solution_inequalities(r)
         nontrivial = [r for r in converged if math.sqrt(sobolev_norm_sq(r.field)) > 1e-8]
         max_norm = max((math.sqrt(sobolev_norm_sq(r.field)) for r in nontrivial), default=0.0)
         ratio = max((sobolev_norm_sq(r.field) / lam**2 for r in nontrivial), default=0.0)
-        if nontrivial:
-            all_trivial = False
         rows.append(NonexistenceRow(
-            lam=lam, n_seeds=n_seeds, n_converged=len(converged),
-            n_nontrivial=len(nontrivial), max_nontrivial_norm=max_norm,
-            norm_sq_over_lam_sq=ratio,
-        ))
-    return NonexistenceReport(rows=rows, regime_bound=bound, all_trivial=all_trivial)
+            lam=lam, n_seeds=n_seeds, n_converged=len(converged), n_nontrivial=len(nontrivial),
+            max_nontrivial_norm=max_norm, norm_sq_over_lam_sq=ratio))
+    return NonexistenceReport(rows=rows, regime_bound=bound,
+                              all_trivial=all(row.n_nontrivial == 0 for row in rows))

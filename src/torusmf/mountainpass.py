@@ -150,19 +150,28 @@ def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0) -> Field:
     if no amplitude qualifies (happens for lam barely above the coercivity
     threshold, on fine grids too: lam = 13 fails at n = 32 and n = 128).
     """
+    return _scan_anchor(lam, spec, min_energy, min_energy)[0]
+
+
+def _scan_anchor(lam: float, spec: TorusSpec, min_energy: float, fallback: float):
+    """find_u0's one scan: (anchor, its threshold, floor); the first anchor below min_energy
+    with floor NaN, else after all 160 amplitudes the first below fallback and the floor."""
     _check_lam(lam, spec.m)
     direction = concentration_direction(spec)
-    energies = []
+    energies, second = [], None
     for t in np.linspace(0.5, 40.0, 160):
         u = scaled(direction, float(t))
         energies.append(energy_value(u, lam))
         if t >= 1.0 and energies[-1] < min_energy:
-            return u
+            return u, min_energy, math.nan
+        if second is None and t >= 1.0 and energies[-1] < fallback:
+            second = u
     floor = min(energies)
-    raise ConvergenceError(
-        f"no anchor below {min_energy} at n={spec.n} (deepest energy found: {floor:.4f}); "
-        "refine the grid or relax min_energy", floor=floor
-    )
+    if second is None:
+        raise ConvergenceError(
+            f"no anchor below {fallback} at n={spec.n} (deepest energy found: {floor:.4f}); "
+            "refine the grid or relax min_energy", floor=floor)
+    return second, fallback, floor
 
 
 def init_path(u0: Field, segments: int, lam: float) -> PathState:
@@ -497,12 +506,7 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
     failed solve.  converged means: the polished field solves the equation to
     tol (L^2 residual) and is non-constant.
     """
-    min_energy, failed_floor = -1.0, math.nan
-    try:
-        u0 = find_u0(lam, spec, min_energy=min_energy)
-    except ConvergenceError as exc:
-        min_energy, failed_floor = -0.05, exc.floor
-        u0 = find_u0(lam, spec, min_energy=min_energy)
+    u0, min_energy, failed_floor = _scan_anchor(lam, spec, -1.0, -0.05)
     relaxed = init_path(u0, 16, lam)
     used, first, origin = 0, None, "relaxed"
     for _ in range(_LOCATOR_RUNS):

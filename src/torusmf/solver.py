@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -287,19 +288,28 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10) -> SolveResult:
     or a line-search stall).  At a bifurcation point Newton creeps and spends
     its steps; smallest_hessian_eigenvalue tells that from a slow start.
     """
+    return _newton(guess.spec, _start_pair(guess), lam, tol)
+
+
+def _start_pair(guess: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's first iterate from a guess: values and (-Lap)^m values, no Field or spectrum."""
+    start = Field(guess.spec, guess.values - float(guess.values.mean()))
+    return start.values, apply_power_laplacian(start, guess.spec.m).values
+
+
+def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResult:
+    """newton_solve from a _start_pair, which it only reads."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    spec = guess.spec
     m = spec.m
     inward, outward = _coordinate_diagonals(spec)
-    start = Field(spec, guess.values - float(guess.values.mean()))
     # the iterate as (values, (-Lap)^m values): both move linearly along a
     # step.  A line-search candidate goes to the other array of each pair,
     # its residual and weight over the iterate's, which are no longer read
     u, cand, lap, cand_lap, residual, weight, squares = _workspace.get(
         "newton", (7,) + spec.shape)
-    np.copyto(u, start.values)
-    np.copyto(lap, apply_power_laplacian(start, m).values)
+    np.copyto(u, start[0])
+    np.copyto(lap, start[1])
     _residual_and_weight(u, lap, lam, m, residual, weight)
     spectra = _workspace.get("spectra", (2,) + inward.shape, np.complex128)
     delta, lap_delta = step_pair = _workspace.get("pair", (2,) + spec.shape)
@@ -482,52 +492,56 @@ def multi_start(lam: float, spec: TorusSpec, n_seeds: int, seed: int,
     random seeding finds only the trivial root); the rest are random
     band-limited fields with H^m norms drawn uniformly from [0.1, 3].
     Converged results are deduplicated modulo grid translations; per-seed
-    failures are kept in the list with converged=False.  Solves are
-    independent and run on `jobs` threads (at least 1); results are reduced
-    in seed order, so the output does not depend on the degree of parallelism.
+    failures are kept in the list with converged=False.  One pass over lazily
+    drawn guesses reduces each result as it returns.  Solves are independent
+    and run on `jobs` threads (at least 1); results are reduced in seed order,
+    so the output does not depend on the degree of parallelism.
     """
-    return _solve_from_guesses(lam, _multistart_guesses(spec, n_seeds, seed), tol=tol, jobs=jobs)
+    return _solve_from_guesses([lam], _multistart_guesses(spec, n_seeds, seed),
+                               tol=tol, jobs=jobs)[0]
 
 
-def _multistart_guesses(spec: TorusSpec, n_seeds: int, seed: int) -> list[Field]:
-    """multi_start's starting fields; they do not depend on lam."""
+def _multistart_guesses(spec: TorusSpec, n_seeds: int, seed: int) -> Iterator[Field]:
+    """multi_start's starting fields, drawn lazily in seed order; they do not depend on lam."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     n_directed = n_seeds // 4
-    guesses: list[Field] = []
-    if n_directed:
-        direction = concentration_direction(spec)
-        for amp in np.geomspace(2.0, 12.0, n_directed):
-            guesses.append(scaled(direction, float(amp)))
-    sequences = np.random.SeedSequence(seed).spawn(n_seeds - n_directed)
-    for child in sequences:
+    direction = concentration_direction(spec) if n_directed else None
+    for amp in np.geomspace(2.0, 12.0, n_directed):
+        yield scaled(direction, float(amp))
+    for child in np.random.SeedSequence(seed).spawn(n_seeds - n_directed):
         rng = np.random.default_rng(child)
-        guesses.append(random_low_mode_field(spec, rng, rng.uniform(0.1, 3.0)))
-    return guesses
+        yield random_low_mode_field(spec, rng, rng.uniform(0.1, 3.0))
 
 
-def _solve_from_guesses(lam: float, guesses: list[Field], *, tol: float,
-                        jobs: int) -> list[SolveResult]:
-    """multi_start's solves and reduction for given starting fields."""
+def _solve_from_guesses(lams: list[float], guesses: Iterable[Field], *, tol: float,
+                        jobs: int) -> list[list[SolveResult]]:
+    """multi_start's unique roots, then its failures, at each lam of lams, in one pass.
+
+    Each guess is solved at every lam from one _start_pair, and each result
+    is deduplicated against its lam's kept roots as it returns.  With jobs > 1
+    one pool serves the pass; its tasks are guesses, reduced in guess order.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    solve = functools.partial(newton_solve, lam=lam, tol=tol)
+    def solves(guess: Field) -> Iterator[SolveResult]:
+        start = _start_pair(guess)
+        return (_newton(guess.spec, start, lam, tol) for lam in lams)
+
+    def reduce(outcomes: Iterable[Iterable[SolveResult]]) -> list[list[SolveResult]]:
+        unique, failures = [[] for _ in lams], [[] for _ in lams]
+        for results in outcomes:
+            for kept, failed, res in zip(unique, failures, results):
+                if not res.converged:
+                    failed.append(res)
+                elif not any(_same_modulo_translation(res.field, k.field) for k in kept):
+                    kept.append(res)
+        return [kept + failed for kept, failed in zip(unique, failures)]
+
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(solve, guesses))
-    else:
-        outcomes = [solve(guess) for guess in guesses]
-
-    unique: list[SolveResult] = []
-    failures: list[SolveResult] = []
-    for res in outcomes:
-        if not res.converged:
-            failures.append(res)
-            continue
-        if any(_same_modulo_translation(res.field, kept.field) for kept in unique):
-            continue
-        unique.append(res)
-    return unique + failures
+            return reduce(pool.map(lambda guess: list(solves(guess)), guesses))
+    return reduce(map(solves, guesses))

@@ -29,6 +29,28 @@ def run_fresh(code: str) -> str:
     return out.stdout.strip()
 
 
+def traced_peak(fn):
+    """(fn(), the traced peak allocation during the call above the allocation at its start).
+
+    Starts tracemalloc when it is off and stops it only then, so a run under
+    python -X tracemalloc (or PYTHONTRACEMALLOC) keeps tracing.
+    """
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak - base
+
+
 @pytest.fixture(scope="session")
 def spec64() -> TorusSpec:
     return make_spec(1, 64)

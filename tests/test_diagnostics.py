@@ -18,13 +18,14 @@ from torusmf import (
     green_field,
     l2_inner,
     make_spec,
+    multi_start,
     nonexistence_sweep,
     scaled,
     sobolev_norm_sq,
     zero_field,
 )
 
-from conftest import cos_mode, smooth_field
+from conftest import cos_mode, run_fresh, smooth_field, traced_peak
 
 PI = math.pi
 
@@ -204,3 +205,55 @@ class TestNonexistence:
     def test_rejects_empty_grid(self, spec32):
         with pytest.raises(ValueError):
             nonexistence_sweep([], spec32)
+
+    def test_sweep_is_multi_start_at_each_lam(self, spec32, monkeypatch):
+        # one pass over the guesses gives each lam the results multi_start
+        # gives there, bit for bit, and draws each guess's start once
+        from torusmf import diagnostics, solver
+
+        lams, seen, starts = [0.25, 0.5, 1.0], [], []
+        solve_from_guesses, start_pair = diagnostics._solve_from_guesses, solver._start_pair
+        monkeypatch.setattr(diagnostics, "_solve_from_guesses",
+                            lambda *a, **kw: seen.append(solve_from_guesses(*a, **kw)) or seen[-1])
+        monkeypatch.setattr(solver, "_start_pair", lambda g: starts.append(g) or start_pair(g))
+        swept = nonexistence_sweep(lams, spec32, n_seeds=8, seed=0)
+        assert len(starts) == 8
+        per_lam = [multi_start(lam, spec32, 8, 0) for lam in lams]
+        (got,) = seen
+        for mine, theirs in zip(got, per_lam, strict=True):
+            assert len(mine) == len(theirs)
+            for a, b in zip(mine, theirs):
+                assert a.field.values.tobytes() == b.field.values.tobytes()
+                assert (a.energy, a.residual_history, a.converged) == \
+                    (b.energy, b.residual_history, b.converged)
+        monkeypatch.setattr(diagnostics, "_solve_from_guesses", lambda *a, **kw: per_lam)
+        assert nonexistence_sweep(lams, spec32, n_seeds=8, seed=0) == swept
+
+    def test_threads_do_not_change_the_sweep(self):
+        # one pool serves the whole sweep; one BLAS thread, because threaded
+        # BLAS reductions round differently
+        code = ("import os\n"
+                "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+                "from torusmf import diagnostics, make_spec\n"
+                "inner = diagnostics._solve_from_guesses\n"
+                "seen = []\n"
+                "diagnostics._solve_from_guesses = lambda *a, **kw: seen.append(inner(*a, **kw)) or seen[-1]\n"
+                "for jobs in (1, 2):\n"
+                "    rep = diagnostics.nonexistence_sweep([0.25, 1.0], make_spec(2, 16), 8, seed=3,\n"
+                "                                         jobs=jobs)\n"
+                "    res = [r for per_lam in seen.pop() for r in per_lam]\n"
+                "    print(repr(rep), b''.join(r.field.values.tobytes() for r in res).hex(),\n"
+                "          [(r.energy, r.residual_history) for r in res])\n")
+        serial, threaded = run_fresh(code).splitlines()
+        assert serial == threaded
+
+    def test_sweep_holds_few_fields(self):
+        # the pass holds the workspace, one guess and the kept roots: every
+        # duplicate, spent guess and finished start is dropped on the spot
+        # (70 field-sized arrays when each lam kept all 20 results)
+        spec = make_spec(2, 16)
+        nonexistence_sweep([0.5], spec, n_seeds=1, seed=1)  # warm the workspace and caches
+        rep, peak = traced_peak(lambda: nonexistence_sweep([0.25, 0.5, 1.0], spec,
+                                                           n_seeds=20, seed=1))
+        assert rep.all_trivial
+        assert peak <= 24 * 8 * spec.npoints, peak / (8 * spec.npoints)

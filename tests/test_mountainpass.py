@@ -81,6 +81,17 @@ class TestFindU0:
             find_u0(13.0, make_spec(1, 128))
         assert len(calls) == 160
 
+    def test_fallback_anchor_reuses_the_first_scan(self, monkeypatch):
+        # lam = 13, n = 128 falls back to -0.05; the 41 amplitudes up to that
+        # anchor are not evaluated a second time (538 calls with a rescan)
+        calls = []
+        energy = torusmf.mountainpass.energy_value
+        monkeypatch.setattr(torusmf.mountainpass, "energy_value",
+                            lambda u, lam: calls.append(lam) or energy(u, lam))
+        res = mountain_pass(13.0, make_spec(1, 128))
+        assert res.anchor_min_energy == -0.05 and res.anchor_failed_floor > -1.0
+        assert len(calls) == 497
+
     def test_order_two_anchor(self):
         spec = make_spec(2, 16)
         u0 = find_u0(300.0, spec)

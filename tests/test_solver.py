@@ -29,7 +29,7 @@ from torusmf.field import _multiplicity
 from torusmf.functional import _normalized_exp_weight
 from torusmf.solver import _preconditioned_operator, minres
 
-from conftest import cos_mode, run_fresh, smooth_field
+from conftest import cos_mode, run_fresh, smooth_field, traced_peak
 
 PI = math.pi
 
@@ -102,7 +102,7 @@ class TestNewton:
         from torusmf.solver import _solve_from_guesses
 
         guess = scaled(cos_mode(spec32), 1e-2)  # at the threshold, as above
-        (out,) = _solve_from_guesses(2 * PI**2, [guess], tol=1e-12, jobs=1)
+        ((out,),) = _solve_from_guesses([2 * PI**2], [guess], tol=1e-12, jobs=1)
         direct = newton_solve(guess, 2 * PI**2, tol=1e-12)
         assert not out.converged and out.message == direct.message
         assert len(out.residual_history) == out.iterations + 1
@@ -183,18 +183,11 @@ class TestScratchArrays:
         # the m=2 Newton loop works in the scratch arrays: a warm solve
         # allocates its result, MINRES solutions and operator products
         # (11.2 MB peak when every temporary was a new array)
-        import tracemalloc
-
         from torusmf.solver import _multistart_guesses
 
-        guess = _multistart_guesses(make_spec(2, 16), 20, 1)[7]
+        guess = list(_multistart_guesses(make_spec(2, 16), 20, 1))[7]
         newton_solve(guess, 0.5)
-        tracemalloc.start()
-        try:
-            out = newton_solve(guess, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: newton_solve(guess, 0.5))
         assert out.converged
         assert peak <= 6_000_000, peak
 
@@ -402,3 +395,11 @@ class TestMultiStart:
         with pytest.raises(ValueError) as err:
             multi_start(1.0, spec32, 4, 0, jobs=jobs)
         assert str(err.value) == f"jobs must be >= 1, got {jobs}"
+
+    def test_rejects_jobs_below_one_before_any_guess(self, monkeypatch, spec32):
+        monkeypatch.setattr(torusmf.solver, "random_low_mode_field",
+                            lambda *args, **kwargs: pytest.fail("drew a guess before the check"))
+        monkeypatch.setattr(torusmf.solver, "_start_pair",
+                            lambda *args, **kwargs: pytest.fail("solved before the check"))
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            multi_start(1.0, spec32, 4, 0, jobs=0)
