@@ -4,37 +4,27 @@ The outer iteration is a damped Newton method on the residual of
 
     (-Lap)^m u + lam = lam * exp(2m u) / integral(exp(2m u)),
 
-restricted to mean-zero fields.  Inner linear solves use MINRES on the
-symmetrized, H^m-preconditioned linearization: with B the spectral square
-root of (-Lap)^m, the operator B^-1 H B^-1 equals the identity plus a
-compact exponential-weight part, so Krylov iteration counts are essentially
-grid-independent.  The preconditioned operator is symmetric but indefinite
-near saddle points, which is exactly MINRES territory.
+restricted to mean-zero fields.  Each step solves H delta = -r by MINRES
+(Paige & Saunders 1975), preconditioned by M = (-Lap)^m: H is M plus a
+compact part, so Krylov counts are essentially grid-independent, and H is
+symmetric but indefinite near saddles.  The right-hand side has unit H^m
+dual norm, since MINRES's estimate of ||A|| includes ||b||.
 
-MINRES runs in scaled real half-spectrum coordinates: the float64 view of
-sqrt(mu) * rfftn(w)/N, with mu each half-grid mode's multiplicity in the
-full spectrum.  The map is an isometry up to the factor 1/N with irfftn as
-its adjoint, so the operator stays symmetric; it is the identity on the
-components irfftn discards (the non-Hermitian parts of the self-conjugate
-planes) and on the constant mode.  B^-1 is diagonal there, so a product
-costs one irfftn and one rfftn.  MINRES gets the right-hand side scaled to
-unit norm: its estimate of ||A|| includes ||b||, which would otherwise let a
-large right-hand side pass the stopping test after one iteration.
-Each Newton iterate carries its values and its (-Lap)^m values, so line
-search candidates u + s*delta need no transform.
+MINRES runs on grid values with scipy.sparse.linalg.minres's recurrences and
+stopping tests, but takes ||x|| in the M-norm, so in exact arithmetic its
+iterates are those of MINRES on M^-1/2 H M^-1/2 (they are not scipy's bits).
+A Lanczos vector is v = M^-1 r / beta, so M v = r / beta is free, and the
+recurrences carry (-Lap)^m delta beside delta, so Newton iterates and line
+search candidates need no transform.  The forward transform of r gives beta
+(and Newton's grad_norm) as a weighted half-spectrum sum; the inverse runs
+only when the next Lanczos step reads it.  A Newton step of k Lanczos steps
+costs 2k+1 real FFTs.  Reductions are einsums or numpy means, never BLAS
+dots, so a solve gives the same bits under any BLAS thread count.
 
-The Newton loop, MINRES and the operator's products work in per-thread
-scratch arrays, kept between calls and reallocated when the grid changes, so
-a solve allocates almost nothing per iteration; each in-place operation
-keeps the order of its out-of-place form, so the iterates are the same bits.
-Results never alias the scratch arrays, and each thread has its own.
-
-MINRES itself is an in-house port of scipy.sparse.linalg.minres for the one
-case used here (zero start, no preconditioner, no shift), with scipy's
-recurrences and stopping tests in scipy's order, so its iterates are
-bit-identical to scipy's.  Importing scipy.sparse.linalg costs more than the
-rest of the package together; it loads only when ARPACK runs
-(smallest_hessian_eigenvalue).
+The Newton loop and MINRES work in per-thread scratch arrays, kept between
+calls and reallocated when the grid changes; results never alias them.
+scipy.sparse.linalg, which costs more to import than the package, loads only
+when ARPACK runs (smallest_hessian_eigenvalue).
 """
 
 from __future__ import annotations
@@ -42,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dataclass_field
 
@@ -95,10 +86,9 @@ class Branch:
 class _Workspace(threading.local):
     """The calling thread's scratch arrays by name, reallocated when the shape changes.
 
-    Uses of one array are never live together: "pair" is the operator's two
-    grid temporaries and Newton's step pair; row 0 of "spectra" is the
-    operator's half spectrum, row 1 Newton's right-hand side, and both rows
-    are Newton's step spectra once MINRES has returned.
+    "newton" holds Newton's iterate, candidate and step pairs, weight, residual
+    and six more arrays: MINRES runs in those six, the candidate pair and the
+    residual.  "half" is the half spectrum that both transform through.
     """
 
     def __init__(self):
@@ -114,79 +104,54 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
+def _mean_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Grid mean of a * b: the L^2 inner product, summed in a fixed order."""
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1))) / a.size
+
+
 @functools.lru_cache(maxsize=16)
-def _coordinate_diagonals(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals (inward, outward) of the half-spectrum coordinates, mean mode zeroed.
+def _dual_weight(spec: TorusSpec) -> np.ndarray:
+    """Multiplicity * (4 pi^2 |k|^2)^-m / N^2 per float of a half spectrum's float64 view."""
+    weight = np.repeat(_multiplicity(spec) * _multiplier(spec, -float(spec.m)), 2) / spec.npoints**2
+    weight.flags.writeable = False
+    return weight
 
-    inward * rfftn(f) is the coordinate array of B^-1 f.  For a coordinate
-    array y, outward * y stacks the unnormalized half spectra (ready for
-    irfftn) of B^-1 y and of B y.
+
+def _dual_norm_sq(half: np.ndarray, spec: TorusSpec) -> float:
+    """<f, (-Lap)^-m f>, the squared H^m dual norm of f, from its half spectrum rfftn(f)."""
+    flat = half.view(np.float64).reshape(-1)
+    return float(np.einsum("i,i,i->", flat, flat, _dual_weight(spec)))
+
+
+def _weight_term(weight: np.ndarray, coef: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """coef * [W v - W mean(W v)] into out (which may be v); with coef = -2m lam,
+    (-Lap)^m v plus this is the Hessian product H v on a mean-zero v."""
+    np.subtract(v, _mean_product(weight, v), out=out)
+    out *= weight
+    out *= coef
+    return out
+
+
+def _minres(spec: TorusSpec, weight: np.ndarray, lam: float, b: np.ndarray, half: np.ndarray,
+            out: np.ndarray, scratch, *, rtol: float, maxiter: int) -> int:
+    """MINRES for H x = b from x = 0, preconditioned by M = (-Lap)^m (module docstring).
+
+    H is the Hessian at the normalized exponential weight and lam.  b is a
+    mean-zero grid array and half its rfftn; both are overwritten, and so are
+    the eight grid arrays of scratch.  x and (-Lap)^m x go to out[0] and
+    out[1].  Returns maxiter when the iteration limit ends the solve, else 0.
     """
-    root_mu = np.sqrt(_multiplicity(spec))
-    npts = spec.npoints
-    inverse = _multiplier(spec, -spec.m / 2.0)
-    inward = root_mu * inverse / npts
-    outward = np.stack((inverse, _multiplier(spec, spec.m / 2.0))) * (npts / root_mu)
-    inward.flags.writeable = False
-    outward.flags.writeable = False
-    return inward, outward
-
-
-def _as_coordinates(z: np.ndarray, spec: TorusSpec) -> np.ndarray:
-    """Complex half-grid view of a flat float64 coordinate vector."""
-    return np.ascontiguousarray(z).view(np.complex128).reshape(_multiplicity(spec).shape)
-
-
-def _preconditioned_operator(spec: TorusSpec, weight: np.ndarray, lam: float):
-    """Matvec of B^-1 H(u) B^-1 on flat half-spectrum coordinate vectors.
-
-    B^-1 (-Lap)^m B^-1 is the mean-zero projector, so the operator reduces to
-    the identity minus 2m lam B^-1 [W v - W mean(W v)] B^-1, with W the
-    normalized exponential weight of u.  The constant mode and the components
-    irfftn discards pass through unchanged: they are invisible to the
-    mean-zero problem and would otherwise fake null directions.
-    """
-    inward, outward = _coordinate_diagonals(spec)
-    coef = -2.0 * spec.m * lam
-    size = 2 * inward.size
-
-    def matvec(z: np.ndarray) -> np.ndarray:
-        wv, nonlinear = _workspace.get("pair", (2,) + spec.shape)
-        half = _workspace.get("spectra", (2,) + inward.shape, np.complex128)[0]
-        np.multiply(_as_coordinates(z, spec), outward[0], out=half)
-        _inverse_rfft(half, spec, out=wv)
-        wv *= weight
-        np.multiply(weight, wv.mean(), out=nonlinear)
-        np.subtract(wv, nonlinear, out=nonlinear)
-        nonlinear *= coef
-        _forward_rfft(nonlinear, out=half)
-        half *= inward
-        return z.reshape(size) + half.view(np.float64).reshape(size)
-
-    return matvec
-
-
-def minres(matvec, b: np.ndarray, *, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
-    """MINRES (Paige & Saunders 1975) for A x = b, A symmetric, from x = 0.
-
-    A port of scipy.sparse.linalg.minres without preconditioner or shift:
-    the same Lanczos and plane-rotation recurrences, reductions and stopping
-    tests in the same order, so x is bit-identical to scipy's.  info is
-    maxiter when the iteration limit ends the solve, else 0.
-
-    matvec must return a new array, which minres updates in place; b is
-    only read.  x is a new array, the other vectors are scratch arrays.
-    """
-    n = b.shape[0]
     eps = np.finfo(np.float64).eps
-    x = np.zeros(n)
-    beta1 = np.inner(b, b)
+    out.fill(0.0)
+    x, lap_x = out
+    beta1 = math.sqrt(_dual_norm_sq(half, spec))
     if beta1 == 0:
-        return x, 0
-    beta1 = math.sqrt(beta1)
-    v, w, w2, scratch = _workspace.get("minres", (4, n))
-    w.fill(0.0)
-    w2.fill(0.0)
+        return 0
+    v, lap_v, hv, r1, w, w2, lap_w, lap_w2 = scratch
+    for array in (w, w2, lap_w, lap_w2):
+        array.fill(0.0)
+    inverse = _multiplier(spec, -float(spec.m))
+    coef = -2.0 * spec.m * lam
 
     istop = itn = 0
     oldb = dbar = epsln = sn = gmax = 0
@@ -194,22 +159,29 @@ def minres(matvec, b: np.ndarray, *, rtol: float, maxiter: int) -> tuple[np.ndar
     beta = phibar = beta1
     tnorm2 = 0
     gmin = np.finfo(np.float64).max
-    r1 = r2 = y = b
+    r2 = b  # r1's storage is not read at the first step
     while itn < maxiter:
         itn += 1
-        # Lanczos step: y becomes beta_{k+1} v_{k+1}
-        np.multiply(1.0 / beta, y, out=v)
-        y = matvec(v)
+        # Lanczos step: v = M^-1 r2 / beta from r2's half spectrum, M v = r2 / beta;
+        # then y = H v - (beta/oldb) r1 - (alfa/beta) r2 becomes the new r2
+        half *= inverse
+        _inverse_rfft(half, spec, out=v)
+        v *= 1.0 / beta
+        np.multiply(1.0 / beta, r2, out=lap_v)
+        np.add(lap_v, _weight_term(weight, coef, v, out=hv), out=hv)
         if itn >= 2:
-            y -= np.multiply(beta / oldb, r1, out=scratch)
-        alfa = np.inner(v, y)
-        y -= np.multiply(alfa / beta, r2, out=scratch)
+            np.multiply(beta / oldb, r1, out=r1)
+            y = np.subtract(hv, r1, out=r1)
+        else:
+            y, hv = hv, r1
+        alfa = _mean_product(v, y)
+        y -= np.multiply(alfa / beta, r2, out=hv)
         r1, r2 = r2, y
         oldb = beta
-        beta = math.sqrt(np.inner(r2, y))
+        beta = math.sqrt(_dual_norm_sq(_forward_rfft(r2, out=half), spec))
         tnorm2 += alfa**2 + oldb**2 + beta**2
         if itn == 1 and beta / beta1 <= 10 * eps:
-            istop = -1  # b is an eigenvector of A
+            istop = -1  # b is an eigenvector of the preconditioned operator
 
         # apply the previous rotation, then compute the next one
         oldeps = epsln
@@ -217,28 +189,28 @@ def minres(matvec, b: np.ndarray, *, rtol: float, maxiter: int) -> tuple[np.ndar
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        root = np.linalg.norm([gbar, dbar])
-        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
 
         denom = 1.0 / gamma
-        # w = (v - oldeps * w1 - delta * w2) * denom, built in the storage
-        # of w1, which no later step reads
+        # w = (v - oldeps * w1 - delta * w2) * denom, and M w from M v alike,
+        # each built in the storage of its w1, which no later step reads
         w1, w2 = w2, w
-        w = np.multiply(oldeps, w1, out=w1)
-        np.subtract(v, w, out=w)
-        w -= np.multiply(delta, w2, out=scratch)
-        w *= denom
-        x += np.multiply(phi, w, out=scratch)
+        w = _direction(v, oldeps, w1, delta, w2, denom, hv)
+        lap_w1, lap_w2 = lap_w2, lap_w
+        lap_w = _direction(lap_v, oldeps, lap_w1, delta, lap_w2, denom, hv)
+        x += np.multiply(phi, w, out=hv)
+        lap_x += np.multiply(phi, lap_w, out=hv)
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)
 
         # norm estimates and stopping tests; a later test overrides an earlier one
         anorm = math.sqrt(tnorm2)
-        ynorm = np.linalg.norm(x)
+        ynorm = math.sqrt(max(_mean_product(x, lap_x), 0.0))
         epsx = anorm * ynorm * eps
         test1 = math.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
         test2 = math.inf if anorm == 0 else root / anorm
@@ -259,7 +231,35 @@ def minres(matvec, b: np.ndarray, *, rtol: float, maxiter: int) -> tuple[np.ndar
                 istop = 1
         if istop != 0:
             break
-    return x, (maxiter if istop == 6 else 0)
+    return maxiter if istop == 6 else 0
+
+
+def _direction(v, oldeps, w1, delta, w2, denom, scratch) -> np.ndarray:
+    """(v - oldeps * w1 - delta * w2) * denom, written into w1."""
+    w = np.subtract(v, np.multiply(oldeps, w1, out=w1), out=w1)
+    w -= np.multiply(delta, w2, out=scratch)
+    w *= denom
+    return w
+
+
+def _symmetric_hessian(u: Field, lam: float):
+    """Matvec of B^-1 H(u) B^-1, B = (-Lap)^(m/2), on flat grid arrays (four transforms).
+
+    B^-1 (-Lap)^m B^-1 is the mean-zero projector, so this is v plus B^-1 of
+    the weight term of B^-1 v: symmetric, and the identity on the constant mode.
+    """
+    spec = u.spec
+    weight = _normalized_exp_weight(u.values, spec.m)
+    coef = -2.0 * spec.m * lam
+
+    def inverse_root(values: np.ndarray) -> np.ndarray:
+        return solve_poisson_power(from_values(spec, values), spec.m / 2).values.reshape(-1)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        g = inverse_root(v).reshape(spec.shape)
+        return v.reshape(-1) + inverse_root(_weight_term(weight, coef, g, np.empty(spec.shape)))
+
+    return matvec
 
 
 def smallest_hessian_eigenvalue(u: Field, lam: float) -> float:
@@ -271,9 +271,7 @@ def smallest_hessian_eigenvalue(u: Field, lam: float) -> float:
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    size = 2 * _multiplicity(u.spec).size
-    matvec = _preconditioned_operator(u.spec, _normalized_exp_weight(u.values, u.spec.m), lam)
-    op = LinearOperator((size, size), matvec=matvec, dtype=np.float64)
+    op = LinearOperator((u.spec.npoints,) * 2, matvec=_symmetric_hessian(u, lam), dtype=np.float64)
     vals = eigsh(op, k=1, which="SA", tol=1e-6, return_eigenvectors=False, maxiter=5000)
     return float(vals[0])
 
@@ -302,29 +300,22 @@ def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResul
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     m = spec.m
-    inward, outward = _coordinate_diagonals(spec)
-    # the iterate as (values, (-Lap)^m values): both move linearly along a
-    # step.  A line-search candidate goes to the other array of each pair,
-    # its residual and weight over the iterate's, which are no longer read
-    u, cand, lap, cand_lap, residual, weight, squares = _workspace.get(
-        "newton", (7,) + spec.shape)
+    # the iterate as (values, (-Lap)^m values), and the step likewise: both
+    # move linearly along a step.  A line-search candidate goes to the other
+    # array of each pair, its residual and weight over the iterate's, which
+    # are no longer read
+    rows = _workspace.get("newton", (14,) + spec.shape)
+    u, cand, lap, cand_lap, residual, weight, delta, lap_delta = rows[:8]
     np.copyto(u, start[0])
     np.copyto(lap, start[1])
     _residual_and_weight(u, lap, lam, m, residual, weight)
-    spectra = _workspace.get("spectra", (2,) + inward.shape, np.complex128)
-    delta, lap_delta = step_pair = _workspace.get("pair", (2,) + spec.shape)
-    rhs = spectra[1].view(np.float64).reshape(-1)  # MINRES's float view of row 1
+    half = _workspace.get("half", _multiplicity(spec).shape, np.complex128)
     message = ""
     converged = False
-    iterations = 0
     history: list[float] = []
     for iterations in range(_MAX_ITER + 1):
-        res_l2 = math.sqrt(float(np.square(residual, out=squares).mean()))
-        # coordinates of -B^-1 r; their norm is the H^m dual norm of the residual
-        half = _forward_rfft(residual, out=spectra[1])
-        half *= inward
-        np.negative(rhs, out=rhs)
-        grad_norm = float(np.linalg.norm(rhs))
+        res_l2 = math.sqrt(_mean_product(residual, residual))
+        grad_norm = math.sqrt(_dual_norm_sq(_forward_rfft(residual, out=half), spec))
         history.append(res_l2)
         if res_l2 <= tol:
             converged = True
@@ -333,30 +324,29 @@ def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResul
             message = f"max_iter={_MAX_ITER} exceeded (residual {res_l2:.3e})"
             break
         rtol = min(1e-2, max(res_l2, 0.01 * tol / max(res_l2, tol)))
-        rhs /= grad_norm
-        y, info = minres(_preconditioned_operator(spec, weight, lam), rhs,
-                         rtol=rtol, maxiter=600)
-        if info != 0 or not np.all(np.isfinite(y)):
+        # the right-hand side -r at unit dual norm, in values and half spectrum
+        residual *= -1.0 / grad_norm
+        half *= -1.0 / grad_norm
+        info = _minres(spec, weight, lam, residual, half, rows[6:8], (cand, cand_lap, *rows[8:]),
+                       rtol=rtol, maxiter=600)
+        if info != 0 or not np.all(np.isfinite(delta)):
             message = f"linear solve breakdown (minres info={info})"
             break
-        y *= grad_norm
-        np.multiply(_as_coordinates(y, spec), outward, out=spectra)
-        _inverse_rfft(spectra, spec, out=step_pair)
+        delta *= grad_norm
+        lap_delta *= grad_norm
         delta -= delta.mean()
         step = 1.0
-        accepted = False
         while step > 1e-12:
             np.add(u, np.multiply(step, delta, out=cand), out=cand)
             cand -= cand.mean()
             np.add(lap, np.multiply(step, lap_delta, out=cand_lap), out=cand_lap)
             _residual_and_weight(cand, cand_lap, lam, m, residual, weight)
-            cand_l2 = math.sqrt(float(np.square(residual, out=squares).mean()))
+            cand_l2 = math.sqrt(_mean_product(residual, residual))
             if cand_l2 <= (1.0 - 1e-4 * step) * res_l2:
                 u, cand, lap, cand_lap = cand, u, cand_lap, lap
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             message = "line search stall"
             break
     result = Field(spec, u.copy())
@@ -520,7 +510,8 @@ def _solve_from_guesses(lams: list[float], guesses: Iterable[Field], *, tol: flo
 
     Each guess is solved at every lam from one _start_pair, and each result
     is deduplicated against its lam's kept roots as it returns.  With jobs > 1
-    one pool serves the pass; its tasks are guesses, reduced in guess order.
+    one pool serves the pass; its tasks are guesses, reduced in guess order,
+    and at most jobs drawn guesses await reduction at any time.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -542,6 +533,15 @@ def _solve_from_guesses(lams: list[float], guesses: Iterable[Field], *, tol: flo
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        def outcomes(pool) -> Iterator[list[SolveResult]]:
+            # a guess is drawn only when fewer than jobs drawn guesses await reduction
+            pending = deque()
+            for guess in guesses:
+                pending.append(pool.submit(lambda guess: list(solves(guess)), guess))
+                if len(pending) == jobs:
+                    yield pending.popleft().result()
+            yield from (future.result() for future in pending)
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return reduce(pool.map(lambda guess: list(solves(guess)), guesses))
+            return reduce(outcomes(pool))
     return reduce(map(solves, guesses))

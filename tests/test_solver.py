@@ -7,6 +7,7 @@ import pytest
 
 import torusmf
 from torusmf import (
+    apply_power_laplacian,
     concentration,
     concentration_direction,
     continuation,
@@ -25,9 +26,8 @@ from torusmf import (
     solve_poisson_power,
     zero_field,
 )
-from torusmf.field import _multiplicity
 from torusmf.functional import _normalized_exp_weight
-from torusmf.solver import _preconditioned_operator, minres
+from torusmf.solver import _minres, _symmetric_hessian, _weight_term
 
 from conftest import cos_mode, run_fresh, smooth_field, traced_peak
 
@@ -118,33 +118,53 @@ class TestNewton:
         assert math.sqrt(sobolev_norm_sq(out.field)) > 1.0
 
     def test_transform_count_per_newton_step(self, monkeypatch):
-        # a guard on the work per step: at most one rfftn/irfftn pair per
-        # MINRES product and three transforms per Newton iteration
+        # the exact work of a solve: 2k+1 transforms per Newton step of k
+        # Lanczos steps, 1 at the final iterate, 2 for the start pair and 1
+        # for energy_value; each field of a batched transform counts
         from torusmf import solver
 
         spec = make_spec(2, 16)
         guess = smooth_field(spec, 2, norm=2.0)
-        counts = {"fft": 0, "matvec": 0}
-        for name in ("rfftn", "irfftn"):
+        counts = {"forward": 0, "inverse": 0, "lanczos": 0}
+        for name, key, size in (("rfftn", "forward", spec.npoints),
+                                ("irfftn", "inverse", spec.npoints // spec.n * (spec.n // 2 + 1))):
             original = getattr(np.fft, name)
 
-            def counting(*args, _original=original, **kwargs):
-                counts["fft"] += 1
-                return _original(*args, **kwargs)
+            def counting(a, *args, _original=original, _key=key, _size=size, **kwargs):
+                counts[_key] += np.asarray(a).size // _size
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counting)
 
-        def counted_minres(matvec, b, *args, **kwargs):
-            def counting_matvec(x):
-                counts["matvec"] += 1
-                return matvec(x)
+        def counted_term(*args, **kwargs):
+            counts["lanczos"] += 1
+            return weight_term(*args, **kwargs)
 
-            return minres(counting_matvec, b, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "minres", counted_minres)
+        weight_term = solver._weight_term
+        monkeypatch.setattr(solver, "_weight_term", counted_term)
         out = newton_solve(guess, 50.0)
         assert out.converged and out.iterations >= 2
-        assert counts["fft"] <= 2 * counts["matvec"] + 3 * out.iterations + 4, counts
+        k = counts.pop("lanczos")
+        assert counts == {"forward": k + out.iterations + 3, "inverse": k + 1}, (k, counts)
+
+    def test_same_bits_under_any_blas_thread_count(self):
+        # every reduction of a solve is an einsum or a numpy mean, never a
+        # threaded BLAS dot; the start avoids sobolev_norm_sq, and the energy
+        # is left out, because field.sobolev_* still reduce with np.vdot
+        code = ("import os\n"
+                "os.environ['OPENBLAS_NUM_THREADS'] = '{threads}'\n"
+                "import numpy as np\n"
+                "import torusmf\n"
+                "spec = torusmf.make_spec(2, 16)\n"
+                "x = torusmf.grid_coordinates(spec)\n"
+                "bump = 6 * np.exp(-30 * sum((c - 0.5)**2 for c in x))\n"
+                "start = torusmf.from_values(spec, bump)\n"
+                "for lam in (0.5, 100.0, 250.0):\n"
+                "    r = torusmf.newton_solve(start, lam)\n"
+                "    print(r.field.values.tobytes().hex(), r.residual_history,\n"
+                "          repr(r.grad_norm))\n")
+        one, two = (run_fresh(code.format(threads=threads)) for threads in (1, 2))
+        assert one == two
 
 
 class TestScratchArrays:
@@ -192,92 +212,122 @@ class TestScratchArrays:
         assert peak <= 6_000_000, peak
 
 
-def _coordinates(f) -> np.ndarray:
-    """Scaled half-spectrum coordinates sqrt(mu) * rfftn(values)/N, as float64."""
-    c = np.sqrt(_multiplicity(f.spec)) * np.fft.rfftn(f.values) / f.spec.npoints
-    return c.view(np.float64).reshape(-1)
-
-
 class TestPreconditionedOperator:
-    """The MINRES operator in half-spectrum coordinates against public pieces."""
+    """MINRES's Hessian product and the eigenvalue probe's B^-1 H B^-1 on grid values."""
 
     CASES = ((1, 32, 10.0), (2, 8, 100.0))
 
     @staticmethod
-    def _operator(m: int, n: int, lam: float):
-        spec = make_spec(m, n)
-        u = smooth_field(spec, 1, norm=2.0)
-        return u, _preconditioned_operator(spec, _normalized_exp_weight(u.values, m), lam)
+    def _state(m: int, n: int):
+        """The point u at which the Hessian is taken."""
+        return smooth_field(make_spec(m, n), 1, norm=2.0)
 
-    @staticmethod
-    def _size(spec) -> int:
-        return 2 * _multiplicity(spec).size
+    @pytest.mark.parametrize("m,n,lam", CASES)
+    def test_grid_product_matches_hessian_action(self, m, n, lam):
+        u = self._state(m, n)
+        spec = u.spec
+        weight = _normalized_exp_weight(u.values, m)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v = from_values(spec, rng.standard_normal(spec.shape))
+            got = apply_power_laplacian(v, m).values + _weight_term(
+                weight, -2.0 * m * lam, v.values, np.empty(spec.shape))
+            want = hessian_action(u, lam, v).values
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("m,n,lam", CASES)
     def test_matches_physical_operator(self, m, n, lam):
-        u, op = self._operator(m, n, lam)
+        u = self._state(m, n)
         spec = u.spec
-        rng = np.random.default_rng(5)
+        op = _symmetric_hessian(u, lam)
+        rng = np.random.default_rng(6)
         for _ in range(3):
+            # B^-1 H B^-1 w on a mean-zero w, with B = (-Lap)^(m/2)
             w = from_values(spec, rng.standard_normal(spec.shape))
-            # B^-1 H B^-1 w, with B = (-Lap)^(m/2)
-            ref = solve_poisson_power(hessian_action(u, lam, solve_poisson_power(w, m / 2)), m / 2)
-            want = _coordinates(ref)
-            got = op(_coordinates(w))
+            want = solve_poisson_power(hessian_action(u, lam, solve_poisson_power(w, m / 2)),
+                                       m / 2).values.reshape(-1)
+            got = op(w.values.reshape(-1))
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("m,n,lam", CASES)
     def test_symmetric_on_full_coordinate_space(self, m, n, lam):
-        u, op = self._operator(m, n, lam)
-        rng = np.random.default_rng(6)
+        # every grid vector, the constant mode included
+        u = self._state(m, n)
+        spec = u.spec
+        op = _symmetric_hessian(u, lam)
+        rng = np.random.default_rng(7)
         for _ in range(3):
-            z1, z2 = rng.standard_normal((2, self._size(u.spec)))
+            z1, z2 = rng.standard_normal((2, spec.npoints))
             a1, a2 = op(z1), op(z2)
             scale = np.linalg.norm(z1) * np.linalg.norm(a2)
             assert abs(z1 @ a2 - a1 @ z2) <= 1e-12 * scale
 
 
 class TestMinres:
-    """The in-house MINRES against scipy.sparse.linalg.minres, bit for bit."""
+    """Grid MINRES against scipy.sparse.linalg.minres(H, b, M=(-Lap)^-m).
+
+    scipy measures ||x|| in the Euclidean norm where _minres uses the
+    (-Lap)^m norm, so their stopping tests differ by design; at a fixed
+    iteration count the recurrences agree to rounding.
+    """
 
     CASES = TestPreconditionedOperator.CASES
 
     @staticmethod
-    def _problem(m: int, n: int, lam: float):
-        u, op = TestPreconditionedOperator._operator(m, n, lam)
-        b = np.random.default_rng(8).standard_normal(TestPreconditionedOperator._size(u.spec))
-        return op, b / np.linalg.norm(b)
+    def _problem(m: int, n: int):
+        u = TestPreconditionedOperator._state(m, n)
+        spec = u.spec
+        b = from_values(spec, np.random.default_rng(8).standard_normal(spec.shape)).values
+        return u, b
 
     @staticmethod
-    def _scipy(op, b: np.ndarray, **kwargs):
+    def _ours(u, lam: float, b: np.ndarray, **kwargs):
+        spec = u.spec
+        out = np.full((2,) + spec.shape, np.nan)
+        info = _minres(spec, _normalized_exp_weight(u.values, spec.m), lam, b.copy(),
+                       np.fft.rfftn(b), out, np.empty((8,) + spec.shape), **kwargs)
+        return out, info
+
+    @staticmethod
+    def _scipy(u, lam: float, b: np.ndarray, **kwargs):
         from scipy.sparse.linalg import LinearOperator, minres as scipy_minres
 
-        size = b.shape[0]
-        return scipy_minres(LinearOperator((size, size), matvec=op, dtype=np.float64), b,
-                            **kwargs)
+        spec = u.spec
+
+        def on_grid(op):
+            return LinearOperator((spec.npoints,) * 2, dtype=np.float64,
+                                  matvec=lambda x: op(from_values(spec, x)).values.reshape(-1))
+
+        return scipy_minres(on_grid(lambda f: hessian_action(u, lam, f)), b.reshape(-1),
+                            M=on_grid(lambda f: solve_poisson_power(f, spec.m)), **kwargs)
 
     @pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-10])
     @pytest.mark.parametrize("m,n,lam", CASES)
     def test_matches_scipy(self, m, n, lam, rtol):
-        op, b = self._problem(m, n, lam)
-        x, info = minres(op, b, rtol=rtol, maxiter=600)
-        want, want_info = self._scipy(op, b, rtol=rtol, maxiter=600)
-        assert info == want_info == 0
-        assert np.array_equal(x, want)
+        # scipy solves to rtol; _minres runs the same number of iterations
+        u, b = self._problem(m, n)
+        iterations = []
+        want, want_info = self._scipy(u, lam, b, rtol=rtol, maxiter=600,
+                                      callback=lambda xk: iterations.append(1))
+        (x, lap_x), info = self._ours(u, lam, b, rtol=0.0, maxiter=len(iterations))
+        assert want_info == 0 and info == len(iterations)
+        x = x.reshape(-1)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        want_lap = apply_power_laplacian(from_values(u.spec, want), m).values.reshape(-1)
+        assert np.linalg.norm(lap_x.reshape(-1) - want_lap) <= 1e-10 * np.linalg.norm(want_lap)
 
     @pytest.mark.parametrize("m,n,lam", CASES)
     def test_iteration_limit(self, m, n, lam):
-        op, b = self._problem(m, n, lam)
-        x, info = minres(op, b, rtol=1e-14, maxiter=1)
-        want, want_info = self._scipy(op, b, rtol=1e-14, maxiter=1)
-        assert info == want_info == 1
-        assert np.array_equal(x, want)
+        u, b = self._problem(m, n)
+        assert self._ours(u, lam, b, rtol=1e-10, maxiter=3)[1] == 3
+        assert self._ours(u, lam, b, rtol=1e-10, maxiter=600)[1] == 0
 
     def test_zero_right_hand_side(self):
-        op, b = self._problem(*self.CASES[0])
-        x, info = minres(op, np.zeros_like(b), rtol=1e-6, maxiter=600)
+        m, n, lam = self.CASES[0]
+        u, b = self._problem(m, n)
+        out, info = self._ours(u, lam, np.zeros_like(b), rtol=1e-6, maxiter=600)
         assert info == 0
-        assert x.shape == b.shape and not np.any(x)
+        assert not np.any(out)
 
 
 def test_import_loads_no_sparse_linalg():
@@ -403,3 +453,27 @@ class TestMultiStart:
                             lambda *args, **kwargs: pytest.fail("solved before the check"))
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             multi_start(1.0, spec32, 4, 0, jobs=0)
+
+    def test_jobs_bound_the_guesses_drawn_ahead(self, monkeypatch, spec32):
+        # a guess is drawn only when fewer than jobs drawn guesses await
+        # reduction, so when a solve returns at most (solves returned before
+        # it) + jobs guesses have been drawn
+        from torusmf import solver
+
+        jobs = 2
+        drawn, seen = [], []
+
+        def guesses():
+            for guess in solver._multistart_guesses(spec32, 8, 0):
+                drawn.append(guess)
+                yield guess
+
+        def recorded(*args, _newton=solver._newton):
+            out = _newton(*args)
+            seen.append((len(drawn), len(seen)))
+            return out
+
+        monkeypatch.setattr(solver, "_newton", recorded)
+        solver._solve_from_guesses([1.0], guesses(), tol=1e-10, jobs=jobs)
+        assert len(seen) == len(drawn) == 8
+        assert all(n_drawn <= returned + jobs for n_drawn, returned in seen), seen
