@@ -9,6 +9,14 @@ with integer wave vectors k in [-n/2, n/2) per axis.  Fields are real, so
 only the half spectrum of the real FFT (last-axis k in [0, n/2]) is stored:
 c(-k) = conj(c(k)) holds by construction.
 
+The linear operations carry spectra: lincomb, scaled, apply_power_laplacian
+and solve_poisson_power store their output's normalized half spectrum
+(a*c_f + b*c_g, a*c_f, or c_f times the multiplier) whenever their inputs
+hold one, so transform on the output is a cache hit.  A carried spectrum
+equals rfftn(values)/N up to rounding, not bit for bit.  A field built from
+raw values (Field, from_values, read_field, shift, upsample) transforms
+lazily, on the first call of transform.
+
 Fields are immutable after construction; every operation here is a pure
 function and safe to call concurrently.
 """
@@ -113,11 +121,25 @@ def from_values(spec: TorusSpec, values: np.ndarray) -> Field:
 
 def lincomb(a: float, f: Field, b: float, g: Field) -> Field:
     _check_same_spec(f, g)
-    return Field(f.spec, a * f.values + b * g.values)
+    out = Field(f.spec, a * f.values + b * g.values)
+    cf, cg = f._cache.get("spectrum"), g._cache.get("spectrum")
+    if cf is not None and cg is not None:
+        _carry(out, a * cf + b * cg)
+    return out
 
 
 def scaled(f: Field, a: float) -> Field:
-    return Field(f.spec, a * f.values)
+    out = Field(f.spec, a * f.values)
+    cf = f._cache.get("spectrum")
+    if cf is not None:
+        _carry(out, a * cf)
+    return out
+
+
+def _carry(f: Field, spectrum: np.ndarray) -> None:
+    """Store a normalized half spectrum computed by linearity (a new array) on f."""
+    spectrum.flags.writeable = False
+    f._cache["spectrum"] = spectrum
 
 
 def shift(f: Field, offsets: tuple[int, ...]) -> Field:
@@ -176,7 +198,12 @@ def _sobolev_weight(spec: TorusSpec) -> np.ndarray:
 
 
 def transform(f: Field) -> np.ndarray:
-    """Normalized real FFT (rfftn(values)/N, read-only); cached on the field."""
+    """Normalized real FFT (rfftn(values)/N, read-only); cached on the field.
+
+    The outputs of lincomb, scaled, apply_power_laplacian and
+    solve_poisson_power carry theirs from their inputs' when those hold one
+    (module docstring); it equals rfftn(values)/N up to rounding.
+    """
     cached = f._cache.get("spectrum")
     if cached is None:
         cached = _forward_rfft(f.values)
@@ -203,24 +230,26 @@ def _inverse_rfft(c: np.ndarray, spec: TorusSpec, out: np.ndarray | None = None)
     return np.fft.irfftn(c, s=(spec.n,), axes=axes[-1:], out=out)
 
 
-def _apply_multiplier(f: Field, mult: np.ndarray) -> np.ndarray:
-    c = transform(f) * mult
-    c *= f.spec.npoints
-    return _inverse_rfft(c, f.spec)
+def _apply_multiplier(f: Field, mult: np.ndarray) -> Field:
+    """The field with half spectrum transform(f) * mult, which it carries."""
+    spectrum = transform(f) * mult
+    out = Field(f.spec, _inverse_rfft(spectrum * f.spec.npoints, f.spec))
+    _carry(out, spectrum)
+    return out
 
 
 def apply_power_laplacian(f: Field, s: float) -> Field:
     """Fourier multiplier (4 pi^2 |k|^2)**s on a mean-zero field; s >= 0."""
     if s < 0:
         raise ValueError("negative power: use solve_poisson_power instead")
-    return Field(f.spec, _apply_multiplier(f, _multiplier(f.spec, float(s))))
+    return _apply_multiplier(f, _multiplier(f.spec, float(s)))
 
 
 def solve_poisson_power(f: Field, s: float) -> Field:
     """Inverse of apply_power_laplacian(., s) on mean-zero fields; s > 0."""
     if s <= 0:
         raise ValueError("power must be positive")
-    return Field(f.spec, _apply_multiplier(f, _multiplier(f.spec, -float(s))))
+    return _apply_multiplier(f, _multiplier(f.spec, -float(s)))
 
 
 def sobolev_norm_sq(f: Field) -> float:

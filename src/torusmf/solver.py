@@ -46,7 +46,6 @@ from .field import (
     _multiplicity,
     _multiplier,
     _sobolev_weight,
-    apply_power_laplacian,
     from_values,
     lincomb,
     scaled,
@@ -140,16 +139,16 @@ def _minres(spec: TorusSpec, weight: np.ndarray, lam: float, b: np.ndarray, half
     mean-zero grid array and half its rfftn; both are overwritten, and so are
     the eight grid arrays of scratch.  x and (-Lap)^m x go to out[0] and
     out[1].  Returns maxiter when the iteration limit ends the solve, else 0.
+    No array is zero-filled: the first step writes x and (-Lap)^m x, and
+    _direction leaves out the terms that are 0 at steps 1 and 2.
     """
     eps = np.finfo(np.float64).eps
-    out.fill(0.0)
     x, lap_x = out
     beta1 = math.sqrt(_dual_norm_sq(half, spec))
-    if beta1 == 0:
+    if beta1 == 0 or maxiter < 1:
+        out.fill(0.0)
         return 0
     v, lap_v, hv, r1, w, w2, lap_w, lap_w2 = scratch
-    for array in (w, w2, lap_w, lap_w2):
-        array.fill(0.0)
     inverse = _multiplier(spec, -float(spec.m))
     coef = -2.0 * spec.m * lam
 
@@ -200,11 +199,15 @@ def _minres(spec: TorusSpec, weight: np.ndarray, lam: float, b: np.ndarray, half
         # w = (v - oldeps * w1 - delta * w2) * denom, and M w from M v alike,
         # each built in the storage of its w1, which no later step reads
         w1, w2 = w2, w
-        w = _direction(v, oldeps, w1, delta, w2, denom, hv)
+        w = _direction(itn, v, oldeps, w1, delta, w2, denom, hv)
         lap_w1, lap_w2 = lap_w2, lap_w
-        lap_w = _direction(lap_v, oldeps, lap_w1, delta, lap_w2, denom, hv)
-        x += np.multiply(phi, w, out=hv)
-        lap_x += np.multiply(phi, lap_w, out=hv)
+        lap_w = _direction(itn, lap_v, oldeps, lap_w1, delta, lap_w2, denom, hv)
+        if itn == 1:
+            np.multiply(phi, w, out=x)
+            np.multiply(phi, lap_w, out=lap_x)
+        else:
+            x += np.multiply(phi, w, out=hv)
+            lap_x += np.multiply(phi, lap_w, out=hv)
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)
 
@@ -234,12 +237,21 @@ def _minres(spec: TorusSpec, weight: np.ndarray, lam: float, b: np.ndarray, half
     return maxiter if istop == 6 else 0
 
 
-def _direction(v, oldeps, w1, delta, w2, denom, scratch) -> np.ndarray:
-    """(v - oldeps * w1 - delta * w2) * denom, written into w1."""
-    w = np.subtract(v, np.multiply(oldeps, w1, out=w1), out=w1)
-    w -= np.multiply(delta, w2, out=scratch)
-    w *= denom
-    return w
+def _direction(itn, v, oldeps, w1, delta, w2, denom, scratch) -> np.ndarray:
+    """(v - oldeps * w1 - delta * w2) * denom at Lanczos step itn, written into w1.
+
+    oldeps is 0 at steps 1 and 2 and delta at step 1, where w1 and w2 hold no
+    earlier direction (a reused row may hold inf, and 0 * inf is NaN), so
+    those terms are left out; the result has the bits of the full formula.
+    """
+    if itn <= 2:
+        np.copyto(w1, v)
+    else:
+        np.subtract(v, np.multiply(oldeps, w1, out=w1), out=w1)
+    if itn >= 2:
+        w1 -= np.multiply(delta, w2, out=scratch)
+    w1 *= denom
+    return w1
 
 
 def _symmetric_hessian(u: Field, lam: float):
@@ -290,9 +302,19 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10) -> SolveResult:
 
 
 def _start_pair(guess: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Newton's first iterate from a guess: values and (-Lap)^m values, no Field or spectrum."""
-    start = Field(guess.spec, guess.values - float(guess.values.mean()))
-    return start.values, apply_power_laplacian(start, guess.spec.m).values
+    """Newton's first iterate from a guess: values and (-Lap)^m values, no Field or spectrum.
+
+    The transforms go through the calling thread's half-spectrum scratch, in
+    apply_power_laplacian's operations and order, so the pair has its bits.
+    """
+    spec = guess.spec
+    values = guess.values - float(guess.values.mean())
+    half = _forward_rfft(values, out=_workspace.get("half", _multiplicity(spec).shape,
+                                                    np.complex128))
+    half /= spec.npoints
+    half *= _multiplier(spec, float(spec.m))
+    half *= spec.npoints
+    return values, _inverse_rfft(half, spec)
 
 
 def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResult:
@@ -496,9 +518,11 @@ def _multistart_guesses(spec: TorusSpec, n_seeds: int, seed: int) -> Iterator[Fi
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     n_directed = n_seeds // 4
-    direction = concentration_direction(spec) if n_directed else None
+    # the direction's values alone: a guess, as scaled would build it, without
+    # a carried spectrum, which _start_pair does not read
+    direction = concentration_direction(spec).values if n_directed else None
     for amp in np.geomspace(2.0, 12.0, n_directed):
-        yield scaled(direction, float(amp))
+        yield Field(spec, float(amp) * direction)
     for child in np.random.SeedSequence(seed).spawn(n_seeds - n_directed):
         rng = np.random.default_rng(child)
         yield random_low_mode_field(spec, rng, rng.uniform(0.1, 3.0))
@@ -523,7 +547,9 @@ def _solve_from_guesses(lams: list[float], guesses: Iterable[Field], *, tol: flo
     def reduce(outcomes: Iterable[Iterable[SolveResult]]) -> list[list[SolveResult]]:
         unique, failures = [[] for _ in lams], [[] for _ in lams]
         for results in outcomes:
-            for kept, failed, res in zip(unique, failures, results):
+            # results goes first, so zip runs a lazy guess's solves to their end,
+            # which drops its start before the next guess is drawn
+            for res, kept, failed in zip(results, unique, failures):
                 if not res.converged:
                     failed.append(res)
                 elif not any(_same_modulo_translation(res.field, k.field) for k in kept):

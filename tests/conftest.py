@@ -51,6 +51,22 @@ def traced_peak(fn):
     return out, peak - base
 
 
+def count_transforms(monkeypatch, spec: TorusSpec) -> dict[str, int]:
+    """Counts of forward and inverse real FFTs on spec's grid, kept up to date
+    from now on; each field of a batched transform counts."""
+    counts = {"forward": 0, "inverse": 0}
+    for name, key, size in (("rfftn", "forward", spec.npoints),
+                            ("irfftn", "inverse", spec.npoints // spec.n * (spec.n // 2 + 1))):
+        original = getattr(np.fft, name)
+
+        def counting(a, *args, _original=original, _key=key, _size=size, **kwargs):
+            counts[_key] += np.asarray(a).size // _size
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def spec64() -> TorusSpec:
     return make_spec(1, 64)

@@ -12,6 +12,7 @@ from torusmf import (
     apply_power_laplacian,
     from_values,
     l2_inner,
+    lincomb,
     log_integrate_exp,
     make_spec,
     read_field,
@@ -154,6 +155,60 @@ class TestTransform:
         lhs = float(np.mean(f.values**2))
         rhs = float(np.sum(_multiplicity(spec) * np.abs(transform(f)) ** 2))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
+
+
+class TestCarriedSpectra:
+    """The linear operations hand their output a spectrum computed by linearity."""
+
+    CASES = ((1, 32), (2, 8))
+
+    @staticmethod
+    def _assert_carries(f: Field):
+        # within 1e-13 * max|c| of the transform of its values, and read-only
+        c = f._cache.get("spectrum")
+        assert c is not None and not c.flags.writeable
+        want = np.fft.rfftn(f.values) / f.spec.npoints
+        assert np.max(np.abs(c - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_linear_operations_carry(self, m, n):
+        spec = make_spec(m, n)
+        f, g = smooth_field(spec, 1), smooth_field(spec, 2, norm=3.0)
+        transform(f), transform(g)
+        for out in (lincomb(0.7, f, -1.3, g), scaled(f, -2.5), apply_power_laplacian(f, m),
+                    apply_power_laplacian(g, 0.5), solve_poisson_power(f, m),
+                    solve_poisson_power(g, 1.5)):
+            self._assert_carries(out)
+            assert transform(out) is out._cache["spectrum"]
+
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_long_chain_of_lincombs(self, m, n):
+        spec = make_spec(m, n)
+        f, g = smooth_field(spec, 3), smooth_field(spec, 4)
+        transform(f), transform(g)
+        for i in range(200):
+            f, g = g, lincomb(0.6, f, 0.8 - 0.001 * i, g)
+        self._assert_carries(g)
+
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_raw_fields_transform_lazily(self, m, n, tmp_path):
+        spec = make_spec(m, n)
+        vals = np.random.default_rng(n).standard_normal(spec.shape)
+        direct = Field(spec, vals - vals.mean())
+        raw = from_values(spec, vals)
+        write_field(tmp_path / "f.pbfld", raw)
+        read = read_field(tmp_path / "f.pbfld")
+        for f in (direct, raw, read):
+            assert "spectrum" not in f._cache
+            c = transform(f)
+            assert np.array_equal(c, np.fft.rfftn(f.values) / spec.npoints)
+            assert f._cache["spectrum"] is c
+
+    def test_one_input_without_spectrum_carries_none(self, spec32):
+        f, g = smooth_field(spec32, 5), from_values(spec32, np.ones(spec32.shape))
+        transform(f)
+        assert "spectrum" not in lincomb(1.0, f, 2.0, g)._cache
+        assert "spectrum" not in scaled(g, 2.0)._cache
 
 
 class TestHalfGridSeminorm:

@@ -24,10 +24,11 @@ from torusmf import (
     sobolev_norm_sq,
     sphere_volume,
     solve_poisson_power,
+    transform,
     zero_field,
 )
 
-from conftest import cos_mode, smooth_field
+from conftest import cos_mode, count_transforms, smooth_field
 
 PI = math.pi
 
@@ -103,6 +104,18 @@ class TestElResidual:
 
 
 class TestGradient:
+    def test_transform_counts(self, monkeypatch, spec64):
+        # on a field with a spectrum, the gradient transforms only its
+        # residual forward, and a line-search candidate's energy transforms
+        # nothing: u and g hand u - s g its spectrum
+        u = smooth_field(spec64, 3, norm=2.0)
+        transform(u)
+        counts = count_transforms(monkeypatch, spec64)
+        g = gradient_h(u, 14.0)
+        assert counts == {"forward": 1, "inverse": 2}
+        energy_value(lincomb(1.0, u, -0.1, g), 14.0)
+        assert counts == {"forward": 1, "inverse": 2}
+
     def test_zero_at_critical_point(self, spec64):
         g = gradient_h(zero_field(spec64), 14.0)
         assert np.max(np.abs(g.values)) <= 1e-14

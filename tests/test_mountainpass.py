@@ -29,7 +29,7 @@ from torusmf import (
     zero_field,
 )
 
-from conftest import assert_honest_path, run_fresh, smooth_field
+from conftest import assert_honest_path, count_transforms, run_fresh, smooth_field
 
 PI = math.pi
 
@@ -407,6 +407,14 @@ class TestMountainPass:
                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
                 "'scipy.special') if m in sys.modules))\n")
         assert run_fresh(code) == "[]"
+
+    def test_path_work_reuses_spectra(self, monkeypatch, spec32):
+        # path nodes, candidates and gradients carry their spectra from the
+        # fields they combine: this run took 343 forward (91 inverse)
+        # transforms when every energy transformed its field, and takes 65
+        counts = count_transforms(monkeypatch, spec32)
+        assert mountain_pass(14.0, spec32).converged
+        assert counts["forward"] <= 343 // 2, counts
 
     def test_rejects_quantum_multiple(self, spec32):
         with pytest.raises(ValueError, match="quantum"):

@@ -29,7 +29,7 @@ from torusmf import (
 from torusmf.functional import _normalized_exp_weight
 from torusmf.solver import _minres, _symmetric_hessian, _weight_term
 
-from conftest import cos_mode, run_fresh, smooth_field, traced_peak
+from conftest import cos_mode, count_transforms, run_fresh, smooth_field, traced_peak
 
 PI = math.pi
 
@@ -125,16 +125,8 @@ class TestNewton:
 
         spec = make_spec(2, 16)
         guess = smooth_field(spec, 2, norm=2.0)
-        counts = {"forward": 0, "inverse": 0, "lanczos": 0}
-        for name, key, size in (("rfftn", "forward", spec.npoints),
-                                ("irfftn", "inverse", spec.npoints // spec.n * (spec.n // 2 + 1))):
-            original = getattr(np.fft, name)
-
-            def counting(a, *args, _original=original, _key=key, _size=size, **kwargs):
-                counts[_key] += np.asarray(a).size // _size
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counting)
+        counts = count_transforms(monkeypatch, spec)
+        counts["lanczos"] = 0
 
         def counted_term(*args, **kwargs):
             counts["lanczos"] += 1
@@ -321,6 +313,22 @@ class TestMinres:
         u, b = self._problem(m, n)
         assert self._ours(u, lam, b, rtol=1e-10, maxiter=3)[1] == 3
         assert self._ours(u, lam, b, rtol=1e-10, maxiter=600)[1] == 0
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 3, 600])
+    @pytest.mark.parametrize("m,n,lam", CASES)
+    def test_reused_rows_are_written_before_read(self, m, n, lam, maxiter):
+        # out and the scratch rows start as whatever an earlier solve left;
+        # inf there must not reach the solution (0 * inf is NaN)
+        u, b = self._problem(m, n)
+        spec = u.spec
+        solutions = []
+        for fill in (0.0, np.inf):
+            out = np.full((2,) + spec.shape, fill)
+            _minres(spec, _normalized_exp_weight(u.values, m), lam, b.copy(), np.fft.rfftn(b),
+                    out, np.full((8,) + spec.shape, fill), rtol=1e-10, maxiter=maxiter)
+            solutions.append(out)
+        assert np.all(np.isfinite(solutions[1]))
+        assert np.array_equal(solutions[0], solutions[1])
 
     def test_zero_right_hand_side(self):
         m, n, lam = self.CASES[0]
