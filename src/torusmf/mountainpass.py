@@ -7,10 +7,10 @@ runs 0 -> steepest descent -> u* -> steepest descent -> anchor (Fukui,
 J. Phys. Chem. 74 (1970) 4161; the mountain-pass algorithm of Choi and
 McKenna, Nonlinear Anal. 20 (1993) 417), and its sampled supremum, the
 energy of u*, is the pass-level estimate.  When the descent path cannot be
-built, the estimate is the relaxed crest, raised to the saddle energy; when
-the polish fails, relaxation goes on in locator-sized runs.  Either way it
-is at least the sampled maximum of a path from 0 to the anchor, so an upper
-bound of the discrete min-max level.
+built, the estimate is the sampled supremum of the captured relaxed path,
+raised to the saddle energy; when the polish fails, relaxation goes on in
+locator-sized runs.  Either way it is at least the sampled maximum of a path
+from 0 to the anchor, so an upper bound of the discrete min-max level.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class PathState:
     table: _SegmentTable | None = dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.nodes) < 9:
-            raise ValueError("path needs at least 9 nodes (8 segments)")
+        if len(self.nodes) < 3:
+            raise ValueError("path needs at least 3 nodes (2 segments)")
         if float(np.max(np.abs(self.nodes[0].values))) != 0.0:
             raise ValueError("path must start at the zero field")
         if self.table is None:
@@ -88,16 +88,14 @@ class MPResult:
 class RelaxInfo:
     """Trajectory of one relax_path call, one list entry per sweep.
 
-    captured counts the nodes the crest capture inserted; descent_refused
-    counts the line-search candidates refused because a crest of one of their
-    two segments rose above the ceiling; respace_rejected counts the sweeps
-    whose re-spaced polyline was refused because a node energy or a segment
-    crest rose above the ceiling.
+    captured counts the nodes the crest capture inserted; respace_rejected
+    counts the sweeps whose re-spaced polyline was refused because a node
+    energy or a segment crest rose above the max node.  Descent steps are
+    plain Armijo steps, never refused.
     """
 
     max_energies: list[float] = dataclass_field(default_factory=list)
     captured: list[int] = dataclass_field(default_factory=list)
-    descent_refused: list[int] = dataclass_field(default_factory=list)
     respace_rejected: int = 0
     stalled: bool = False
 
@@ -121,23 +119,24 @@ def _check_lam(lam: float, m: int) -> None:
         )
 
 
-def _armijo_steps(u: Field, e: float, lam: float, step: float):
-    """Armijo backtracking along -g = -gradient_h(u) from I(u) = e.
+def _armijo_step(u: Field, e: float, lam: float, step: float):
+    """First Armijo step along -g = -gradient_h(u) from I(u) = e, or None.
 
-    Trial steps s halve from 2*step down to 1e-14; yields (u - s g, its
-    energy, s) for each one with energy <= e - 1e-4 s ||g||^2.
+    Trial steps s halve from 2*step down to 1e-14; returns (u - s g, its
+    energy, s) for the first one with energy <= e - 1e-4 s ||g||^2.
     """
     g = gradient_h(u, lam)
     gsq = sobolev_norm_sq(g)
     if gsq < 1e-28:
-        return
+        return None
     s = 2.0 * step
     while s > 1e-14:
         cand = lincomb(1.0, u, -s, g)
         ec = energy_value(cand, lam)
         if ec <= e - 1e-4 * s * gsq:
-            yield cand, ec, s
+            return cand, ec, s
         s *= 0.5
+    return None
 
 
 def find_u0(lam: float, spec: TorusSpec, *, min_energy: float = -1.0) -> Field:
@@ -315,18 +314,17 @@ def _sampled_supremum(nodes: list[Field], energies: list[float], table: _Segment
 def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     """Descend the dominant nodes of the path; endpoints stay pinned.
 
-    Each sweep first pulls the sampled crest of the path into the node set
-    (so the max node honestly tracks the path maximum even when the ridge is
-    thin), then line-searches the top-energy node and its two neighbors
-    (first trial step 2, then twice the last accepted step), then re-spaces
-    by energy gaps whenever a node moved.  Moves are accepted only if the
-    sampled crests of the touched segments stay below the current max-node
-    energy, and re-spacings only if every new node energy and segment crest
-    does: otherwise a single segment could silently vault the ridge.  A
-    re-spacing is abandoned at its first node or crest above that ceiling.
-    Within a sweep, descent and re-spacing can only lower the captured max;
-    between sweeps the capture may honestly reveal a higher crest hiding
-    inside a segment.
+    This is a locator: it brings the crest near the saddle for Newton to
+    polish; mountain_pass reads the level off a path of its own.  Each
+    sweep pulls the sampled crest of the path into the node set, moves the
+    top-energy node and its two neighbors by plain Armijo steps (first trial
+    step 2, then twice the last accepted one; a node with no accepted step
+    stays), and re-spaces by energy gaps if a node moved.  A re-spacing is
+    accepted only if every new node energy and segment crest stays below
+    the max node, and abandoned at the first one above, so the max-node
+    energy cannot rise within a sweep (ArithmeticError if it does).  A step
+    may raise a crest inside a neighboring segment; the next sweep's capture
+    pulls it into the node set.
 
     Gram entries and segment crests are read through the path's table (a
     segment is sampled once however many checks, sweeps or calls at this
@@ -341,31 +339,19 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     table = path.table
     step = 1.0
 
-    def crest_free(i: int, cand: Field, ceiling: float) -> bool:
-        slack = 1e-9 * (1.0 + abs(ceiling))
-        left, _ = table.crest(nodes[i - 1], cand)
-        if left > ceiling + slack:
-            return False
-        right, _ = table.crest(cand, nodes[i + 1])
-        return right <= ceiling + slack
-
     for _ in range(sweeps):
         info.captured.append(_capture_insert(nodes, energies, table, rounds=3))
-        # the captured max is the sweep ceiling: descent and re-spacing below
-        # are guarded so they can only lower it
+        # the captured max is the sweep ceiling: Armijo steps lower node
+        # energies, and the re-spacing is guarded so it cannot raise it
         ceiling0 = max(energies)
         imax = int(np.argmax(energies))
         targets = [i for i in (imax, imax - 1, imax + 1) if 0 < i < len(nodes) - 1]
         moved = False
-        refused = 0
         for i in targets:
-            ceiling = max(energies)
-            for cand, ec, s in _armijo_steps(nodes[i], energies[i], lam, step):
-                if crest_free(i, cand, ceiling):
-                    nodes[i], energies[i], step, moved = cand, ec, s, True
-                    break
-                refused += 1
-        info.descent_refused.append(refused)
+            taken = _armijo_step(nodes[i], energies[i], lam, step)
+            if taken is not None:
+                nodes[i], energies[i], step = taken
+                moved = True
         if moved:
             ceiling = max(energies) + 1e-12 * (1.0 + abs(max(energies)))
             respaced = _respace(nodes, energies, table, ceiling)
@@ -404,19 +390,19 @@ def _capture_insert(nodes: list[Field], energies: list[float], table: _SegmentTa
 def _capture(path: PathState) -> tuple[PathState, float, Field, int]:
     """Pull the node sampling up to the sampled path supremum.
 
-    Returns the refined path, its max-node energy (an honest estimate of the
-    path sup, the crest), the point attaining the refined path's sampled
-    maximum (a node, or a segment sample still above every node) and the
-    index of the max node.
+    Returns the refined path, its sampled supremum (node energies and
+    segment samples), the point attaining it (a node, or a segment sample
+    still above every node) and the index of the max node.  The supremum is
+    a level of the returned path by construction, whatever moves made it.
     """
     lam, table = path.lam, path.table
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
     _capture_insert(nodes, energies, table, rounds=4)
     imax = int(np.argmax(energies))
-    _, seg, t = _sampled_supremum(nodes, energies, table)
+    sup, seg, t = _sampled_supremum(nodes, energies, table)
     top = nodes[imax] if seg < 0 else lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
-    return PathState(lam=lam, nodes=nodes, table=table), float(energies[imax]), top, imax
+    return PathState(lam=lam, nodes=nodes, table=table), float(sup), top, imax
 
 
 def _descend(u: Field, end: Field, table: _SegmentTable,
@@ -425,9 +411,9 @@ def _descend(u: Field, end: Field, table: _SegmentTable,
 
     end is the path's zero node or its anchor, and the segment is sampled as
     table samples it on the path (_FINE_TS from 0, _TAIL_TS into the anchor).
-    Each step is _armijo_steps' largest accepted one, the next trial starting
-    at twice it.  Iterates not below level are left out, so the path joins
-    the saddle to the first one below it.  Returns the nodes kept and their
+    Each step is _armijo_step's, the next trial starting at twice the last
+    one.  Iterates not below level are left out, so the path joins the
+    saddle to the first one below it.  Returns the nodes kept and their
     energies, or None when the line search finds no decrease or
     _DESCENT_STEPS run out.
     """
@@ -442,7 +428,7 @@ def _descend(u: Field, end: Field, table: _SegmentTable,
             chord = (end, u) if end is table.zero else (u, end)
             if table.crest(*chord)[0] < level:
                 return nodes, energies
-        taken = next(_armijo_steps(u, e, lam, step), None)
+        taken = _armijo_step(u, e, lam, step)
         if taken is None:
             return None
         u, e, step = taken
@@ -474,9 +460,6 @@ def _saddle_path(captured: PathState, solve: SolveResult,
     nodes = [zero, *reversed(down[0]), saddle, *up[0], anchor]
     energies = [energy_value(zero, lam), *reversed(down[1]), level, *up[1],
                 energy_value(anchor, lam)]
-    while len(nodes) < 9:  # PathState's minimum: halve the segment leaving 0
-        nodes.insert(1, scaled(nodes[1], 0.5))
-        energies.insert(1, energy_value(nodes[1], lam))
     sup, _, _ = _sampled_supremum(nodes, energies, table)
     if sup > level + 1e-9 * (1.0 + abs(level)):
         return None
@@ -490,21 +473,22 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
     The path runs from 0 to find_u0's anchor below -1, or below -0.05 when
     the search for -1 fails, on 16 segments.  Each run relaxes it
     _LOCATOR_SWEEPS sweeps, captures the ridge and runs Newton from the
-    captured path's sampled maximum; from 6 locator sweeps on, the polish of
-    every measured case converges in 4-5 Newton steps.
+    captured path's sampled maximum; after the first 8 locator sweeps, the
+    polish of every measured case converges in 4-7 Newton steps.
 
     When the polish converges to tol away from the trivial state u = 0 (H^m
     norm above 1e-6), the returned path is _saddle_path's descent path
     through the saddle, and c_estimate is that path's sampled supremum, the
     saddle energy: origin "saddle".  When that path cannot be built, the
-    captured path is returned at once with the larger of crest and saddle
-    energy (it crossed the ridge next to the saddle): origin "relaxed".  A
-    polish that does not solve (it collapsed to the trivial state, so the
-    sampling is still coarse) means relaxation of the uncaptured path goes on
-    for another run, until the path stalls or _LOCATOR_RUNS runs are spent;
-    c_estimate is then the last crest, origin "relaxed", and solve the first
-    failed solve.  converged means: the polished field solves the equation to
-    tol (L^2 residual) and is non-constant.
+    captured path is returned at once with the larger of its sampled
+    supremum and the saddle energy (it crossed the ridge next to the
+    saddle): origin "relaxed".  A polish that does not solve (it collapsed
+    to the trivial state, so the sampling is still coarse) means relaxation
+    of the uncaptured path goes on for another run, until the path stalls or
+    _LOCATOR_RUNS runs are spent; c_estimate is then the sampled supremum of
+    the last captured path, origin "relaxed", and solve the first failed
+    solve.  converged means: the polished field solves the equation to tol
+    (L^2 residual) and is non-constant.
     """
     u0, min_energy, failed_floor = _scan_anchor(lam, spec, -1.0, -0.05)
     relaxed = init_path(u0, 16, lam)

@@ -45,7 +45,7 @@ from .field import (
     _inverse_rfft,
     _multiplicity,
     _multiplier,
-    _sobolev_weight,
+    _sobolev_dot,
     from_values,
     lincomb,
     scaled,
@@ -477,7 +477,7 @@ def random_low_mode_field(spec: TorusSpec, rng: np.random.Generator,
     c[~keep] = 0.0
     c.flat[0] = 0.0
     coef = c / spec.npoints
-    norm = math.sqrt(float(np.vdot(_sobolev_weight(spec) * coef, coef).real))
+    norm = math.sqrt(_sobolev_dot(spec, coef, coef))
     if norm == 0.0:
         raise ValueError("degenerate random draw")
     vals = _inverse_rfft(c, spec)

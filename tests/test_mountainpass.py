@@ -82,15 +82,20 @@ class TestFindU0:
         assert len(calls) == 160
 
     def test_fallback_anchor_reuses_the_first_scan(self, monkeypatch):
-        # lam = 13, n = 128 falls back to -0.05; the 41 amplitudes up to that
-        # anchor are not evaluated a second time (538 calls with a rescan)
-        calls = []
-        energy = torusmf.mountainpass.energy_value
-        monkeypatch.setattr(torusmf.mountainpass, "energy_value",
-                            lambda u, lam: calls.append(lam) or energy(u, lam))
+        # lam = 13, n = 128 falls back to -0.05; the anchor search before the
+        # path is built evaluates each of the 160 amplitudes once (201 calls
+        # with a rescan up to the fallback anchor)
+        mp = torusmf.mountainpass
+        calls, scanned = [], []
+        energy, init = mp.energy_value, mp.init_path
+        monkeypatch.setattr(mp, "energy_value",
+                            lambda u, lam: calls.append(u.values.tobytes()) or energy(u, lam))
+        monkeypatch.setattr(mp, "init_path",
+                            lambda *args: scanned.extend(calls) or init(*args))
         res = mountain_pass(13.0, make_spec(1, 128))
         assert res.anchor_min_energy == -0.05 and res.anchor_failed_floor > -1.0
-        assert len(calls) == 497
+        assert len(scanned) == 160
+        assert len(set(scanned)) == 160
 
     def test_order_two_anchor(self):
         spec = make_spec(2, 16)
@@ -125,8 +130,10 @@ class TestInitPath:
         assert energies[imax] > 0.0
 
     def test_rejects_few_segments(self, anchor32):
-        with pytest.raises(ValueError):
-            init_path(anchor32, 4, 14.0)
+        # 0, one interior node and the anchor is the shortest path
+        assert len(init_path(anchor32, 2, 14.0).nodes) == 3
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            init_path(anchor32, 1, 14.0)
 
     def test_rejects_nonzero_start(self, anchor32, spec32):
         with pytest.raises(ValueError, match="zero field"):
@@ -261,26 +268,38 @@ class TestRespace:
         assert info.respace_rejected == rejected
 
 
-class TestDescentRefusals:
-    def test_counts_refused_line_search_candidates(self, monkeypatch, spec32):
-        # a line search left early accepted its last candidate; every other
-        # candidate drawn from it was refused
+class TestArmijoDescent:
+    def test_line_search_stops_at_its_first_armijo_step(self, monkeypatch, spec32):
+        # each line search draws candidates u - s g, s halving, and stops at
+        # the first that passes the Armijo test: no candidate is drawn after
+        # an accepted one (a slack of 1e-12 covers node energies taken from
+        # segment samples rather than energy_value)
         mp = torusmf.mountainpass
+        lam = 14.0
         searches = []
-        steps = mp._armijo_steps
+        gradient, combine, energy = mp.gradient_h, mp.lincomb, mp.energy_value
 
-        def counted(*args):
-            record = searches.append([0, False]) or searches[-1]
-            for item in steps(*args):
-                record[0] += 1
-                yield item
-            record[1] = True
+        def gradient_recorded(u, lam):
+            g = gradient(u, lam)
+            searches.append((energy(u, lam), g, []))
+            return g
 
-        monkeypatch.setattr(mp, "_armijo_steps", counted)
-        _, info = relax_path(init_path(find_u0(14.0, spec32), 16, 14.0), 30)
-        assert len(info.descent_refused) == info.sweeps
-        assert sum(info.descent_refused) > 0
-        assert sum(info.descent_refused) == sum(n - (not done) for n, done in searches)
+        def combine_recorded(a, f, b, g):
+            out = combine(a, f, b, g)
+            if searches and g is searches[-1][1]:
+                searches[-1][2].append((-b, out))
+            return out
+
+        monkeypatch.setattr(mp, "gradient_h", gradient_recorded)
+        monkeypatch.setattr(mp, "lincomb", combine_recorded)
+        relax_path(init_path(find_u0(lam, spec32), 16, lam), 30)
+        assert searches
+        for e, g, candidates in searches:
+            slack = 1e-12 * (1.0 + abs(e))
+            bar = [e - 1e-4 * s * sobolev_norm_sq(g) for s, _ in candidates]
+            drawn = [energy(cand, lam) for _, cand in candidates]
+            assert all(ec > b - slack for ec, b in zip(drawn[:-1], bar[:-1]))
+            assert drawn[-1] <= bar[-1] + slack or candidates[-1][0] <= 2e-14
 
 
 class TestSegmentCache:
@@ -478,6 +497,19 @@ class TestOrderTwo:
         assert branch.termination == "reached_end"
         assert branch.results[-1].lam == 240.0
 
+    def test_same_bits_under_any_blas_thread_count(self):
+        # every H^m reduction is an einsum, never a threaded BLAS dot: the
+        # level and the path nodes do not depend on the thread count
+        code = ("import os\n"
+                "os.environ['OPENBLAS_NUM_THREADS'] = '{threads}'\n"
+                "import hashlib\n"
+                "import torusmf\n"
+                "res = torusmf.mountain_pass(250.0, torusmf.make_spec(2, 16))\n"
+                "nodes = b''.join(node.values.tobytes() for node in res.path.nodes)\n"
+                "print(repr(res.c_estimate), hashlib.md5(nodes).hexdigest())\n")
+        one, two = (run_fresh(code.format(threads=threads)) for threads in (1, 2))
+        assert one == two
+
     def test_resolution_robustness(self, mp250):
         sol = mp250.solve
         fine = newton_solve(upsample(sol.field, 24), 250.0, tol=1e-8)
@@ -539,7 +571,8 @@ def test_mountain_pass_locates_polishes_then_assembles(monkeypatch, spec32):
 
 def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32):
     # no descent path: the locator's polish stands, and the captured relaxed
-    # path comes back at once with the level max(crest, E)
+    # path comes back at once with the level max(sup, E), sup its sampled
+    # supremum
     from torusmf.mountainpass import _SegmentTable, _sampled_supremum
 
     monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
@@ -548,11 +581,10 @@ def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32):
     assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
                      ("saddle_path", 14.0, False)]
     assert (res.iterations, res.converged, res.path_origin) == (8, True, "relaxed")
-    assert res.c_estimate >= res.solve.energy
     nodes = res.path.nodes
     energies = [energy_value(node, 14.0) for node in nodes]
     sup, _, _ = _sampled_supremum(nodes, energies, _SegmentTable(14.0, nodes[0], nodes[-1]))
-    assert res.c_estimate >= sup
+    assert res.c_estimate == pytest.approx(max(sup, res.solve.energy), rel=1e-12, abs=0.0)
 
 
 def test_failing_polish_relaxes_on_in_locator_runs(monkeypatch, spec32):
@@ -585,22 +617,23 @@ def test_returned_path_is_honest(spec32, lam):
     assert_honest_path(res)
 
 
-def test_short_saddle_path_is_padded_toward_zero(monkeypatch, spec32):
-    # keep only each descent's last node: 5 nodes, padded to PathState's 9 by
-    # halving the segment that leaves 0
+def test_short_saddle_path_is_not_padded(monkeypatch, spec32):
+    # keep only each descent's last node: the path 0, down, u*, up, anchor
+    # has 5 nodes, above PathState's minimum of 3, and is returned as built
     descend = torusmf.mountainpass._descend
+    kept = []
 
     def last_node(*args):
         nodes, energies = descend(*args)
+        kept.append(nodes[-1])
         return nodes[-1:], energies[-1:]
 
     monkeypatch.setattr(torusmf.mountainpass, "_descend", last_node)
     res = mountain_pass(14.0, spec32, tol=1e-10)
     assert res.path_origin == "saddle"
     nodes = res.path.nodes
-    assert len(nodes) == 9
-    for k in range(1, 5):
-        assert np.array_equal(nodes[k].values, 0.5 * nodes[k + 1].values)
+    assert len(nodes) == 5
+    assert nodes[1] is kept[0] and nodes[2] is res.solve.field and nodes[3] is kept[1]
     assert_honest_path(res)
 
 

@@ -140,9 +140,8 @@ class TestNewton:
         assert counts == {"forward": k + out.iterations + 3, "inverse": k + 1}, (k, counts)
 
     def test_same_bits_under_any_blas_thread_count(self):
-        # every reduction of a solve is an einsum or a numpy mean, never a
-        # threaded BLAS dot; the start avoids sobolev_norm_sq, and the energy
-        # is left out, because field.sobolev_* still reduce with np.vdot
+        # every reduction of a solve and of its energy is an einsum or a
+        # numpy mean, never a threaded BLAS dot
         code = ("import os\n"
                 "os.environ['OPENBLAS_NUM_THREADS'] = '{threads}'\n"
                 "import numpy as np\n"
@@ -154,7 +153,7 @@ class TestNewton:
                 "for lam in (0.5, 100.0, 250.0):\n"
                 "    r = torusmf.newton_solve(start, lam)\n"
                 "    print(r.field.values.tobytes().hex(), r.residual_history,\n"
-                "          repr(r.grad_norm))\n")
+                "          repr(r.grad_norm), repr(r.energy))\n")
         one, two = (run_fresh(code.format(threads=threads)) for threads in (1, 2))
         assert one == two
 
