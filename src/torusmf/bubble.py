@@ -143,13 +143,17 @@ def profile_half_laplacian(sigma: float, r, m: int):
     return out
 
 
-def _quad(fn, breaks) -> float:
+def _ball_integral(m: int, fn, breaks) -> float:
+    """Integral over the unit ball of R^(2m) of a radial function fn(r), by adaptive
+    1-D quadrature of omega * r^(2m-1) * fn(r) on [0, 1] split at breaks."""
     from scipy.integrate import quad
 
+    omega = sphere_volume(2 * m - 1)
+    power = 2 * m - 1
     pts = sorted({float(b) for b in breaks if 0.0 < b < 1.0})
     out = quad(
-        fn, 0.0, 1.0, points=pts or None, epsabs=1e-8, epsrel=1e-9,
-        limit=400, full_output=1,
+        lambda r: omega * r**power * fn(r), 0.0, 1.0, points=pts or None, epsabs=1e-8,
+        epsrel=1e-9, limit=400, full_output=1,
     )
     if len(out) > 3:  # message present => warning/failure
         raise QuadratureError(f"radial quadrature did not converge: {out[3]}")
@@ -164,37 +168,19 @@ def radial_energy(sigma: float, m: int) -> float:
     """
     if sigma < 2:
         raise ValueError("sigma must be >= 2")
-    omega = sphere_volume(2 * m - 1)
-    power = 2 * m - 1
-
-    def integrand(r: float) -> float:
-        lap = profile_half_laplacian(sigma, r, m)
-        return omega * r**power * lap * lap
-
-    return _quad(integrand, (1.0 / sigma, 0.25, 0.5))
+    return _ball_integral(m, lambda r: profile_half_laplacian(sigma, r, m) ** 2,
+                          (1.0 / sigma, 0.25, 0.5))
 
 
 def radial_exp_mass(sigma: float, m: int) -> float:
     """Integral over the unit ball of exp(2m v); bounded in sigma."""
-    omega = sphere_volume(2 * m - 1)
-    power = 2 * m - 1
-
-    def integrand(r: float) -> float:
-        return omega * r**power * math.exp(2.0 * m * profile_value(sigma, r))
-
     breaks = (0.5 / sigma, 1.0 / sigma, 3.0 / sigma, 10.0 / sigma, 30.0 / sigma, 0.25, 0.5)
-    return _quad(integrand, breaks)
+    return _ball_integral(m, lambda r: math.exp(2.0 * m * profile_value(sigma, r)), breaks)
 
 
 def radial_profile_mean(sigma: float, alpha: float, m: int) -> float:
     """Mean over the torus of the embedded (pre-projection) profile."""
-    omega = sphere_volume(2 * m - 1)
-    power = 2 * m - 1
-
-    def integrand(r: float) -> float:
-        return omega * r**power * profile_value(sigma, r)
-
-    inner = _quad(integrand, (1.0 / sigma, 0.25, 0.5))
+    inner = _ball_integral(m, lambda r: profile_value(sigma, r), (1.0 / sigma, 0.25, 0.5))
     w1 = w_profile(sigma, 1.0)
     cap_volume = ball_volume(m) * alpha ** (2 * m)
     return (1.0 - cap_volume) * w1 + alpha ** (2 * m) * inner
@@ -303,8 +289,8 @@ def bubble_asymptotics(sigma_list, lam: float, m: int, alpha: float = 0.4) -> Bu
         raise ValueError("need at least 3 sigma values")
     if np.any(np.diff(sigmas) <= 0):
         raise ValueError("sigma values must be strictly increasing")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     _check_alpha(alpha)
     cst = constants(m)
     norms_sq = np.array([radial_energy(s, m) for s in sigmas])

@@ -51,9 +51,10 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
-def _prepare_outdir(args, command: str) -> Path:
+def _prepare_outdir(args) -> Path:
+    """<outdir>/<subcommand>, created, with the parsed arguments echoed to config.echo."""
     base = args.outdir or os.environ.get("TORUSMF_OUTDIR", "torusmf-out")
-    out = Path(base) / command
+    out = Path(base) / args.command
     out.mkdir(parents=True, exist_ok=True)
     echo = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
     lines = [f"{k} = {_fmt(v)}" for k, v in echo.items()]
@@ -132,7 +133,7 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
 
 def cmd_constants(args) -> int:
     cst = constants(int(args.m))
-    out = _prepare_outdir(args, "constants")
+    out = _prepare_outdir(args)
     header = ["m", "Lambda1", "lambda1", "threshold_low", "threshold_high", "poincare_Cm"]
     row = (cst.m, cst.Lambda1, cst.lambda1, cst.threshold_low, cst.threshold_high, cst.poincare_Cm)
     _write_csv(out / "summary.csv", header, [row])
@@ -145,7 +146,7 @@ def cmd_bubble(args) -> int:
     sigmas = _parse_float_list(args.sigma_list)
     report = _bubble.bubble_asymptotics(sigmas, float(args.lam), int(args.m),
                                         alpha=float(args.alpha))
-    out = _prepare_outdir(args, "bubble")
+    out = _prepare_outdir(args)
     rows = [
         (s, nsq, e, lm)
         for s, nsq, e, lm in zip(report.sigmas, report.norms_sq, report.energies,
@@ -165,7 +166,7 @@ def cmd_bubble(args) -> int:
 def cmd_mp(args) -> int:
     spec = make_spec(int(args.m), int(args.n))
     result = _mountainpass.mountain_pass(float(args.lam), spec, tol=float(args.tol))
-    out = _prepare_outdir(args, "mp")
+    out = _prepare_outdir(args)
     solve = result.solve
     _write_csv(out / "summary.csv",
                ["lambda", "c_estimate", "grad_norm", "sweeps", "converged",
@@ -195,7 +196,7 @@ def cmd_continue(args) -> int:
                                   float(args.dlambda0),
                                   blowup_cap=float(args.blowup_cap),
                                   tol=float(args.tol))
-    out = _prepare_outdir(args, "continue")
+    out = _prepare_outdir(args)
     rows = [
         (r.lam, math.sqrt(sobolev_norm_sq(r.field)), float(np.max(np.abs(r.field.values))),
          r.energy, r.residual_l2)
@@ -229,7 +230,7 @@ def _write_quant(out: Path, quant) -> None:
 def cmd_quant(args) -> int:
     field = read_field(args.field)
     quant = _diagnostics.concentration(field, float(args.lam))
-    out = _prepare_outdir(args, "quant")
+    out = _prepare_outdir(args)
     _write_quant(out, quant)
     _write_csv(out / "summary.csv",
                ["lambda", "plateau_mass", "nearest_N", "deviation"],
@@ -242,7 +243,7 @@ def cmd_sweep(args) -> int:
     spec = make_spec(int(args.m), int(args.n))
     lams = _parse_float_list(args.lambda_grid)
     report = _mountainpass.level_sweep(lams, spec, tol=float(args.tol))
-    out = _prepare_outdir(args, "sweep")
+    out = _prepare_outdir(args)
     rows = [(r.lam, r.c_estimate, r.grad_norm, r.sweeps, r.energy, r.path_origin,
              r.anchor_min_energy, r.anchor_failed_floor)
             for r in report.rows]
@@ -265,7 +266,7 @@ def cmd_green(args) -> int:
         else (0,) * spec.dim
     g = _diagnostics.green_field(spec, base)
     cst = constants(spec.m)
-    out = _prepare_outdir(args, "green")
+    out = _prepare_outdir(args)
     _write_csv(out / "summary.csv",
                ["m", "n", "log_coefficient", "target", "base"],
                [(spec.m, spec.n, g.log_coefficient if g.log_coefficient is not None
@@ -281,7 +282,7 @@ def cmd_nonexist(args) -> int:
     report = _diagnostics.nonexistence_sweep(lams, spec, n_seeds=int(args.n_seeds),
                                              seed=int(args.seed), tol=float(args.tol),
                                              jobs=int(args.jobs))
-    out = _prepare_outdir(args, "nonexist")
+    out = _prepare_outdir(args)
     rows = [
         (r.lam, r.n_seeds, r.n_converged, r.n_nontrivial, r.max_nontrivial_norm,
          r.norm_sq_over_lam_sq)
@@ -383,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, QuadratureError) as exc:
+    except (ConvergenceError, QuadratureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

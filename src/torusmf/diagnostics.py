@@ -20,6 +20,8 @@ from .field import (
     Field,
     TorusSpec,
     _log_mean_exp,
+    _mean_product,
+    _peak_index,
     log_integrate_exp,
     scaled,
     sobolev_norm_sq,
@@ -75,11 +77,11 @@ def concentration(u: Field, lam: float) -> QuantizationReport:
     nearest_N rounds the plateau against the blow-up quantum when the
     plateau exceeds half of it.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     spec = u.spec
     cst = constants(spec.m)
-    center = tuple(int(i) for i in np.unravel_index(int(np.argmax(u.values)), spec.shape))
+    center = _peak_index(u.values)
     dist = _torus_radii_from(spec, center)
     weight = _normalized_exp_weight(u.values, spec.m)
     order = np.argsort(dist, axis=None, kind="stable")
@@ -260,7 +262,7 @@ def _check_solution_inequalities(res: SolveResult) -> None:
     # pairing the equation with u: ||u||^2 = lam * integral(W u)
     weight = _normalized_exp_weight(u.values, m)
     norm_sq = sobolev_norm_sq(u)
-    paired = res.lam * float((weight * u.values).mean())
+    paired = res.lam * _mean_product(weight, u.values)
     tol = 1e-6 * max(1.0, norm_sq)
     if abs(norm_sq - paired) > tol:
         raise ArithmeticError(
@@ -269,7 +271,7 @@ def _check_solution_inequalities(res: SolveResult) -> None:
     if norm_sq > res.lam * float(u.values.max()) + tol:
         raise ArithmeticError("norm bound ||u||^2 <= lam * max(u) violated")
     # scalar inequality a*b <= e^a + b(log b - 1) with a = log(1/d), b = e^(2mu)
-    center = tuple(int(i) for i in np.unravel_index(int(np.argmax(u.values)), u.spec.shape))
+    center = _peak_index(u.values)
     dist = _torus_radii_from(u.spec, center).reshape(-1)
     b = weight.reshape(-1) * math.exp(log_mass)  # exp(2m u)
     mask = dist > 0

@@ -1,10 +1,10 @@
 """Exception types shared across the toolkit.
 
 Validation problems (bad arguments, mismatched grids, unresolvable
-parameters) derive from ValueError; numerical failures at runtime
-(no mountain-pass anchor, quadrature breakdown) derive from RuntimeError.
-The CLI maps the two families to distinct exit codes.  A Newton solve does
-not raise when it fails: its SolveResult says converged=False.
+parameters) derive from ValueError, numerical failures at run time (no
+mountain-pass anchor, quadrature breakdown) from RuntimeError, and a violated
+numerical invariant raises ArithmeticError; the CLI exits 2 on the first, 3
+on the others.  A failed Newton solve does not raise: converged=False says so.
 """
 
 from __future__ import annotations

@@ -161,13 +161,20 @@ def _check_same_spec(f: Field, g: Field) -> None:
         raise ValueError(f"grid spec mismatch: {f.spec} vs {g.spec}")
 
 
+@functools.lru_cache(maxsize=16)
+def _wavenumbers(spec: TorusSpec) -> tuple[np.ndarray, ...]:
+    """Sparse |k| axes of the rfftn half grid (last axis k = 0 .. n/2), read-only."""
+    k = np.abs(np.fft.fftfreq(spec.n, d=1.0 / spec.n))
+    axes = np.meshgrid(*([k] * (spec.dim - 1) + [k[:spec.n // 2 + 1]]), indexing="ij", sparse=True)
+    for a in axes:
+        a.flags.writeable = False
+    return tuple(axes)
+
+
 @functools.lru_cache(maxsize=64)
 def _multiplier(spec: TorusSpec, s: float) -> np.ndarray:
     """(4 pi^2 |k|^2)**s on the rfftn half grid (last axis k >= 0), k=0 entry zeroed."""
-    k = np.fft.fftfreq(spec.n, d=1.0 / spec.n)
-    axes = np.meshgrid(*([k] * (spec.dim - 1) + [np.abs(k[:spec.n // 2 + 1])]),
-                       indexing="ij", sparse=True)
-    base = FOUR_PI_SQ * sum(a**2 for a in axes)
+    base = FOUR_PI_SQ * sum(a**2 for a in _wavenumbers(spec))
     if s >= 0:
         mult = base**s
         mult.flat[0] = 0.0
@@ -190,9 +197,9 @@ def _multiplicity(spec: TorusSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _sobolev_weight(spec: TorusSpec) -> np.ndarray:
-    """H^m multiplier times each half-grid mode's multiplicity."""
-    weight = _multiplicity(spec) * _multiplier(spec, float(spec.m))
+def _sobolev_weight(spec: TorusSpec, s: float) -> np.ndarray:
+    """H^s multiplier times each half-grid mode's multiplicity (s = m, or -m for the dual)."""
+    weight = _multiplicity(spec) * _multiplier(spec, s)
     weight.flags.writeable = False
     return weight
 
@@ -252,10 +259,10 @@ def solve_poisson_power(f: Field, s: float) -> Field:
     return _apply_multiplier(f, _multiplier(f.spec, -float(s)))
 
 
-def _sobolev_dot(spec: TorusSpec, c: np.ndarray, d: np.ndarray) -> float:
-    """Real part of the H^m mode sum of two normalized half spectra, by einsum:
+def _sobolev_dot(spec: TorusSpec, c: np.ndarray, d: np.ndarray, s: float) -> float:
+    """Real part of the H^s mode sum of two half spectra (any strides), by einsum:
     a fixed order on numpy's own loops, never a BLAS dot that threads."""
-    weight = _sobolev_weight(spec)
+    weight = _sobolev_weight(spec, float(s))
     terms = "{0},{0},{0}->".format("ijkl"[:spec.dim])
     return float(np.einsum(terms, weight, c.real, d.real)
                  + np.einsum(terms, weight, c.imag, d.imag))
@@ -266,19 +273,29 @@ def sobolev_norm_sq(f: Field) -> float:
     cached = f._cache.get("norm_sq")
     if cached is None:
         c = transform(f)
-        cached = f._cache["norm_sq"] = _sobolev_dot(f.spec, c, c)
+        cached = f._cache["norm_sq"] = _sobolev_dot(f.spec, c, c, f.spec.m)
     return cached
 
 
 def sobolev_inner(f: Field, g: Field) -> float:
     """H^m inner product of two mean-zero fields (real part of the mode sum)."""
     _check_same_spec(f, g)
-    return _sobolev_dot(f.spec, transform(f), transform(g))
+    return _sobolev_dot(f.spec, transform(f), transform(g), f.spec.m)
+
+
+def _mean_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Grid mean of a * b: the L^2 inner product, summed in a fixed order."""
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1))) / a.size
 
 
 def l2_inner(f: Field, g: Field) -> float:
     _check_same_spec(f, g)
-    return float((f.values * g.values).mean())
+    return _mean_product(f.values, g.values)
+
+
+def _peak_index(values: np.ndarray) -> tuple[int, ...]:
+    """Grid index of the first maximum of values."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(values)), values.shape))
 
 
 def log_integrate_exp(f: Field, c: float) -> float:

@@ -73,8 +73,8 @@ def constants(m: int) -> Constants:
 
 def energy_value(u: Field, lam: float) -> float:
     """I(u): the quadratic part minus lam/2m times the (overflow-safe) log mass."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     m = u.spec.m
     return 0.5 * sobolev_norm_sq(u) - lam / (2.0 * m) * log_integrate_exp(u, 2.0 * m)
 
@@ -142,6 +142,7 @@ def hessian_action(u: Field, lam: float, v: Field) -> Field:
     (-Lap)^m v - 2m lam [ W v - W * integral(W v) ]  with  W the normalized
     exponential weight; symmetric in the L^2 pairing.
     """
+    # kept apart from solver._weight_term: the reference its grid products are tested against
     if u.spec != v.spec:
         raise ValueError("grid spec mismatch")
     m = u.spec.m

@@ -16,7 +16,7 @@ iterates are those of MINRES on M^-1/2 H M^-1/2 (they are not scipy's bits).
 A Lanczos vector is v = M^-1 r / beta, so M v = r / beta is free, and the
 recurrences carry (-Lap)^m delta beside delta, so Newton iterates and line
 search candidates need no transform.  The forward transform of r gives beta
-(and Newton's grad_norm) as a weighted half-spectrum sum; the inverse runs
+(and Newton's grad_norm) as field's H^-m mode sum; the inverse runs
 only when the next Lanczos step reads it.  A Newton step of k Lanczos steps
 costs 2k+1 real FFTs.  Reductions are einsums or numpy means, never BLAS
 dots, so a solve gives the same bits under any BLAS thread count.
@@ -29,7 +29,6 @@ when ARPACK runs (smallest_hessian_eigenvalue).
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections import deque
@@ -43,9 +42,12 @@ from .field import (
     TorusSpec,
     _forward_rfft,
     _inverse_rfft,
+    _mean_product,
     _multiplicity,
     _multiplier,
+    _peak_index,
     _sobolev_dot,
+    _wavenumbers,
     from_values,
     lincomb,
     scaled,
@@ -103,23 +105,9 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-def _mean_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Grid mean of a * b: the L^2 inner product, summed in a fixed order."""
-    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1))) / a.size
-
-
-@functools.lru_cache(maxsize=16)
-def _dual_weight(spec: TorusSpec) -> np.ndarray:
-    """Multiplicity * (4 pi^2 |k|^2)^-m / N^2 per float of a half spectrum's float64 view."""
-    weight = np.repeat(_multiplicity(spec) * _multiplier(spec, -float(spec.m)), 2) / spec.npoints**2
-    weight.flags.writeable = False
-    return weight
-
-
 def _dual_norm_sq(half: np.ndarray, spec: TorusSpec) -> float:
     """<f, (-Lap)^-m f>, the squared H^m dual norm of f, from its half spectrum rfftn(f)."""
-    flat = half.view(np.float64).reshape(-1)
-    return float(np.einsum("i,i,i->", flat, flat, _dual_weight(spec)))
+    return _sobolev_dot(spec, half, half, -spec.m) / spec.npoints**2
 
 
 def _weight_term(weight: np.ndarray, coef: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -302,25 +290,25 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10) -> SolveResult:
 
 
 def _start_pair(guess: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Newton's first iterate from a guess: values and (-Lap)^m values, no Field or spectrum.
+    """Newton's first iterate from a guess: its values (mean-zero, as every Field's)
+    and (-Lap)^m values, with no Field or spectrum.
 
     The transforms go through the calling thread's half-spectrum scratch, in
     apply_power_laplacian's operations and order, so the pair has its bits.
     """
     spec = guess.spec
-    values = guess.values - float(guess.values.mean())
-    half = _forward_rfft(values, out=_workspace.get("half", _multiplicity(spec).shape,
-                                                    np.complex128))
+    half = _forward_rfft(guess.values, out=_workspace.get("half", _multiplicity(spec).shape,
+                                                          np.complex128))
     half /= spec.npoints
     half *= _multiplier(spec, float(spec.m))
     half *= spec.npoints
-    return values, _inverse_rfft(half, spec)
+    return guess.values, _inverse_rfft(half, spec)
 
 
 def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResult:
     """newton_solve from a _start_pair, which it only reads."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     m = spec.m
     # the iterate as (values, (-Lap)^m values), and the step likewise: both
     # move linearly along a step.  A line-search candidate goes to the other
@@ -386,9 +374,9 @@ def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResul
 
 
 def _check_branch_request(lam_end: float, dlam0: float) -> None:
-    """Refuse a branch end below 0 or a nonpositive first step, before any solve."""
-    if lam_end < 0:
-        raise ValueError(f"lam_end must be nonnegative, got {lam_end}")
+    """Refuse a branch end below 0 or not finite, or a nonpositive first step, before any solve."""
+    if not 0 <= lam_end < math.inf:
+        raise ValueError(f"lam_end must be nonnegative and finite, got {lam_end}")
     if dlam0 <= 0:
         raise ValueError("invalid step: dlam0 must be positive")
 
@@ -469,15 +457,12 @@ def random_low_mode_field(spec: TorusSpec, rng: np.random.Generator,
                           target_norm: float, max_wavenumber: int = 2) -> Field:
     """Random band-limited mean-zero field scaled to an H^m norm target."""
     c = _forward_rfft(rng.standard_normal(spec.shape))
-    k = np.abs(np.fft.fftfreq(spec.n, d=1.0 / spec.n))
-    keep = np.ones(c.shape, dtype=bool)
-    for axis in range(spec.dim):
-        ks = k[:c.shape[axis]]  # the last (half) axis holds k = 0 .. n/2
-        keep &= ks.reshape([-1 if a == axis else 1 for a in range(spec.dim)]) <= max_wavenumber
+    keep = True
+    for k in _wavenumbers(spec):
+        keep = keep & (k <= max_wavenumber)
     c[~keep] = 0.0
     c.flat[0] = 0.0
-    coef = c / spec.npoints
-    norm = math.sqrt(_sobolev_dot(spec, coef, coef))
+    norm = math.sqrt(_sobolev_dot(spec, c, c, spec.m)) / spec.npoints
     if norm == 0.0:
         raise ValueError("degenerate random draw")
     vals = _inverse_rfft(c, spec)
@@ -485,8 +470,8 @@ def random_low_mode_field(spec: TorusSpec, rng: np.random.Generator,
 
 
 def _peak_aligned(values: np.ndarray) -> np.ndarray:
-    idx = np.unravel_index(int(np.argmax(values)), values.shape)
-    return np.roll(values, shift=tuple(-i for i in idx), axis=tuple(range(values.ndim)))
+    offsets = tuple(-i for i in _peak_index(values))
+    return np.roll(values, shift=offsets, axis=tuple(range(values.ndim)))
 
 
 def _same_modulo_translation(a: Field, b: Field) -> bool:

@@ -237,6 +237,13 @@ class TestNonexistCmd:
         rc = cli(tmp_path, "nonexist", "--n", "32", "--lambda-grid", "2.5")
         assert rc == 2
 
+    def test_violated_invariant_is_numerical_failure(self, tmp_path, capsys):
+        # --tol 1e6 accepts every guess as a root, and the pairing identity
+        # ||u||^2 = lam * <W, u> then fails: ArithmeticError exits 3, not a traceback
+        rc = cli(tmp_path, "nonexist", "--m", "1", "--n", "16", "--tol", "1e6")
+        assert rc == 3
+        assert "numerical failure: solution identity violated" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         rc = cli(tmp_path, "nonexist", "--n", "16", "--lambda-grid", "0.5",

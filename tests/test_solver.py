@@ -8,11 +8,14 @@ import pytest
 import torusmf
 from torusmf import (
     apply_power_laplacian,
+    bubble_asymptotics,
     concentration,
     concentration_direction,
     continuation,
     el_residual,
+    energy_value,
     from_values,
+    gradient_h,
     hessian_action,
     l2_inner,
     make_spec,
@@ -156,6 +159,32 @@ class TestNewton:
                 "          repr(r.grad_norm), repr(r.energy))\n")
         one, two = (run_fresh(code.format(threads=threads)) for threads in (1, 2))
         assert one == two
+
+
+class TestDualNorm:
+    """Newton's grad_norm, summed on rfftn's half spectrum, is the field calculus's."""
+
+    @pytest.mark.parametrize("m,n,lam", [(1, 32, 14.0), (2, 8, 100.0)])
+    def test_grad_norm_is_the_dual_norm_of_the_gradient(self, m, n, lam):
+        # tol 1e6 ends the solve at its start, so grad_norm is read at the guess
+        spec = make_spec(m, n)
+        out = newton_solve(smooth_field(spec, 3, norm=2.0), lam, tol=1e6)
+        assert out.iterations == 0
+        want = math.sqrt(sobolev_norm_sq(gradient_h(out.field, lam)))
+        assert out.grad_norm == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("m,n", [(1, 16), (2, 8)])
+    def test_sum_reads_a_strided_half_spectrum(self, m, n):
+        # a half spectrum that is not C-contiguous (a float64 view of it would raise)
+        from torusmf.solver import _dual_norm_sq
+
+        spec = make_spec(m, n)
+        half = np.fft.rfftn(np.random.default_rng(n).standard_normal(spec.shape))
+        strided = np.zeros(half.shape[:-1] + (2 * half.shape[-1],), complex)[..., ::2]
+        strided[...] = half
+        assert not strided.flags.c_contiguous
+        want = _dual_norm_sq(half, spec)
+        assert want > 0 and _dual_norm_sq(strided, spec) == pytest.approx(want, rel=1e-14)
 
 
 class TestScratchArrays:
@@ -373,6 +402,23 @@ class TestSolutionIdentities:
             moved = shift(saddle32.field, tau)
             r = el_residual(moved, saddle32.lam)
             assert math.sqrt(l2_inner(r, r)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+def test_lam_out_of_range_refused_before_any_solve(saddle32, monkeypatch, lam):
+    # each entry point that takes lam checks 0 <= lam < inf (0 < lam for
+    # concentration) before it solves or integrates anything
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the lam check")
+
+    monkeypatch.setattr(torusmf.solver, "_minres", unreachable)
+    monkeypatch.setattr(torusmf.bubble, "_ball_integral", unreachable)
+    u = saddle32.field
+    for call in (lambda: energy_value(u, lam), lambda: newton_solve(u, lam),
+                 lambda: continuation(saddle32, lam, 0.5), lambda: concentration(u, lam),
+                 lambda: bubble_asymptotics([1e2, 3e2, 1e3], lam, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 class TestContinuation:
