@@ -8,9 +8,9 @@ J. Phys. Chem. 74 (1970) 4161; the mountain-pass algorithm of Choi and
 McKenna, Nonlinear Anal. 20 (1993) 417), and its sampled supremum, the
 energy of u*, is the pass-level estimate.  When the descent path cannot be
 built, the estimate is the sampled supremum of the captured relaxed path,
-raised to the saddle energy; when the polish fails, relaxation goes on in
-locator-sized runs.  Either way it is at least the sampled maximum of a path
-from 0 to the anchor, so an upper bound of the discrete min-max level.
+raised to the saddle energy, and when the polish fails, that supremum.
+Either way it is at least the sampled maximum of a path from 0 to the
+anchor, so an upper bound of the discrete min-max level.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .solver import SolveResult, concentration_direction, newton_solve
 
 _RESPACE_NORM_WEIGHT = 1e-3  # regularizes energy-gap respacing on flat stretches
 _LEVEL_SLACK = 0.02  # relative rise between sweep rows counted as a violation
-_LOCATOR_SWEEPS = 8  # relaxation before each polish (see mountain_pass)
-_LOCATOR_RUNS = 50  # relax-and-polish runs before a pass gives up (400 sweeps)
+_LOCATOR_SWEEPS = 8  # relaxation before the polish (see mountain_pass)
 _DESCENT_STEPS = 400  # cap on each steepest-descent leg of the saddle path
 
 
@@ -65,7 +64,7 @@ class PathState:
 
 @dataclass(frozen=True)
 class MPResult:
-    """Pass level, sweeps used, the polished solve (or first failed one), returned path.
+    """Pass level, sweeps used, the polish (solved or failed), returned path.
 
     path_origin is "saddle" when path is the descent path through the
     polished saddle and c_estimate its sampled supremum, and "relaxed" when
@@ -97,7 +96,6 @@ class RelaxInfo:
     max_energies: list[float] = dataclass_field(default_factory=list)
     captured: list[int] = dataclass_field(default_factory=list)
     respace_rejected: int = 0
-    stalled: bool = False
 
     @property
     def sweeps(self) -> int:
@@ -319,12 +317,13 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     sweep pulls the sampled crest of the path into the node set, moves the
     top-energy node and its two neighbors by plain Armijo steps (first trial
     step 2, then twice the last accepted one; a node with no accepted step
-    stays), and re-spaces by energy gaps if a node moved.  A re-spacing is
-    accepted only if every new node energy and segment crest stays below
-    the max node, and abandoned at the first one above, so the max-node
-    energy cannot rise within a sweep (ArithmeticError if it does).  A step
-    may raise a crest inside a neighboring segment; the next sweep's capture
-    pulls it into the node set.
+    stays), and re-spaces by energy gaps if a node moved; a sweep that moves
+    no node is the last, so info.sweeps < sweeps shows that case.  A
+    re-spacing is accepted only if every new node energy and segment crest
+    stays below the max node, and abandoned at the first one above, so the
+    max-node energy cannot rise within a sweep (ArithmeticError if it does).
+    A step may raise a crest inside a neighboring segment; the next sweep's
+    capture pulls it into the node set.
 
     Gram entries and segment crests are read through the path's table (a
     segment is sampled once however many checks, sweeps or calls at this
@@ -364,7 +363,6 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
         table.keep_live(nodes)
         info.max_energies.append(max(energies))
         if not moved:
-            info.stalled = True
             break
     return PathState(lam=lam, nodes=nodes, table=table), info
 
@@ -471,48 +469,36 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
     """Estimate the pass level and polish the maximizer into a solution.
 
     The path runs from 0 to find_u0's anchor below -1, or below -0.05 when
-    the search for -1 fails, on 16 segments.  Each run relaxes it
-    _LOCATOR_SWEEPS sweeps, captures the ridge and runs Newton from the
-    captured path's sampled maximum; after the first 8 locator sweeps, the
-    polish of every measured case converges in 4-7 Newton steps.
+    the search for -1 fails, on 16 segments.  It is relaxed _LOCATOR_SWEEPS
+    sweeps (iterations counts them), its ridge is captured, and Newton runs
+    once from the captured path's sampled maximum; in every measured case
+    that polish converges in 4-7 Newton steps.
 
     When the polish converges to tol away from the trivial state u = 0 (H^m
     norm above 1e-6), the returned path is _saddle_path's descent path
     through the saddle, and c_estimate is that path's sampled supremum, the
     saddle energy: origin "saddle".  When that path cannot be built, the
-    captured path is returned at once with the larger of its sampled
-    supremum and the saddle energy (it crossed the ridge next to the
-    saddle): origin "relaxed".  A polish that does not solve (it collapsed
-    to the trivial state, so the sampling is still coarse) means relaxation
-    of the uncaptured path goes on for another run, until the path stalls or
-    _LOCATOR_RUNS runs are spent; c_estimate is then the sampled supremum of
-    the last captured path, origin "relaxed", and solve the first failed
-    solve.  converged means: the polished field solves the equation to tol
-    (L^2 residual) and is non-constant.
+    captured path is returned with the larger of its sampled supremum and
+    the saddle energy (it crossed the ridge next to the saddle): origin
+    "relaxed".  A polish that does not solve returns the captured path with
+    its sampled supremum, origin "relaxed", converged False and solve the
+    failed polish.  converged means: the polished field solves the equation
+    to tol (L^2 residual) and is non-constant.
     """
     u0, min_energy, failed_floor = _scan_anchor(lam, spec, -1.0, -0.05)
-    relaxed = init_path(u0, 16, lam)
-    used, first, origin = 0, None, "relaxed"
-    for _ in range(_LOCATOR_RUNS):
-        relaxed, info = relax_path(relaxed, _LOCATOR_SWEEPS)
-        used += info.sweeps
-        path, level, top, imax = _capture(relaxed)
-        solve = newton_solve(top, path.lam, tol=tol)
-        solved = solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6
-        if solved:
-            assembled = _saddle_path(path, solve, imax)
-            if assembled is None:
-                level = max(level, solve.energy)
-            else:
-                (path, level), origin = assembled, "saddle"
-            break
-        if first is None:
-            first = solve
-        if info.stalled:
-            break
-    return MPResult(c_estimate=level, iterations=used, converged=solved,
-                    solve=solve if solved else first, path=path,
-                    anchor_min_energy=min_energy, anchor_failed_floor=failed_floor,
+    relaxed, info = relax_path(init_path(u0, 16, lam), _LOCATOR_SWEEPS)
+    path, level, top, imax = _capture(relaxed)
+    solve = newton_solve(top, path.lam, tol=tol)
+    solved = solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6
+    origin = "relaxed"
+    if solved:
+        assembled = _saddle_path(path, solve, imax)
+        if assembled is None:
+            level = max(level, solve.energy)
+        else:
+            (path, level), origin = assembled, "saddle"
+    return MPResult(c_estimate=level, iterations=info.sweeps, converged=solved, solve=solve,
+                    path=path, anchor_min_energy=min_energy, anchor_failed_floor=failed_floor,
                     path_origin=origin)
 
 

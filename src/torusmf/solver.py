@@ -374,11 +374,11 @@ def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResul
 
 
 def _check_branch_request(lam_end: float, dlam0: float) -> None:
-    """Refuse a branch end below 0 or not finite, or a nonpositive first step, before any solve."""
+    """Refuse a branch end below 0 or a first step not above 0, or either not finite, before any solve."""
     if not 0 <= lam_end < math.inf:
         raise ValueError(f"lam_end must be nonnegative and finite, got {lam_end}")
-    if dlam0 <= 0:
-        raise ValueError("invalid step: dlam0 must be positive")
+    if not 0 < dlam0 < math.inf:
+        raise ValueError(f"invalid step: dlam0 must be positive and finite, got {dlam0}")
 
 
 def continuation(start: SolveResult, lam_end: float, dlam0: float,

@@ -99,7 +99,7 @@ class TestParser:
     @pytest.mark.parametrize("argv,flag", [
         pytest.param(["constants", "--m", "1"], "--seed", id="--seed"),
         pytest.param(["constants", "--m", "1"], "--tol", id="--tol"),
-        # the sweep bounds are fixed: relaxation stops after 50 runs of 8 sweeps
+        # the sweep bounds are fixed: one locator run of 8 sweeps
         pytest.param(["mp", "--n", "16", "--lambda", "14"], "--max-sweeps",
                      id="mp/--max-sweeps"),
         pytest.param(["continue", "--n", "16", "--lambda-start", "14", "--lambda-end", "13"],
@@ -170,6 +170,26 @@ class TestMpCmd:
                 f"                 '--outdir', {str(tmp_path / 'out')!r} + lam]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
         assert run_fresh(code).splitlines()[-1] == "[]"
+
+    def test_failed_polish_exits_3_with_the_captured_path(self, tmp_path, monkeypatch):
+        failed = []
+
+        def no_solve(guess, lam, **kwargs):
+            failed.append(torusmf.SolveResult(
+                field=guess, lam=lam, residual_l2=1.0, grad_norm=1.0,
+                energy=torusmf.energy_value(guess, lam), iterations=0, converged=False))
+            return failed[-1]
+
+        monkeypatch.setattr(torusmf.mountainpass, "newton_solve", no_solve)
+        rc = cli(tmp_path, "mp", "--m", "1", "--n", "32", "--lambda", "14", "--tol", "1e-8")
+        assert rc == 3
+        assert len(failed) == 1
+        summary = (tmp_path / "mp" / "summary.csv").read_text().splitlines()
+        values = dict(zip(summary[0].split(","), summary[1].split(",")))
+        assert (values["converged"], values["path_origin"], values["sweeps"]) == (
+            "false", "relaxed", "8")
+        field = read_field(tmp_path / "mp" / "maximizer.pbfld")
+        assert np.array_equal(field.values, failed[0].field.values)
 
     def test_quantum_multiple_rejected(self, tmp_path):
         rc = cli(tmp_path, "mp", "--n", "32", "--lambda", repr(4 * math.pi))

@@ -7,6 +7,7 @@ import pytest
 
 import torusmf
 from torusmf import (
+    SolveResult,
     apply_power_laplacian,
     bubble_asymptotics,
     concentration,
@@ -444,6 +445,22 @@ class TestContinuation:
         with pytest.raises(ValueError, match="invalid step"):
             continuation(saddle32, 19.0, 0.0)
 
+    @pytest.mark.parametrize("dlam0", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_out_of_range_refused_before_any_solve(self, saddle32, monkeypatch, dlam0):
+        # an infinite first step would jump to lam_end and, halved on each
+        # failure, never fall below dlam0/1024
+        calls = []
+
+        def no_solve(spec, start, lam, tol):
+            calls.append(lam)
+            return SolveResult(field=zero_field(spec), lam=lam, residual_l2=1.0, grad_norm=1.0,
+                               energy=0.0, iterations=0, converged=False)
+
+        monkeypatch.setattr(torusmf.solver, "_newton", no_solve)
+        with pytest.raises(ValueError, match=r"invalid step: dlam0 .* got"):
+            continuation(saddle32, 19.0, dlam0)
+        assert calls == []
+
     def test_negative_end_refused_before_any_solve(self, saddle32, monkeypatch):
         calls = []
         monkeypatch.setattr(torusmf.solver, "newton_solve", lambda *args, **kw: calls.append(args))
@@ -452,8 +469,6 @@ class TestContinuation:
         assert calls == []
 
     def test_needs_converged_start(self, saddle32, spec32):
-        from torusmf import SolveResult
-
         bad = SolveResult(field=zero_field(spec32), lam=14.0, residual_l2=1.0,
                           grad_norm=1.0, energy=0.0, iterations=0, converged=False)
         with pytest.raises(ValueError):
