@@ -171,11 +171,11 @@ def cmd_mp(args) -> int:
     _write_csv(out / "summary.csv",
                ["lambda", "c_estimate", "grad_norm", "sweeps", "converged",
                 "residual_l2", "energy", "norm", "anchor_min_energy", "anchor_failed_floor",
-                "path_origin"],
+                "path_origin", "unstable_eigenvalue"],
                [(solve.lam, result.c_estimate, solve.grad_norm, result.iterations,
                  result.converged, solve.residual_l2, solve.energy,
                  math.sqrt(sobolev_norm_sq(solve.field)), result.anchor_min_energy,
-                 result.anchor_failed_floor, result.path_origin)])
+                 result.anchor_failed_floor, result.path_origin, result.unstable_eigenvalue)])
     write_field(out / "maximizer.pbfld", solve.field)
     print(f"c_estimate = {result.c_estimate:.8f}  converged = {result.converged}")
     if not result.converged:

@@ -2,15 +2,16 @@
 
 A discrete path's dominant nodes are pushed along the preconditioned
 descent direction with a backtracking line search for a few sweeps, enough
-for Newton to polish its crest into a saddle u*.  The returned path then
-runs 0 -> steepest descent -> u* -> steepest descent -> anchor (Fukui,
-J. Phys. Chem. 74 (1970) 4161; the mountain-pass algorithm of Choi and
-McKenna, Nonlinear Anal. 20 (1993) 417), and its sampled supremum, the
-energy of u*, is the pass-level estimate.  When the descent path cannot be
-built, the estimate is the sampled supremum of the captured relaxed path,
-raised to the saddle energy, and when the polish fails, that supremum.
-Either way it is at least the sampled maximum of a path from 0 to the
-anchor, so an upper bound of the discrete min-max level.
+for Newton to polish its crest into a saddle u*.  It has Morse index at
+most 1 (Hofer, Proc. AMS 90 (1984) 309), and the returned path leaves it
+along the eigenvector of its negative eigenvalue: 0 -> steepest descent ->
+u* -> steepest descent -> anchor (Fukui, J. Phys. Chem. 74 (1970) 4161;
+Choi and McKenna, Nonlinear Anal. 20 (1993) 417).  Its sampled supremum,
+the energy of u*, is the pass-level estimate.  When the descent path
+cannot be built, the estimate is the sampled supremum of the captured
+relaxed path, raised to the saddle energy, and when the polish fails, that
+supremum.  Either way it is a sampled maximum of a path from 0 to the
+anchor, not a bound: the path is not enclosed between samples.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .field import (
     zero_field,
 )
 from .functional import constants, energy_value, gradient_h
-from .solver import SolveResult, concentration_direction, newton_solve
+from .solver import SolveResult, _lowest_eigenpair, concentration_direction, newton_solve
 
 _RESPACE_NORM_WEIGHT = 1e-3  # regularizes energy-gap respacing on flat stretches
 _LEVEL_SLACK = 0.02  # relative rise between sweep rows counted as a violation
@@ -70,7 +71,8 @@ class MPResult:
     polished saddle and c_estimate its sampled supremum, and "relaxed" when
     path is the captured relaxed path (see mountain_pass).  The anchor met
     anchor_min_energy: -1, or -0.05 after the search for -1 stalled at
-    anchor_failed_floor (NaN when it did not).
+    anchor_failed_floor (NaN when it did not).  unstable_eigenvalue is the
+    mu of _saddle_path, NaN when the polish did not solve.
     """
 
     c_estimate: float
@@ -81,6 +83,7 @@ class MPResult:
     anchor_min_energy: float
     anchor_failed_floor: float
     path_origin: str
+    unstable_eigenvalue: float
 
 
 @dataclass
@@ -434,35 +437,39 @@ def _descend(u: Field, end: Field, table: _SegmentTable,
 
 
 def _saddle_path(captured: PathState, solve: SolveResult,
-                 top: int) -> tuple[PathState, float] | None:
-    """The path 0 -> descent -> saddle -> descent -> anchor, and its sampled supremum.
+                 top: int) -> tuple[PathState | None, float, float]:
+    """The path 0 -> descent -> saddle -> descent -> anchor, its sampled supremum, and mu.
 
-    The saddle u* = solve.field is left along the captured path's tangent d
-    at its top node, oriented so <d, u*> > 0, by the steps +-eps d with
-    eps ||d|| = 1e-3 ||u*||; the - side descends toward 0 and the + side
-    toward the anchor (Fukui's steepest-descent path from a saddle).  The
-    supremum is read through a fresh table, and u* attains it when no sample
-    lies above solve.energy.  Returns None when a descent stalls or the
-    supremum exceeds solve.energy by more than relax_path's 1e-9 slack.
+    mu and e are _lowest_eigenpair's at the saddle u* = solve.field, started
+    from the captured path's tangent at its top node: e is the unstable
+    direction.  u* is left by the steps +-eps e with eps ||e|| = 1e-3 ||u*||,
+    oriented so <e, u*> > 0; the - side descends toward 0 and the + side
+    toward the anchor.  The supremum is read through a fresh table, and u*
+    attains it when no sample lies above solve.energy.  The path and
+    supremum are None and NaN when mu is not negative (or NaN), a descent
+    stalls, or the supremum exceeds solve.energy by more than 1e-9 relative.
     """
     lam, zero, anchor = captured.lam, captured.nodes[0], captured.nodes[-1]
     saddle, level = solve.field, solve.energy
     d = lincomb(1.0, captured.nodes[top + 1], -1.0, captured.nodes[top - 1])
-    eps = math.copysign(1e-3 * math.sqrt(sobolev_norm_sq(saddle) / sobolev_norm_sq(d)),
-                        sobolev_inner(d, saddle))
+    mu, e = _lowest_eigenpair(saddle, lam, d)
+    if not mu < 0:  # mu >= 0, or NaN: the eigen-solve did not converge
+        return None, math.nan, mu
+    eps = math.copysign(1e-3 * math.sqrt(sobolev_norm_sq(saddle) / sobolev_norm_sq(e)),
+                        sobolev_inner(e, saddle))
     table = _SegmentTable(lam, zero, anchor)
-    down = _descend(lincomb(1.0, saddle, -eps, d), zero, table, level)
-    up = _descend(lincomb(1.0, saddle, eps, d), anchor, table, level)
+    down = _descend(lincomb(1.0, saddle, -eps, e), zero, table, level)
+    up = _descend(lincomb(1.0, saddle, eps, e), anchor, table, level)
     if down is None or up is None:
-        return None
+        return None, math.nan, mu
     nodes = [zero, *reversed(down[0]), saddle, *up[0], anchor]
     energies = [energy_value(zero, lam), *reversed(down[1]), level, *up[1],
                 energy_value(anchor, lam)]
     sup, _, _ = _sampled_supremum(nodes, energies, table)
     if sup > level + 1e-9 * (1.0 + abs(level)):
-        return None
+        return None, math.nan, mu
     table.keep_live(nodes)
-    return PathState(lam=lam, nodes=nodes, table=table), sup
+    return PathState(lam=lam, nodes=nodes, table=table), sup, mu
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
@@ -477,8 +484,9 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
     When the polish converges to tol away from the trivial state u = 0 (H^m
     norm above 1e-6), the returned path is _saddle_path's descent path
     through the saddle, and c_estimate is that path's sampled supremum, the
-    saddle energy: origin "saddle".  When that path cannot be built, the
-    captured path is returned with the larger of its sampled supremum and
+    saddle energy: origin "saddle".  When that path cannot be built (the
+    saddle has no negative eigenvalue, or a descent stalls), the captured
+    path is returned with the larger of its sampled supremum and
     the saddle energy (it crossed the ridge next to the saddle): origin
     "relaxed".  A polish that does not solve returns the captured path with
     its sampled supremum, origin "relaxed", converged False and solve the
@@ -490,16 +498,16 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
     path, level, top, imax = _capture(relaxed)
     solve = newton_solve(top, path.lam, tol=tol)
     solved = solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6
-    origin = "relaxed"
+    origin, mu = "relaxed", math.nan
     if solved:
-        assembled = _saddle_path(path, solve, imax)
-        if assembled is None:
+        descent, sup, mu = _saddle_path(path, solve, imax)
+        if descent is None:
             level = max(level, solve.energy)
         else:
-            (path, level), origin = assembled, "saddle"
+            path, level, origin = descent, sup, "saddle"
     return MPResult(c_estimate=level, iterations=info.sweeps, converged=solved, solve=solve,
                     path=path, anchor_min_energy=min_energy, anchor_failed_floor=failed_floor,
-                    path_origin=origin)
+                    path_origin=origin, unstable_eigenvalue=mu)
 
 
 @dataclass(frozen=True)

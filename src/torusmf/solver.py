@@ -21,10 +21,13 @@ only when the next Lanczos step reads it.  A Newton step of k Lanczos steps
 costs 2k+1 real FFTs.  Reductions are einsums or numpy means, never BLAS
 dots, so a solve gives the same bits under any BLAS thread count.
 
+The lowest eigenpair of H against M (a saddle's unstable direction) comes
+from a single-vector LOBPCG preconditioned by M^-1 on such carried pairs:
+one M^-1 (two real FFTs) per step, and numpy's eigh only on 3 x 3 matrices.
+Nothing here imports scipy.sparse, which costs more to import than the package.
+
 The Newton loop and MINRES work in per-thread scratch arrays, kept between
 calls and reallocated when the grid changes; results never alias them.
-scipy.sparse.linalg, which costs more to import than the package, loads only
-when ARPACK runs (smallest_hessian_eigenvalue).
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ from .functional import (
 )
 
 _MAX_ITER = 30  # Newton steps before a solve gives up
+_EIG_TOL = 1e-6  # H^-m dual norm of an eigen-solve's residual at an M-normal x
+_EIG_MAX_ITER = 40  # M^-1 applications before an eigen-solve gives up
 
 
 @dataclass(frozen=True)
@@ -242,38 +247,64 @@ def _direction(itn, v, oldeps, w1, delta, w2, denom, scratch) -> np.ndarray:
     return w1
 
 
-def _symmetric_hessian(u: Field, lam: float):
-    """Matvec of B^-1 H(u) B^-1, B = (-Lap)^(m/2), on flat grid arrays (four transforms).
+def _lowest_eigenpair(u: Field, lam: float, start: Field) -> tuple[float, Field]:
+    """Lowest eigenpair (mu, x) of H x = mu M x, M = (-Lap)^m, by LOBPCG (Knyazev 2001).
 
-    B^-1 (-Lap)^m B^-1 is the mean-zero projector, so this is v plus B^-1 of
-    the weight term of B^-1 v: symmetric, and the identity on the constant mode.
+    H is the Hessian at u.  The iteration runs from start in the M inner
+    product with M^-1 as preconditioner (module docstring); x is M-normal.
+    Rayleigh-Ritz on span(x, w, p) orthonormalizes by an eigh of the Gram
+    matrix, dropping directions below 1e-10 of its largest eigenvalue.  mu is NaN when the
+    residual Hx - mu Mx has not reached H^-m dual norm _EIG_TOL after
+    _EIG_MAX_ITER steps.
     """
     spec = u.spec
-    weight = _normalized_exp_weight(u.values, spec.m)
+    weight = _normalized_exp_weight(u.values, spec.m).reshape(-1)
     coef = -2.0 * spec.m * lam
+    inverse = _multiplier(spec, -float(spec.m))
+    # basis[j] = (values, M values, H values) of x, w = M^-1 r (so M w = r) and p
+    basis = np.empty((3, 3, spec.npoints))
+    x = basis[0]
+    x[0], x[1] = (a.reshape(-1) for a in _start_pair(start))
+    _hessian_rows(weight, coef, x, math.sqrt(_mean_product(x[0], x[1])))
+    mu = _mean_product(x[0], x[2])
+    half = _workspace.get("half", _multiplicity(spec).shape, np.complex128)
+    w, size = basis[1], 2
+    for applied in range(_EIG_MAX_ITER + 1):
+        np.subtract(x[2], np.multiply(mu, x[1], out=w[1]), out=w[1])
+        res = math.sqrt(_dual_norm_sq(_forward_rfft(w[1].reshape(spec.shape), out=half), spec))
+        if res <= _EIG_TOL or applied == _EIG_MAX_ITER:
+            break
+        half *= inverse
+        _inverse_rfft(half, spec, out=w[0].reshape(spec.shape))
+        _hessian_rows(weight, coef, w, res)
+        gram, proj = np.einsum("in,jkn->kij", basis[:size, 0], basis[:size, 1:]) / spec.npoints
+        s, q = np.linalg.eigh(0.5 * (gram + gram.T))
+        keep = s > 1e-10 * s[-1]
+        z = q[:, keep] / np.sqrt(s[keep])
+        theta, y = np.linalg.eigh(z.T @ (0.5 * (proj + proj.T)) @ z)
+        c, mu = z @ y[:, 0], float(theta[0])
+        # p is the w and p part of the new Ritz vector, x the whole
+        basis[0], basis[2] = (np.einsum("j,jkn->kn", c, basis[:size]),
+                              np.einsum("j,jkn->kn", c[1:], basis[1:size]))
+        size = 3
+    return (mu if res <= _EIG_TOL else math.nan), Field(spec, x[0].reshape(spec.shape))
 
-    def inverse_root(values: np.ndarray) -> np.ndarray:
-        return solve_poisson_power(from_values(spec, values), spec.m / 2).values.reshape(-1)
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        g = inverse_root(v).reshape(spec.shape)
-        return v.reshape(-1) + inverse_root(_weight_term(weight, coef, g, np.empty(spec.shape)))
-
-    return matvec
+def _hessian_rows(weight: np.ndarray, coef: float, rows: np.ndarray, norm: float) -> None:
+    """Scale x = rows[0] and M x = rows[1] by 1/norm, then write H x = M x + W-term into rows[2]."""
+    rows[:2] /= norm
+    np.add(rows[1], _weight_term(weight, coef, rows[0], out=rows[2]), out=rows[2])
 
 
 def smallest_hessian_eigenvalue(u: Field, lam: float) -> float:
-    """Lowest eigenvalue of the preconditioned second variation (Lanczos probe).
+    """Lowest eigenvalue of the second variation against the H^m inner product.
 
-    ARPACK runs to relative tolerance 1e-6.  The spectrum accumulates at 1
-    from the high modes; a value near zero signals a bifurcation point, a
-    negative one a saddle direction.
+    _lowest_eigenpair from a fixed random start; NaN when it does not
+    converge.  The spectrum accumulates at 1 from the high modes; a value
+    near zero signals a bifurcation point, a negative one a saddle direction.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    op = LinearOperator((u.spec.npoints,) * 2, matvec=_symmetric_hessian(u, lam), dtype=np.float64)
-    vals = eigsh(op, k=1, which="SA", tol=1e-6, return_eigenvectors=False, maxiter=5000)
-    return float(vals[0])
+    start = from_values(u.spec, np.random.default_rng(0).standard_normal(u.spec.shape))
+    return _lowest_eigenpair(u, lam, start)[0]
 
 
 def newton_solve(guess: Field, lam: float, tol: float = 1e-10) -> SolveResult:
@@ -290,7 +321,7 @@ def newton_solve(guess: Field, lam: float, tol: float = 1e-10) -> SolveResult:
 
 
 def _start_pair(guess: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Newton's first iterate from a guess: its values (mean-zero, as every Field's)
+    """The first iterate of Newton or _lowest_eigenpair: a guess's values (mean-zero)
     and (-Lap)^m values, with no Field or spectrum.
 
     The transforms go through the calling thread's half-spectrum scratch, in

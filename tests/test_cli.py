@@ -159,6 +159,8 @@ class TestMpCmd:
         assert float(values["c_estimate"]) > 0.0
         assert values["path_origin"] == "saddle"
         assert values["c_estimate"] == values["energy"]
+        assert summary[0].split(",")[-1] == "unstable_eigenvalue"
+        assert float(values["unstable_eigenvalue"]) < 0.0
 
     def test_run_loads_no_sparse_module(self, tmp_path):
         # the pass through the polished saddle needs no ARPACK run, which
@@ -188,6 +190,7 @@ class TestMpCmd:
         values = dict(zip(summary[0].split(","), summary[1].split(",")))
         assert (values["converged"], values["path_origin"], values["sweeps"]) == (
             "false", "relaxed", "8")
+        assert math.isnan(float(values["unstable_eigenvalue"]))
         field = read_field(tmp_path / "mp" / "maximizer.pbfld")
         assert np.array_equal(field.values, failed[0].field.values)
 

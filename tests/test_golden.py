@@ -23,8 +23,8 @@ thread count, joined the fixture in the first tier at the m=2 tolerance.
 Tolerances were fixed before any refactor ran: 1e-8 relative on pass levels,
 energies and norms, 1e-8 times the product of the H^m norms on inner
 products, exact equality on flags, counts, sweeps and continuation steps,
-1e-6 absolute (ARPACK's tolerance) on the Hessian eigenvalues and on the
-whole m=2 run, 1e-8 absolute on the quantization deviation (itself a
+1e-6 absolute (the tolerance of the ARPACK probe that captured them) on
+the Hessian eigenvalues and on the whole m=2 run, 1e-8 absolute on the quantization deviation (itself a
 relative gap), and 1e-8 relative or absolute on cutoff values (the second
 derivative vanishes at r = 3/8).  Add entries only on purpose, with
 

@@ -552,7 +552,7 @@ def recorded_calls(monkeypatch) -> list[tuple]:
 
     def assemble_recorded(captured, solve, top):
         built = assemble(captured, solve, top)
-        calls.append(("saddle_path", captured.lam, built is not None))
+        calls.append(("saddle_path", captured.lam, built[0] is not None))
         return built
 
     monkeypatch.setattr(mp, "relax_path", relax_recorded)
@@ -640,6 +640,74 @@ def test_short_saddle_path_is_not_padded(monkeypatch, spec32):
     assert len(nodes) == 5
     assert nodes[1] is kept[0] and nodes[2] is res.solve.field and nodes[3] is kept[1]
     assert_honest_path(res)
+
+
+class TestUnstableDirection:
+    """The saddle path leaves u* along the eigenvector of its one negative eigenvalue."""
+
+    def test_flat_ridge_descends_in_few_steps(self, monkeypatch, spec32):
+        # at lam = 19 the ridge is flat; leaving along the captured tangent
+        # took 75 Armijo calls and kept 49 nodes.  The eigen-solve from that
+        # tangent takes at most 10 steps, one inverse transform each, after
+        # the one that gives M of the tangent
+        mp = torusmf.mountainpass
+        armijo, eigenpair, calls, inverse = mp._armijo_step, mp._lowest_eigenpair, [], []
+        counts = count_transforms(monkeypatch, spec32)
+
+        def counted(*args):
+            calls.append(1)
+            return armijo(*args)
+
+        def solve_counted(*args):
+            before = counts["inverse"]
+            out = eigenpair(*args)
+            inverse.append(counts["inverse"] - before)
+            return out
+
+        monkeypatch.setattr(mp, "_armijo_step", counted)
+        monkeypatch.setattr(mp, "_lowest_eigenpair", solve_counted)
+        res = mountain_pass(19.0, spec32)
+        assert res.path_origin == "saddle" and res.unstable_eigenvalue < 0.0
+        assert len(res.path.nodes) <= 20 and len(calls) <= 40
+        assert len(inverse) == 1 and inverse[0] <= 11
+        assert_honest_path(res)
+
+    def test_reports_the_saddle_eigenvalue(self, spec32):
+        res = mountain_pass(14.0, spec32, tol=1e-10)
+        want = smallest_hessian_eigenvalue(res.solve.field, 14.0)
+        assert res.unstable_eigenvalue < 0.0
+        assert res.unstable_eigenvalue == pytest.approx(want, abs=1e-6)
+
+    def test_no_descent_from_a_stable_state(self, spec32):
+        # negative control: u = 0 at lam = 10 < threshold_high is a strict
+        # local minimum, lowest eigenvalue 1 - 20/(4 pi^2) > 0
+        mp = torusmf.mountainpass
+        path = init_path(scaled(concentration_direction(spec32), 5.0), 16, 10.0)
+        zero = SolveResult(field=zero_field(spec32), lam=10.0, residual_l2=0.0, grad_norm=0.0,
+                           energy=0.0, iterations=0, converged=True)
+        descent, sup, mu = mp._saddle_path(path, zero, 8)
+        assert descent is None and math.isnan(sup)
+        assert mu == pytest.approx(1 - 20 / (4 * PI**2), abs=1e-10)
+
+    def test_nonnegative_eigenvalue_returns_the_captured_path(self, monkeypatch, spec32):
+        from torusmf.mountainpass import _SegmentTable, _sampled_supremum
+
+        mp = torusmf.mountainpass
+        monkeypatch.setattr(mp, "_lowest_eigenpair", lambda u, lam, start: (0.0, None))
+        res = mountain_pass(14.0, spec32, tol=1e-8)
+        assert (res.converged, res.path_origin, res.unstable_eigenvalue) == (True, "relaxed", 0.0)
+        nodes = res.path.nodes
+        energies = [energy_value(node, 14.0) for node in nodes]
+        sup, _, _ = _sampled_supremum(nodes, energies, _SegmentTable(14.0, nodes[0], nodes[-1]))
+        assert res.c_estimate == pytest.approx(max(sup, res.solve.energy), rel=1e-12, abs=0.0)
+
+    def test_failed_polish_has_no_eigenvalue(self, monkeypatch, spec32):
+        def no_solve(guess, lam, **kwargs):
+            return SolveResult(field=guess, lam=lam, residual_l2=1.0, grad_norm=1.0,
+                               energy=energy_value(guess, lam), iterations=0, converged=False)
+
+        monkeypatch.setattr(torusmf.mountainpass, "newton_solve", no_solve)
+        assert math.isnan(mountain_pass(14.0, spec32, tol=1e-8).unstable_eigenvalue)
 
 
 class TestLevelSweep:

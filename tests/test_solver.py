@@ -7,6 +7,7 @@ import pytest
 
 import torusmf
 from torusmf import (
+    Field,
     SolveResult,
     apply_power_laplacian,
     bubble_asymptotics,
@@ -30,12 +31,28 @@ from torusmf import (
     solve_poisson_power,
     zero_field,
 )
+from torusmf.field import _sobolev_dot, _wavenumbers, transform
 from torusmf.functional import _normalized_exp_weight
-from torusmf.solver import _minres, _symmetric_hessian, _weight_term
+from torusmf.solver import (
+    _EIG_TOL,
+    _dual_norm_sq,
+    _hessian_rows,
+    _lowest_eigenpair,
+    _minres,
+    _weight_term,
+)
 
 from conftest import cos_mode, count_transforms, run_fresh, smooth_field, traced_peak
 
 PI = math.pi
+
+
+@pytest.fixture(scope="module")
+def saddle_m2():
+    """Converged nonconstant solution at lam=250, m=2, on the coarsest grid."""
+    res = mountain_pass(250.0, make_spec(2, 8), tol=1e-10)
+    assert res.converged
+    return res.solve
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +251,7 @@ class TestScratchArrays:
 
 
 class TestPreconditionedOperator:
-    """MINRES's Hessian product and the eigenvalue probe's B^-1 H B^-1 on grid values."""
+    """MINRES's Hessian product and the eigen-solver's M-normal rows (x, M x, H x) on grid values."""
 
     CASES = ((1, 32, 10.0), (2, 8, 100.0))
 
@@ -256,32 +273,105 @@ class TestPreconditionedOperator:
             want = hessian_action(u, lam, v).values
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @staticmethod
+    def _rows(u, lam: float, v):
+        """The eigen-solver's rows of v: v and M v scaled to unit M-norm, then H of that."""
+        spec = u.spec
+        rows = np.stack([v.values.reshape(-1), apply_power_laplacian(v, spec.m).values.reshape(-1),
+                         np.full(spec.npoints, np.nan)])
+        _hessian_rows(_normalized_exp_weight(u.values, spec.m).reshape(-1), -2.0 * spec.m * lam,
+                      rows, math.sqrt(sobolev_norm_sq(v)))
+        return rows
+
     @pytest.mark.parametrize("m,n,lam", CASES)
     def test_matches_physical_operator(self, m, n, lam):
         u = self._state(m, n)
         spec = u.spec
-        op = _symmetric_hessian(u, lam)
         rng = np.random.default_rng(6)
         for _ in range(3):
-            # B^-1 H B^-1 w on a mean-zero w, with B = (-Lap)^(m/2)
-            w = from_values(spec, rng.standard_normal(spec.shape))
-            want = solve_poisson_power(hessian_action(u, lam, solve_poisson_power(w, m / 2)),
-                                       m / 2).values.reshape(-1)
-            got = op(w.values.reshape(-1))
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            v = from_values(spec, rng.standard_normal(spec.shape))
+            x = scaled(v, 1.0 / math.sqrt(sobolev_norm_sq(v)))
+            rows = self._rows(u, lam, v)
+            assert np.linalg.norm(rows[0] - x.values.reshape(-1)) <= 1e-12 * np.linalg.norm(rows[0])
+            want = hessian_action(u, lam, x).values.reshape(-1)
+            assert np.linalg.norm(rows[2] - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("m,n,lam", CASES)
-    def test_symmetric_on_full_coordinate_space(self, m, n, lam):
-        # every grid vector, the constant mode included
+    def test_symmetric_in_the_m_inner_product(self, m, n, lam):
+        # M^-1 H is self-adjoint for <a, b>_M = <a, M b>: <a, M^-1 H b>_M = <a, H b>
         u = self._state(m, n)
         spec = u.spec
-        op = _symmetric_hessian(u, lam)
         rng = np.random.default_rng(7)
         for _ in range(3):
-            z1, z2 = rng.standard_normal((2, spec.npoints))
-            a1, a2 = op(z1), op(z2)
-            scale = np.linalg.norm(z1) * np.linalg.norm(a2)
-            assert abs(z1 @ a2 - a1 @ z2) <= 1e-12 * scale
+            v1, v2 = (from_values(spec, z) for z in rng.standard_normal((2,) + spec.shape))
+            (x1, _, h1), (x2, _, h2) = self._rows(u, lam, v1), self._rows(u, lam, v2)
+            a1, a2 = (solve_poisson_power(from_values(spec, h), m) for h in (h1, h2))
+            left = torusmf.sobolev_inner(from_values(spec, x1), a2)
+            right = torusmf.sobolev_inner(a1, from_values(spec, x2))
+            scale = math.sqrt(sobolev_norm_sq(a1) * sobolev_norm_sq(a2))
+            assert abs(left - right) <= 1e-12 * scale
+
+
+class TestLowestEigenpair:
+    """The LOBPCG eigen-solver for H x = mu M x against closed forms, its residual and ARPACK."""
+
+    @staticmethod
+    def _start(spec):
+        return from_values(spec, np.random.default_rng(3).standard_normal(spec.shape))
+
+    @pytest.mark.parametrize("m,n,lam", [(1, 16, 10.0), (2, 8, 100.0)])
+    def test_closed_form_at_the_trivial_state(self, m, n, lam):
+        # at u = 0, W = 1 and H = M - 2m lam on mean-zero fields: the lowest
+        # eigenvalue 1 - 2m lam/(4 pi^2)^m belongs to the |k| = 1 modes, and
+        # x's part on the others has M-norm at most the residual over the gap
+        # to the |k|^2 = 2 eigenvalue
+        spec = make_spec(m, n)
+        mu, x = _lowest_eigenpair(zero_field(spec), lam, self._start(spec))
+        assert mu == pytest.approx(1 - 2 * m * lam / (4 * PI**2) ** m, abs=1e-10)
+        assert sobolev_norm_sq(x) == pytest.approx(1.0, rel=1e-10)
+        rest = np.where(sum(k**2 for k in _wavenumbers(spec)) == 1, 0.0, transform(x))
+        gap = 2 * m * lam * ((4 * PI**2) ** -m - (8 * PI**2) ** -m)
+        assert math.sqrt(_sobolev_dot(spec, rest, rest, m)) <= _EIG_TOL / gap
+
+    @pytest.mark.parametrize("case", ["m1", "m2"])
+    def test_residual_within_tolerance(self, case, saddle32, saddle_m2):
+        sol = {"m1": saddle32, "m2": saddle_m2}[case]
+        u, lam = sol.field, sol.lam
+        mu, x = _lowest_eigenpair(u, lam, self._start(u.spec))
+        assert mu < 0.0
+        assert sobolev_norm_sq(x) == pytest.approx(1.0, rel=1e-10)
+        r = hessian_action(u, lam, x).values - mu * apply_power_laplacian(x, u.spec.m).values
+        assert math.sqrt(_dual_norm_sq(np.fft.rfftn(r), u.spec)) <= _EIG_TOL
+
+    @pytest.mark.parametrize("case", ["m1", "m2"])
+    def test_matches_arpack(self, case, saddle32, saddle_m2):
+        # eigsh on B^-1 H B^-1, B = (-Lap)^(m/2), the identity on the constant mode
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        sol = {"m1": saddle32, "m2": saddle_m2}[case]
+        u, lam = sol.field, sol.lam
+        spec, m = u.spec, u.spec.m
+
+        def matvec(z):
+            w = from_values(spec, z)
+            out = solve_poisson_power(hessian_action(u, lam, solve_poisson_power(w, m / 2)), m / 2)
+            return out.values.reshape(-1) + z.mean()
+
+        op = LinearOperator((spec.npoints,) * 2, matvec=matvec, dtype=np.float64)
+        want = eigsh(op, k=1, which="SA", tol=1e-10, return_eigenvectors=False)[0]
+        assert smallest_hessian_eigenvalue(u, lam) == pytest.approx(want, abs=1e-6)
+
+    def test_one_transform_pair_per_step(self, monkeypatch, spec32):
+        # M of the start costs a forward and an inverse transform; each step
+        # one forward (the residual's dual norm) and one inverse (M^-1)
+        counts = count_transforms(monkeypatch, spec32)
+        assert smallest_hessian_eigenvalue(zero_field(spec32), 10.0) > 0.0
+        steps = counts["inverse"] - 1
+        assert 1 <= steps <= 20 and counts == {"forward": steps + 2, "inverse": steps + 1}
+
+    def test_unconverged_probe_is_nan(self, monkeypatch, spec32):
+        monkeypatch.setattr(torusmf.solver, "_EIG_MAX_ITER", 1)
+        assert math.isnan(smallest_hessian_eigenvalue(zero_field(spec32), 10.0))
 
 
 class TestMinres:
@@ -369,8 +459,8 @@ class TestMinres:
 
 def test_import_loads_no_sparse_linalg():
     # scipy.sparse.linalg costs more to import than the rest of torusmf;
-    # neither the import nor a Newton solve, converged or failed at the
-    # threshold 2 pi^2, may load it; an eigenvalue probe still does
+    # neither the import, nor a Newton solve, converged or failed at the
+    # threshold 2 pi^2, nor an eigenvalue probe may load any scipy.sparse module
     code = ("import sys\n"
             "import numpy as np\n"
             "import torusmf, torusmf.cli\n"
@@ -382,9 +472,10 @@ def test_import_loads_no_sparse_linalg():
             "u = torusmf.from_values(spec, 1e-2 * np.cos(2 * np.pi * x) + np.zeros(spec.shape))\n"
             "assert not torusmf.newton_solve(u, 2 * np.pi**2, tol=1e-12).converged\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
-            "print(torusmf.smallest_hessian_eigenvalue(torusmf.zero_field(spec), 10.0))\n")
-    on_import, after_solves, low = run_fresh(code).splitlines()
-    assert on_import == after_solves == "[]"
+            "print(torusmf.smallest_hessian_eigenvalue(torusmf.zero_field(spec), 10.0))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    on_import, after_solves, low, after_probe = run_fresh(code).splitlines()
+    assert on_import == after_solves == after_probe == "[]"
     assert float(low) == pytest.approx(1 - 2 * 10.0 / (4 * PI**2), abs=1e-6)
 
 
