@@ -8,13 +8,14 @@ family the squared H^m seminorm grows like 2*Lambda1*log(sigma) and the
 energy like (Lambda1 - lam)*log(sigma), which is what makes the functional
 unbounded below past the coercivity threshold.
 
-Radial quantities are computed two independent ways where possible: adaptive
-1-D quadrature of closed-form derivatives here, and grid embeddings through
-field.py; tests cross-check the two.
+Radial quantities are computed two independent ways where possible: composite
+Gauss-Legendre quadrature of closed-form derivatives here, and grid embeddings
+through field.py; tests cross-check the two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ from .field import Field, TorusSpec, from_values, grid_coordinates
 from .functional import constants, sphere_volume
 
 _PLATEAU_EPS = 1e-8  # snap-to-plateau margin for the cutoff (flat to ~exp(-1/eps))
+_LOW_ORDER, _HIGH_ORDER = 10, 20  # Gauss-Legendre points per panel: check, value
+_QUAD_RTOL = 1e-9  # allowed gap between the two orders, relative to the integral of |f|
 
 
 def ball_volume(m: int) -> float:
@@ -138,26 +141,34 @@ def profile_half_laplacian(sigma: float, r, m: int):
         )
     else:
         raise ValueError(f"unsupported order m={m}")
-    if np.isscalar(r):
-        return float(out)
     return out
 
 
-def _ball_integral(m: int, fn, breaks) -> float:
-    """Integral over the unit ball of R^(2m) of a radial function fn(r), by adaptive
-    1-D quadrature of omega * r^(2m-1) * fn(r) on [0, 1] split at breaks."""
-    from scipy.integrate import quad
+@functools.cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss  # on first use: import torusmf skips it
+    return leggauss(order)
 
-    omega = sphere_volume(2 * m - 1)
-    power = 2 * m - 1
-    pts = sorted({float(b) for b in breaks if 0.0 < b < 1.0})
-    out = quad(
-        lambda r: omega * r**power * fn(r), 0.0, 1.0, points=pts or None, epsabs=1e-8,
-        epsrel=1e-9, limit=400, full_output=1,
-    )
-    if len(out) > 3:  # message present => warning/failure
-        raise QuadratureError(f"radial quadrature did not converge: {out[3]}")
-    return float(out[0])
+
+def _ball_integral(m: int, sigma: float, fn) -> float:
+    """Integral over the unit ball of R^(2m) of a radial fn(r), vectorized in r, by composite
+    Gauss-Legendre on panels geometric in r from 1/(64 sigma) to 1/4, 16 equal ones across
+    the cutoff band [1/4, 1/2] and one on [1/2, 1]; a lower order checks the value."""
+    start = min(1.0 / (64.0 * sigma), 0.125)  # clipped so the edges increase for small sigma
+    core = np.geomspace(start, 0.25, math.ceil(math.log2(0.25 / start)) + 7)
+    edges = np.concatenate([[0.0], core[:-1], np.linspace(0.25, 0.5, 17), [1.0]])
+    mid, half = 0.5 * (edges[1:] + edges[:-1])[:, None], 0.5 * np.diff(edges)[:, None]
+    sums = []
+    for order in (_LOW_ORDER, _HIGH_ORDER):
+        x, w = _legendre_rule(order)
+        r = mid + half * x
+        terms = half * w * r ** (2 * m - 1) * fn(r)
+        sums.append(float(terms.sum()))
+    low, high = sums
+    scale = float(np.abs(terms).sum())  # of the higher order
+    if not abs(high - low) <= _QUAD_RTOL * scale:
+        raise QuadratureError(f"radial quadrature orders differ by {abs(high - low):.3g}")
+    return sphere_volume(2 * m - 1) * high
 
 
 def radial_energy(sigma: float, m: int) -> float:
@@ -168,22 +179,19 @@ def radial_energy(sigma: float, m: int) -> float:
     """
     if sigma < 2:
         raise ValueError("sigma must be >= 2")
-    return _ball_integral(m, lambda r: profile_half_laplacian(sigma, r, m) ** 2,
-                          (1.0 / sigma, 0.25, 0.5))
+    return _ball_integral(m, sigma, lambda r: profile_half_laplacian(sigma, r, m) ** 2)
 
 
 def radial_exp_mass(sigma: float, m: int) -> float:
     """Integral over the unit ball of exp(2m v); bounded in sigma."""
-    breaks = (0.5 / sigma, 1.0 / sigma, 3.0 / sigma, 10.0 / sigma, 30.0 / sigma, 0.25, 0.5)
-    return _ball_integral(m, lambda r: math.exp(2.0 * m * profile_value(sigma, r)), breaks)
+    return _ball_integral(m, sigma, lambda r: np.exp(2.0 * m * profile_value(sigma, r)))
 
 
 def radial_profile_mean(sigma: float, alpha: float, m: int) -> float:
     """Mean over the torus of the embedded (pre-projection) profile."""
-    inner = _ball_integral(m, lambda r: profile_value(sigma, r), (1.0 / sigma, 0.25, 0.5))
-    w1 = w_profile(sigma, 1.0)
+    inner = _ball_integral(m, sigma, lambda r: profile_value(sigma, r))
     cap_volume = ball_volume(m) * alpha ** (2 * m)
-    return (1.0 - cap_volume) * w1 + alpha ** (2 * m) * inner
+    return (1.0 - cap_volume) * w_profile(sigma, 1.0) + alpha ** (2 * m) * inner
 
 
 def radial_log_mass(sigma: float, alpha: float, m: int) -> float:
@@ -246,10 +254,7 @@ def bubble_field(spec: TorusSpec, params: BubbleParams, *, allow_unresolved: boo
         d = np.mod(x - params.center[axis] + 0.5, 1.0) - 0.5
         r2 = r2 + d * d
     rho = np.sqrt(r2) / params.alpha  # radius in unit-ball coordinates
-    vals = profile_value(params.sigma, np.minimum(rho, 1.0))
-    w1 = w_profile(params.sigma, 1.0)
-    vals = np.where(rho < 1.0, vals, w1)
-    return from_values(spec, vals)
+    return from_values(spec, profile_value(params.sigma, rho))  # w(1) wherever rho >= 1/2
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import BubbleParams, bubble_field, required_resolution
+from .bubble import BubbleParams, _fit_slope, bubble_field, required_resolution
 from .field import (
     Field,
     TorusSpec,
@@ -226,11 +226,7 @@ def green_field(spec: TorusSpec, base_index: tuple[int, ...]) -> GreenField:
     coefficient = None
     window = (dist >= lo) & (dist <= hi)
     if np.count_nonzero(window) >= 8 and lo < hi:
-        r = dist[window]
-        y = g.values[window]
-        design = np.column_stack([np.log(1.0 / r), np.ones(r.size)])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        coefficient = float(coef[0])
+        coefficient = _fit_slope(np.log(1.0 / dist[window]), g.values[window])
     return GreenField(base_index=base, field=g, log_coefficient=coefficient)
 
 

@@ -31,4 +31,4 @@ class ConvergenceError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive 1-D quadrature failed to converge to the requested tolerance."""
+    """Radial quadrature whose two Gauss-Legendre orders disagree beyond its tolerance."""

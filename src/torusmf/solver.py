@@ -24,7 +24,6 @@ dots, so a solve gives the same bits under any BLAS thread count.
 The lowest eigenpair of H against M (a saddle's unstable direction) comes
 from a single-vector LOBPCG preconditioned by M^-1 on such carried pairs:
 one M^-1 (two real FFTs) per step, and numpy's eigh only on 3 x 3 matrices.
-Nothing here imports scipy.sparse, which costs more to import than the package.
 
 The Newton loop and MINRES work in per-thread scratch arrays, kept between
 calls and reallocated when the grid changes; results never alias them.

@@ -24,6 +24,8 @@ from torusmf import (
     sobolev_norm_sq,
     w_profile,
 )
+from torusmf.bubble import _ball_integral
+from torusmf.errors import QuadratureError
 
 PI = math.pi
 
@@ -138,16 +140,12 @@ class TestRadialEnergy:
 
     def test_leading_term_closed_form(self):
         # core integral 8 pi int_0^1 s^4 r^3/(1+s^2 r^2)^2 dr has antiderivative
-        # 2 pi [log(1+s^2 r^2) + 1/(1+s^2 r^2)]
-        from scipy.integrate import quad
-
+        # 2 pi [log(1+s^2 r^2) + 1/(1+s^2 r^2)]; the ball integral supplies 2 pi r
         for sigma in (50.0, 400.0):
-            val, _ = quad(
-                lambda r: 8 * PI * sigma**4 * r**3 / (1 + sigma**2 * r**2) ** 2,
-                0.0, 1.0, points=[1.0 / sigma], limit=200,
-            )
+            val = _ball_integral(1, sigma,
+                                 lambda r: 4 * sigma**4 * r**2 / (1 + sigma**2 * r**2) ** 2)
             closed = 4 * PI * (math.log(1 + sigma**2) + 1 / (1 + sigma**2) - 1)
-            assert val == pytest.approx(closed, rel=1e-9)
+            assert val == pytest.approx(closed, rel=1e-12)
 
     def test_cutoff_corrections_bounded(self):
         # energy minus pure-core term stays O(1) while both grow like log sigma
@@ -162,6 +160,43 @@ class TestRadialEnergy:
         sigmas = [10**p for p in (2.0, 2.5, 3.0, 3.5, 4.0)]
         band = [radial_energy(s, 1) - 2 * (4 * PI) * math.log(s) for s in sigmas]
         assert max(band) - min(band) <= 10.0
+
+
+class TestBallIntegral:
+    @pytest.mark.parametrize("m, sigma", [(2, 1e6), (2, 1e8), (1, 1e8)])
+    def test_exp_mass_reaches_the_bubble_mass(self, m, sigma):
+        # the whole-space masses are 4 pi (m=1) and 8 pi^2/3 (m=2); what the
+        # cutoff and the ball miss is O(sigma^-2m).  Adaptive quad read these
+        # 3.7e-6 (m=2) and 1.1e-3 (m=1, sigma=1e8) off, with no error raised
+        closed = 4 * PI if m == 1 else 8 * PI**2 / 3
+        assert radial_exp_mass(sigma, m) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("sigma", [0.01, 0.5, 10.0, 1e3])
+    def test_matches_adaptive_quadrature(self, m, sigma):
+        # scipy's quad split at the core scale and the cutoff band as the
+        # reference; sigma < 1/16 exercises the clipped core panels
+        from scipy.integrate import quad
+
+        omega = 2 * PI if m == 1 else 2 * PI**2
+        fns = [lambda r: profile_value(sigma, r),
+               lambda r: np.exp(2 * m * profile_value(sigma, r))]
+        if sigma >= 2:
+            fns.append(lambda r: profile_half_laplacian(sigma, r, m) ** 2)
+        for fn in fns:
+            want, _ = quad(lambda r: omega * r ** (2 * m - 1) * fn(r), 0.0, 1.0,
+                           points=[p for p in (1.0 / sigma, 0.25, 0.5) if p < 1.0],
+                           epsabs=0.0, epsrel=1e-13,
+                           limit=400)
+            got = _ball_integral(m, sigma, fn)
+            assert got == pytest.approx(want, rel=1e-10)
+
+    def test_jump_raises_quadrature_error(self):
+        # a step inside a cutoff-band panel: the two orders differ (7e-4 of the
+        # integral) and the rule says so instead of returning a value
+        jump = 0.3 + 1e-3 * PI
+        with pytest.raises(QuadratureError, match="orders differ"):
+            _ball_integral(1, 100.0, lambda r: np.where(r > jump, 1.0, 0.0))
 
 
 class TestDefaultAlpha:

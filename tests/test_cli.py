@@ -19,6 +19,30 @@ def cli(tmp_path, command, *flags) -> int:
     return main([command, "--outdir", str(tmp_path), *flags])
 
 
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency: all eight commands run in one
+    # fresh interpreter, and no scipy module (nor numpy.polynomial, before
+    # the first radial integral) is loaded
+    out = str(tmp_path)
+    commands = [["constants", "--m", "1"],
+                ["bubble", "--sigma-list", "1e2,1e3,1e4"],
+                ["mp", "--n", "16", "--lambda", "14"],
+                ["continue", "--n", "16", "--lambda-start", "14", "--lambda-end", "13.5"],
+                ["quant", "--field", out + "/mp/maximizer.pbfld", "--lambda", "14"],
+                ["sweep", "--n", "16", "--lambda-grid", "14,15"],
+                ["green", "--n", "32"],
+                ["nonexist", "--m", "1", "--n", "8", "--n-seeds", "4"]]
+    code = ("import sys\n"
+            "from torusmf.cli import main\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+            f"for argv in {commands!r}:\n"
+            f"    assert main(argv + ['--outdir', {out!r}]) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    lines = run_fresh(code).splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "[]"
+
+
 class TestParser:
     @staticmethod
     def types_by_command() -> dict[str, dict[str, object]]:
@@ -143,6 +167,13 @@ class TestBubbleCmd:
 
     def test_short_list_rejected(self, tmp_path):
         assert cli(tmp_path, "bubble", "--sigma-list", "10,20") == 2
+
+    def test_quadrature_failure_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # with no tolerance every radial integral's two orders disagree
+        monkeypatch.setattr(torusmf.bubble, "_QUAD_RTOL", 0.0)
+        rc = cli(tmp_path, "bubble", "--sigma-list", "1e2,1e3,1e4")
+        assert rc == 3
+        assert "numerical failure: radial quadrature" in capsys.readouterr().err
 
 
 class TestMpCmd:

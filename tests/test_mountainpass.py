@@ -418,8 +418,8 @@ class TestMountainPass:
         assert res.c_estimate >= res.solve.energy - 1e-9
 
     def test_solve_path_does_not_import_quadrature(self):
-        # scipy's quadrature, optimizers and special functions serve the
-        # radial calculus only; a path solve loads none of them
+        # torusmf imports no scipy module at all (tests/test_cli.py checks every
+        # command); a path solve in particular loads none of these three
         code = ("import sys\n"
                 "from torusmf import make_spec, mountain_pass\n"
                 "mountain_pass(14.0, make_spec(1, 32))\n"
