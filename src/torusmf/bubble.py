@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import QuadratureError, UnresolvedBubbleError
 from .field import Field, TorusSpec, from_values, grid_coordinates
-from .functional import constants, sphere_volume
+from .functional import _check_nonnegative, constants, sphere_volume
 
 _PLATEAU_EPS = 1e-8  # snap-to-plateau margin for the cutoff (flat to ~exp(-1/eps))
 _LOW_ORDER, _HIGH_ORDER = 10, 20  # Gauss-Legendre points per panel: check, value
@@ -294,8 +294,7 @@ def bubble_asymptotics(sigma_list, lam: float, m: int, alpha: float = 0.4) -> Bu
         raise ValueError("need at least 3 sigma values")
     if np.any(np.diff(sigmas) <= 0):
         raise ValueError("sigma values must be strictly increasing")
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    _check_nonnegative(lam)
     _check_alpha(alpha)
     cst = constants(m)
     norms_sq = np.array([radial_energy(s, m) for s in sigmas])

@@ -23,6 +23,7 @@ from .field import (
     Field,
     FOUR_PI_SQ,
     SUPPORTED_ORDERS,
+    _check_same_spec,
     apply_power_laplacian,
     l2_inner,
     lincomb,
@@ -71,10 +72,15 @@ def constants(m: int) -> Constants:
     )
 
 
+def _check_nonnegative(value: float, name: str = "lam") -> None:
+    """Refuse a value below 0 or not finite (nan, +-inf); name is its parameter."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def energy_value(u: Field, lam: float) -> float:
     """I(u): the quadratic part minus lam/2m times the (overflow-safe) log mass."""
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    _check_nonnegative(lam)
     m = u.spec.m
     return 0.5 * sobolev_norm_sq(u) - lam / (2.0 * m) * log_integrate_exp(u, 2.0 * m)
 
@@ -143,8 +149,7 @@ def hessian_action(u: Field, lam: float, v: Field) -> Field:
     exponential weight; symmetric in the L^2 pairing.
     """
     # kept apart from solver._weight_term: the reference its grid products are tested against
-    if u.spec != v.spec:
-        raise ValueError("grid spec mismatch")
+    _check_same_spec(u, v)
     m = u.spec.m
     weight = _normalized_exp_weight(u.values, m)
     wv = weight * v.values

@@ -43,24 +43,16 @@ _DESCENT_STEPS = 400  # cap on each steepest-descent leg of the saddle path
 
 @dataclass
 class PathState:
-    """Discrete path of mean-zero fields from 0 to the anchor u0, at one lam.
-
-    table (a _SegmentTable) holds the Gram entries and sampled crests of its
-    segments.  relax_path and the ridge capture hand it on to the path they
-    return, so later calls at this lam read the crests earlier ones left.
-    """
+    """Discrete path of mean-zero fields from 0 to the anchor u0, at one lam."""
 
     lam: float
     nodes: list[Field]
-    table: _SegmentTable | None = dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.nodes) < 3:
             raise ValueError("path needs at least 3 nodes (2 segments)")
         if float(np.max(np.abs(self.nodes[0].values))) != 0.0:
             raise ValueError("path must start at the zero field")
-        if self.table is None:
-            self.table = _SegmentTable(self.lam, self.nodes[0], self.nodes[-1])
 
 
 @dataclass(frozen=True)
@@ -88,17 +80,23 @@ class MPResult:
 
 @dataclass
 class RelaxInfo:
-    """Trajectory of one relax_path call, one list entry per sweep.
+    """Trajectory of one relax_path call, one list entry per sweep, and the crest it located.
 
-    captured counts the nodes the crest capture inserted; respace_rejected
-    counts the sweeps whose re-spaced polyline was refused because a node
-    energy or a segment crest rose above the max node.  Descent steps are
-    plain Armijo steps, never refused.
+    captured counts the nodes the crest capture inserted, one entry per
+    sweep and a last one for the final capture; respace_rejected counts the
+    sweeps whose re-spaced polyline was refused because a node energy or a
+    segment crest rose above the max node.  Descent steps are plain Armijo
+    steps, never refused.  level is the sampled supremum of the returned
+    path, crest the point attaining it (a node, or a segment sample still
+    above every node) and top the index of its max node.
     """
 
     max_energies: list[float] = dataclass_field(default_factory=list)
     captured: list[int] = dataclass_field(default_factory=list)
     respace_rejected: int = 0
+    level: float = math.nan
+    crest: Field | None = None
+    top: int = -1
 
     @property
     def sweeps(self) -> int:
@@ -258,7 +256,8 @@ class _SegmentTable:
     are the node objects (a Field is immutable and hashes by identity; ids
     would be reused after garbage collection), and entries are computed by
     the same operations as without the table, so every energy and decision
-    taken from them is bit-identical.  Two threads must not relax paths sharing one.
+    taken from them is bit-identical.  A table lives only in the call that
+    builds it (relax_path, _saddle_path).
     """
 
     def __init__(self, lam: float, zero: Field, anchor: Field):
@@ -301,7 +300,7 @@ def _sampled_supremum(nodes: list[Field], energies: list[float], table: _Segment
 
     seg is -1 when a node already attains the supremum; otherwise the sample
     is (1 - t) nodes[seg] + t nodes[seg + 1].  Segment crests are read
-    through table, so a segment already sampled at this lam costs nothing.
+    through table, so a segment it has already sampled costs nothing.
     """
     best_e = max(energies)
     best_seg, best_t = -1, 0.0
@@ -316,29 +315,31 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
     """Descend the dominant nodes of the path; endpoints stay pinned.
 
     This is a locator: it brings the crest near the saddle for Newton to
-    polish; mountain_pass reads the level off a path of its own.  Each
-    sweep pulls the sampled crest of the path into the node set, moves the
-    top-energy node and its two neighbors by plain Armijo steps (first trial
-    step 2, then twice the last accepted one; a node with no accepted step
-    stays), and re-spaces by energy gaps if a node moved; a sweep that moves
-    no node is the last, so info.sweeps < sweeps shows that case.  A
-    re-spacing is accepted only if every new node energy and segment crest
-    stays below the max node, and abandoned at the first one above, so the
-    max-node energy cannot rise within a sweep (ArithmeticError if it does).
-    A step may raise a crest inside a neighboring segment; the next sweep's
-    capture pulls it into the node set.
+    polish.  Each sweep pulls the sampled crest of the path into the node
+    set, moves the top-energy node and its two neighbors by plain Armijo
+    steps (first trial step 2, then twice the last accepted one; a node with
+    no accepted step stays), and re-spaces by energy gaps if a node moved; a
+    sweep that moves no node is the last, so info.sweeps < sweeps shows that
+    case.  A re-spacing is accepted only if every new node energy and
+    segment crest stays below the max node, and abandoned at the first one
+    above, so the max-node energy cannot rise within a sweep
+    (ArithmeticError if it does).  A step may raise a crest inside a
+    neighboring segment; the next capture pulls it into the node set.  A
+    final capture of up to 4 crest points ends the call, and info reports
+    the returned path's sampled supremum (level), the point attaining it
+    (crest, where mountain_pass polishes) and the index of its max node
+    (top).
 
-    Gram entries and segment crests are read through the path's table (a
-    segment is sampled once however many checks, sweeps or calls at this
-    lam read it), which is pruned to the live segments after each sweep and
-    handed on to the returned path; the results are bit-identical to
-    sampling every segment afresh.
+    Gram entries and segment crests are read through one table for the
+    call (a segment is sampled once however many checks or sweeps read it),
+    pruned to the live segments after each sweep; the results are
+    bit-identical to sampling every segment afresh.
     """
     lam = path.lam
     nodes = list(path.nodes)
     energies = [energy_value(nd, lam) for nd in nodes]
     info = RelaxInfo()
-    table = path.table
+    table = _SegmentTable(lam, nodes[0], nodes[-1])
     step = 1.0
 
     for _ in range(sweeps):
@@ -367,7 +368,12 @@ def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
         info.max_energies.append(max(energies))
         if not moved:
             break
-    return PathState(lam=lam, nodes=nodes, table=table), info
+    info.captured.append(_capture_insert(nodes, energies, table, rounds=4))
+    info.top = int(np.argmax(energies))
+    level, seg, t = _sampled_supremum(nodes, energies, table)
+    info.level = float(level)
+    info.crest = nodes[info.top] if seg < 0 else lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
+    return PathState(lam=lam, nodes=nodes), info
 
 
 def _capture_insert(nodes: list[Field], energies: list[float], table: _SegmentTable,
@@ -386,24 +392,6 @@ def _capture_insert(nodes: list[Field], energies: list[float], table: _SegmentTa
         energies.insert(seg + 1, top_e)
         captured += 1
     return captured
-
-
-def _capture(path: PathState) -> tuple[PathState, float, Field, int]:
-    """Pull the node sampling up to the sampled path supremum.
-
-    Returns the refined path, its sampled supremum (node energies and
-    segment samples), the point attaining it (a node, or a segment sample
-    still above every node) and the index of the max node.  The supremum is
-    a level of the returned path by construction, whatever moves made it.
-    """
-    lam, table = path.lam, path.table
-    nodes = list(path.nodes)
-    energies = [energy_value(nd, lam) for nd in nodes]
-    _capture_insert(nodes, energies, table, rounds=4)
-    imax = int(np.argmax(energies))
-    sup, seg, t = _sampled_supremum(nodes, energies, table)
-    top = nodes[imax] if seg < 0 else lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
-    return PathState(lam=lam, nodes=nodes, table=table), float(sup), top, imax
 
 
 def _descend(u: Field, end: Field, table: _SegmentTable,
@@ -441,13 +429,14 @@ def _saddle_path(captured: PathState, solve: SolveResult,
     """The path 0 -> descent -> saddle -> descent -> anchor, its sampled supremum, and mu.
 
     mu and e are _lowest_eigenpair's at the saddle u* = solve.field, started
-    from the captured path's tangent at its top node: e is the unstable
-    direction.  u* is left by the steps +-eps e with eps ||e|| = 1e-3 ||u*||,
-    oriented so <e, u*> > 0; the - side descends toward 0 and the + side
-    toward the anchor.  The supremum is read through a fresh table, and u*
-    attains it when no sample lies above solve.energy.  The path and
-    supremum are None and NaN when mu is not negative (or NaN), a descent
-    stalls, or the supremum exceeds solve.energy by more than 1e-9 relative.
+    from the captured path's tangent at its max node top (relax_path's
+    info.top): e is the unstable direction.  u* is left by the steps +-eps e
+    with eps ||e|| = 1e-3 ||u*||, oriented so <e, u*> > 0; the - side
+    descends toward 0 and the + side toward the anchor.  The supremum is
+    read through a table of this call's own, and u* attains it when no
+    sample lies above solve.energy.  The path and supremum are None and NaN
+    when mu is not negative (or NaN), a descent stalls, or the supremum
+    exceeds solve.energy by more than 1e-9 relative.
     """
     lam, zero, anchor = captured.lam, captured.nodes[0], captured.nodes[-1]
     saddle, level = solve.field, solve.energy
@@ -468,8 +457,7 @@ def _saddle_path(captured: PathState, solve: SolveResult,
     sup, _, _ = _sampled_supremum(nodes, energies, table)
     if sup > level + 1e-9 * (1.0 + abs(level)):
         return None, math.nan, mu
-    table.keep_live(nodes)
-    return PathState(lam=lam, nodes=nodes, table=table), sup, mu
+    return PathState(lam=lam, nodes=nodes), sup, mu
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
@@ -477,9 +465,9 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
 
     The path runs from 0 to find_u0's anchor below -1, or below -0.05 when
     the search for -1 fails, on 16 segments.  It is relaxed _LOCATOR_SWEEPS
-    sweeps (iterations counts them), its ridge is captured, and Newton runs
-    once from the captured path's sampled maximum; in every measured case
-    that polish converges in 4-7 Newton steps.
+    sweeps (iterations counts them), and Newton runs once from the crest
+    that relax_path's final capture located (info.crest); in every
+    measured case that polish converges in 4-7 Newton steps.
 
     When the polish converges to tol away from the trivial state u = 0 (H^m
     norm above 1e-6), the returned path is _saddle_path's descent path
@@ -494,13 +482,13 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
     to tol (L^2 residual) and is non-constant.
     """
     u0, min_energy, failed_floor = _scan_anchor(lam, spec, -1.0, -0.05)
-    relaxed, info = relax_path(init_path(u0, 16, lam), _LOCATOR_SWEEPS)
-    path, level, top, imax = _capture(relaxed)
-    solve = newton_solve(top, path.lam, tol=tol)
+    path, info = relax_path(init_path(u0, 16, lam), _LOCATOR_SWEEPS)
+    level = info.level
+    solve = newton_solve(info.crest, path.lam, tol=tol)
     solved = solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6
     origin, mu = "relaxed", math.nan
     if solved:
-        descent, sup, mu = _saddle_path(path, solve, imax)
+        descent, sup, mu = _saddle_path(path, solve, info.top)
         if descent is None:
             level = max(level, solve.energy)
         else:

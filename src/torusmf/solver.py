@@ -57,6 +57,7 @@ from .field import (
     solve_poisson_power,
 )
 from .functional import (
+    _check_nonnegative,
     _normalized_exp_weight,
     _residual_and_weight,
     energy_value,
@@ -144,15 +145,13 @@ def _minres(spec: TorusSpec, weight: np.ndarray, lam: float, b: np.ndarray, half
     inverse = _multiplier(spec, -float(spec.m))
     coef = -2.0 * spec.m * lam
 
-    istop = itn = 0
     oldb = dbar = epsln = sn = gmax = 0
     cs = -1
     beta = phibar = beta1
     tnorm2 = 0
     gmin = np.finfo(np.float64).max
     r2 = b  # r1's storage is not read at the first step
-    while itn < maxiter:
-        itn += 1
+    for itn in range(1, maxiter + 1):
         # Lanczos step: v = M^-1 r2 / beta from r2's half spectrum, M v = r2 / beta;
         # then y = H v - (beta/oldb) r1 - (alfa/beta) r2 becomes the new r2
         half *= inverse
@@ -171,8 +170,6 @@ def _minres(spec: TorusSpec, weight: np.ndarray, lam: float, b: np.ndarray, half
         oldb = beta
         beta = math.sqrt(_dual_norm_sq(_forward_rfft(r2, out=half), spec))
         tnorm2 += alfa**2 + oldb**2 + beta**2
-        if itn == 1 and beta / beta1 <= 10 * eps:
-            istop = -1  # b is an eigenvector of the preconditioned operator
 
         # apply the previous rotation, then compute the next one
         oldeps = epsln
@@ -203,30 +200,17 @@ def _minres(spec: TorusSpec, weight: np.ndarray, lam: float, b: np.ndarray, half
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)
 
-        # norm estimates and stopping tests; a later test overrides an earlier one
+        # norm estimates and stopping tests; the first one: b is an
+        # eigenvector of the preconditioned operator
         anorm = math.sqrt(tnorm2)
         ynorm = math.sqrt(max(_mean_product(x, lap_x), 0.0))
         epsx = anorm * ynorm * eps
         test1 = math.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
         test2 = math.inf if anorm == 0 else root / anorm
-        if istop == 0:
-            if 1 + test2 <= 1:
-                istop = 2
-            if 1 + test1 <= 1:
-                istop = 1
-            if itn >= maxiter:
-                istop = 6
-            if gmax / gmin >= 0.1 / eps:
-                istop = 4
-            if epsx >= beta1:
-                istop = 3
-            if test2 <= rtol:
-                istop = 2
-            if test1 <= rtol:
-                istop = 1
-        if istop != 0:
-            break
-    return maxiter if istop == 6 else 0
+        if (itn == 1 and beta / beta1 <= 10 * eps or 1 + test2 <= 1 or 1 + test1 <= 1
+                or gmax / gmin >= 0.1 / eps or epsx >= beta1 or test2 <= rtol or test1 <= rtol):
+            return 0
+    return maxiter
 
 
 def _direction(itn, v, oldeps, w1, delta, w2, denom, scratch) -> np.ndarray:
@@ -337,8 +321,7 @@ def _start_pair(guess: Field) -> tuple[np.ndarray, np.ndarray]:
 
 def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResult:
     """newton_solve from a _start_pair, which it only reads."""
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    _check_nonnegative(lam)
     m = spec.m
     # the iterate as (values, (-Lap)^m values), and the step likewise: both
     # move linearly along a step.  A line-search candidate goes to the other
@@ -405,8 +388,7 @@ def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResul
 
 def _check_branch_request(lam_end: float, dlam0: float) -> None:
     """Refuse a branch end below 0 or a first step not above 0, or either not finite, before any solve."""
-    if not 0 <= lam_end < math.inf:
-        raise ValueError(f"lam_end must be nonnegative and finite, got {lam_end}")
+    _check_nonnegative(lam_end, "lam_end")
     if not 0 < dlam0 < math.inf:
         raise ValueError(f"invalid step: dlam0 must be positive and finite, got {dlam0}")
 

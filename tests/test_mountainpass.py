@@ -169,9 +169,31 @@ class TestRelaxPath:
     def test_node_count_bookkeeping(self, spec32):
         path = init_path(find_u0(19.0, spec32), 8, 19.0)
         relaxed, info = relax_path(path, 30)
-        assert len(info.captured) == info.sweeps
+        assert len(info.captured) == info.sweeps + 1  # the final capture counts too
         assert len(relaxed.nodes) == len(path.nodes) + sum(info.captured)
         assert 0 <= info.respace_rejected <= info.sweeps
+
+    @pytest.mark.parametrize("lam,rel", [(14.0, 0.0), (19.0, 1e-12)])
+    def test_reports_the_supremum_of_its_path(self, spec32, lam, rel):
+        # level is the returned path's sampled supremum, recomputed with a
+        # fresh table and fresh node energies, and crest attains it.  At
+        # lam = 19 the max node is one the final capture inserted, whose
+        # energy is the segment formula's: energy_value differs in the last
+        # bits; at lam = 14 the final capture inserts none
+        from torusmf.mountainpass import _SegmentTable, _sampled_supremum
+
+        relaxed, info = relax_path(init_path(find_u0(lam, spec32), 16, lam), 8)
+        assert (info.captured[-1] == 0) == (rel == 0.0)
+        nodes = relaxed.nodes
+        energies = [energy_value(node, lam) for node in nodes]
+        sup, seg, t = _sampled_supremum(nodes, energies, _SegmentTable(lam, nodes[0], nodes[-1]))
+        assert info.level == pytest.approx(sup, rel=rel, abs=0.0)
+        assert info.top == int(np.argmax(energies))
+        if seg < 0:
+            assert info.crest is nodes[info.top]
+        else:
+            want = lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
+            assert np.array_equal(info.crest.values, want.values)
 
 
 def _eager_respace(nodes, energies, lam):
@@ -326,20 +348,6 @@ class TestSegmentCache:
         assert len({(id(a), id(b), ts) for a, b, ts in segments}) == len(segments)
         assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
 
-    def test_second_call_samples_no_live_segment(self, monkeypatch, anchor32):
-        # the returned path keeps its table: a further call at the same lam
-        # reads the crests the first one left instead of sampling them again
-        mp = torusmf.mountainpass
-        relaxed, _ = relax_path(init_path(anchor32, 16, 14.0), 5)
-        live = set(relaxed.table._crest)
-        sampled = []
-        sample = mp._segment_energies
-        monkeypatch.setattr(mp, "_segment_energies",
-                            lambda a, b, *rest: sampled.append((a, b)) or sample(a, b, *rest))
-        relax_path(relaxed, 1)
-        assert live and sampled
-        assert not live & set(sampled)
-
     def test_cached_supremum_equals_uncached(self, anchor32):
         from torusmf.mountainpass import _SegmentTable, _sampled_supremum
 
@@ -455,8 +463,6 @@ class TestMountainPass:
         # refine the SAME relaxed path by midpoint insertion (the polyline is
         # unchanged, so its supremum cannot rise), then relax further: the
         # sampled level estimates must weakly decrease through P = 8, 16, 32
-        from torusmf.mountainpass import _capture
-
         lam = 15.0
         u0 = find_u0(lam, spec32)
 
@@ -470,9 +476,8 @@ class TestMountainPass:
         estimates = []
         path = init_path(u0, 8, lam)
         for _ in range(3):
-            path, _ = relax_path(path, 200)
-            path, c, _, _ = _capture(path)
-            estimates.append(c)
+            path, info = relax_path(path, 200)
+            estimates.append(info.level)
             path = subdivide(path)
         assert estimates[1] <= estimates[0] * 1.02 + 1e-12
         assert estimates[2] <= estimates[1] * 1.02 + 1e-12
@@ -537,17 +542,20 @@ def test_pass_and_sweep_refuse_the_same_lam(run, m, lam, want):
 
 
 def recorded_calls(monkeypatch) -> list[tuple]:
-    """Record ("relax_path", lam, sweeps), ("newton_solve", lam) and ("saddle_path", lam, built)."""
+    """Record ("relax_path", lam, sweeps), ("newton_solve", lam, from_crest) and
+    ("saddle_path", lam, built); from_crest: the guess is the last relax_path's info.crest."""
     mp = torusmf.mountainpass
-    calls = []
+    calls, crests = [], []
     relax, solve, assemble = mp.relax_path, mp.newton_solve, mp._saddle_path
 
     def relax_recorded(path, sweeps):
         calls.append(("relax_path", path.lam, sweeps))
-        return relax(path, sweeps)
+        relaxed, info = relax(path, sweeps)
+        crests.append(info.crest)
+        return relaxed, info
 
     def solve_recorded(guess, lam, **kwargs):
-        calls.append(("newton_solve", lam))
+        calls.append(("newton_solve", lam, guess is crests[-1]))
         return solve(guess, lam, **kwargs)
 
     def assemble_recorded(captured, solve, top):
@@ -564,7 +572,7 @@ def recorded_calls(monkeypatch) -> list[tuple]:
 def test_mountain_pass_locates_polishes_then_assembles(monkeypatch, spec32):
     calls = recorded_calls(monkeypatch)
     res = mountain_pass(14.0, spec32)
-    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
+    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0, True),
                      ("saddle_path", 14.0, True)]
     assert (res.iterations, res.path_origin) == (8, "saddle")
 
@@ -578,7 +586,7 @@ def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32):
     monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
     calls = recorded_calls(monkeypatch)
     res = mountain_pass(14.0, spec32, tol=1e-8)
-    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
+    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0, True),
                      ("saddle_path", 14.0, False)]
     assert (res.iterations, res.converged, res.path_origin) == (8, True, "relaxed")
     nodes = res.path.nodes
@@ -604,7 +612,7 @@ def test_failing_polish_returns_the_captured_path(monkeypatch, spec32):
     monkeypatch.setattr(mp, "newton_solve", no_solve)
     calls = recorded_calls(monkeypatch)
     res = mountain_pass(14.0, spec32, tol=1e-8)
-    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0)]
+    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0, True)]
     assert len(failed) == 1 and res.solve is failed[0]
     assert (res.iterations, res.converged, res.path_origin) == (8, False, "relaxed")
     # captured nodes carry segment-formula energies, so a fresh recompute
@@ -714,9 +722,9 @@ class TestLevelSweep:
     def test_locator_chunk_then_polish_then_assembly_per_lam(self, monkeypatch, spec32):
         calls = recorded_calls(monkeypatch)
         rep = level_sweep([14.0, 16.0], spec32, tol=1e-8)
-        assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0),
+        assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0, True),
                          ("saddle_path", 14.0, True),
-                         ("relax_path", 16.0, 8), ("newton_solve", 16.0),
+                         ("relax_path", 16.0, 8), ("newton_solve", 16.0, True),
                          ("saddle_path", 16.0, True)]
         assert [(r.sweeps, r.path_origin) for r in rep.rows] == [(8, "saddle")] * 2
 
