@@ -70,12 +70,9 @@ from .mountainpass import (
     LevelSweepReport,
     MPResult,
     PathState,
-    RelaxInfo,
     find_u0,
-    init_path,
     level_sweep,
     mountain_pass,
-    relax_path,
 )
 from .solver import (
     Branch,

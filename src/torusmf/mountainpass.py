@@ -1,23 +1,27 @@
 """Numerical min-max: paths from 0 to a negative-energy anchor, through the saddle.
 
-A discrete path's dominant nodes are pushed along the preconditioned
-descent direction with a backtracking line search for a few sweeps, enough
-for Newton to polish its crest into a saddle u*.  It has Morse index at
-most 1 (Hofer, Proc. AMS 90 (1984) 309), and the returned path leaves it
-along the eigenvector of its negative eigenvalue: 0 -> steepest descent ->
-u* -> steepest descent -> anchor (Fukui, J. Phys. Chem. 74 (1970) 4161;
-Choi and McKenna, Nonlinear Anal. 20 (1993) 417).  Its sampled supremum,
-the energy of u*, is the pass-level estimate.  When the descent path
-cannot be built, the estimate is the sampled supremum of the captured
-relaxed path, raised to the saddle energy, and when the polish fails, that
-supremum.  Either way it is a sampled maximum of a path from 0 to the
+The saddle is located by min-mode following, also called gentlest-ascent
+dynamics (E and Zhou, Nonlinearity 24 (2011) 1831; the dimer method of
+Henkelman and Jonsson, J. Chem. Phys. 111 (1999) 7010): from the sampled
+crest of the straight path t -> t u0, the iterate descends along the
+gradient with its component on the unstable direction e reversed, and e is
+the lowest eigenvector of the Hessian, refreshed every few steps.  Newton
+polishes the located point into a saddle u*.  It has Morse index at most 1
+(Hofer, Proc. AMS 90 (1984) 309), and the returned path leaves it along the
+eigenvector of its negative eigenvalue: 0 -> steepest descent -> u* ->
+steepest descent -> anchor (Fukui, J. Phys. Chem. 74 (1970) 4161; Choi and
+McKenna, Nonlinear Anal. 20 (1993) 417).  Its sampled supremum, the energy
+of u*, is the pass-level estimate.  When the descent path cannot be built,
+or the polish fails, the returned path is 0 -> located point -> anchor, and
+the estimate its sampled supremum, raised to the saddle energy when the
+polish solved.  Either way it is a sampled maximum of a path from 0 to the
 anchor, not a bound: the path is not enclosed between samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,18 +30,23 @@ from .field import (
     Field,
     TorusSpec,
     _log_mean_exp,
+    l2_inner,
     lincomb,
     scaled,
     sobolev_inner,
     sobolev_norm_sq,
     zero_field,
 )
-from .functional import constants, energy_value, gradient_h
+from .functional import constants, el_residual, energy_value, gradient_h
 from .solver import SolveResult, _lowest_eigenpair, concentration_direction, newton_solve
 
-_RESPACE_NORM_WEIGHT = 1e-3  # regularizes energy-gap respacing on flat stretches
 _LEVEL_SLACK = 0.02  # relative rise between sweep rows counted as a violation
-_LOCATOR_SWEEPS = 8  # relaxation before the polish (see mountain_pass)
+_LOCATOR_STEP = 1.0  # s of the min-mode step x <- x - s (g - 2 <g, e> e / <e, e>)
+_LOCATOR_GTOL = 0.5  # H^m norm of the gradient at which the locator hands x to Newton
+_LOCATOR_REFRESH = 4  # locator steps per refresh of the unstable direction e
+_LOCATOR_STEPS = 200  # cap on the locator's steps
+_STRAIGHT_TS = tuple(i / 32.0 for i in range(1, 32))  # samples of t -> t u0 for the start
+_DESCENT_OFFSET = 3e-2  # eps ||e|| / ||u*|| of the first step off the saddle
 _DESCENT_STEPS = 400  # cap on each steepest-descent leg of the saddle path
 
 
@@ -57,11 +66,12 @@ class PathState:
 
 @dataclass(frozen=True)
 class MPResult:
-    """Pass level, sweeps used, the polish (solved or failed), returned path.
+    """Pass level, locator steps, the polish (solved or failed), returned path.
 
-    path_origin is "saddle" when path is the descent path through the
-    polished saddle and c_estimate its sampled supremum, and "relaxed" when
-    path is the captured relaxed path (see mountain_pass).  The anchor met
+    iterations counts the min-mode locator's steps.  path_origin is "saddle"
+    when path is the descent path through the polished saddle and
+    c_estimate its sampled supremum, and "located" when path is 0 -> located
+    point -> anchor (see mountain_pass).  The anchor met
     anchor_min_energy: -1, or -0.05 after the search for -1 stalled at
     anchor_failed_floor (NaN when it did not).  unstable_eigenvalue is the
     mu of _saddle_path, NaN when the polish did not solve.
@@ -76,31 +86,6 @@ class MPResult:
     anchor_failed_floor: float
     path_origin: str
     unstable_eigenvalue: float
-
-
-@dataclass
-class RelaxInfo:
-    """Trajectory of one relax_path call, one list entry per sweep, and the crest it located.
-
-    captured counts the nodes the crest capture inserted, one entry per
-    sweep and a last one for the final capture; respace_rejected counts the
-    sweeps whose re-spaced polyline was refused because a node energy or a
-    segment crest rose above the max node.  Descent steps are plain Armijo
-    steps, never refused.  level is the sampled supremum of the returned
-    path, crest the point attaining it (a node, or a segment sample still
-    above every node) and top the index of its max node.
-    """
-
-    max_energies: list[float] = dataclass_field(default_factory=list)
-    captured: list[int] = dataclass_field(default_factory=list)
-    respace_rejected: int = 0
-    level: float = math.nan
-    crest: Field | None = None
-    top: int = -1
-
-    @property
-    def sweeps(self) -> int:
-        return len(self.max_energies)
 
 
 def _check_lam(lam: float, m: int) -> None:
@@ -172,54 +157,6 @@ def _scan_anchor(lam: float, spec: TorusSpec, min_energy: float, fallback: float
     return second, fallback, floor
 
 
-def init_path(u0: Field, segments: int, lam: float) -> PathState:
-    """Linear path t -> t*u0 sampled at segments+1 equispaced nodes."""
-    nodes = [zero_field(u0.spec)]
-    nodes += [scaled(u0, i / segments) for i in range(1, segments)]
-    nodes.append(u0)
-    return PathState(lam=float(lam), nodes=nodes)
-
-
-def _respace(nodes: list[Field], energies: list[float], table: _SegmentTable,
-             ceiling: float) -> tuple[list[Field], list[float]] | None:
-    """Re-sample the polyline so successive energy gaps equalize, or None.
-
-    Interpolated nodes lie on the current polyline; a small H^m-length term
-    keeps the weights positive through energy plateaus.  The candidate is
-    built left to right, and None is returned at the first node energy or
-    segment crest above ceiling, before the rest is built.  Each node energy
-    and crest comes from the same operations as when the whole candidate is
-    built first, so the verdict is that of its sampled supremum, bit for bit.
-    """
-    lam = table.lam
-    p = len(nodes) - 1
-    weights = []
-    for a, b, ea, eb in zip(nodes, nodes[1:], energies, energies[1:]):
-        # ||b - a||^2 from the cached norms and Gram entry: no transform
-        dsq = sobolev_norm_sq(a) + sobolev_norm_sq(b) - 2.0 * table.inner(a, b)
-        weights.append(abs(eb - ea) + _RESPACE_NORM_WEIGHT * math.sqrt(max(dsq, 0.0)) + 1e-30)
-    cum = np.concatenate([[0.0], np.cumsum(weights)])
-    targets = np.linspace(0.0, cum[-1], p + 1)
-    new_nodes = [nodes[0]]
-    new_energies = [energies[0]]
-    for j in range(1, p + 1):
-        if j < p:
-            seg = min(int(np.searchsorted(cum, targets[j], side="right")) - 1, p - 1)
-            theta = (targets[j] - cum[seg]) / (cum[seg + 1] - cum[seg])
-            node = lincomb(1.0 - theta, nodes[seg], theta, nodes[seg + 1])
-            e = energy_value(node, lam)
-        else:
-            node, e = nodes[-1], energies[-1]
-        if e > ceiling:
-            return None
-        crest, _ = table.crest(new_nodes[-1], node)
-        if crest > ceiling:
-            return None
-        new_nodes.append(node)
-        new_energies.append(e)
-    return new_nodes, new_energies
-
-
 _SEGMENT_TS = (0.25, 0.5, 0.75)
 _FINE_TS = tuple(float(t) for t in np.geomspace(1.0 / 256.0, 0.5, 8)) + (0.75, 0.875)
 _TAIL_TS = tuple(1.0 - t for t in _FINE_TS)
@@ -257,7 +194,7 @@ class _SegmentTable:
     would be reused after garbage collection), and entries are computed by
     the same operations as without the table, so every energy and decision
     taken from them is bit-identical.  A table lives only in the call that
-    builds it (relax_path, _saddle_path).
+    builds it (mountain_pass's fallback path, _saddle_path).
     """
 
     def __init__(self, lam: float, zero: Field, anchor: Field):
@@ -288,12 +225,6 @@ class _SegmentTable:
             hit = self._crest[(a, b)] = (float(es[j]), ts[j])
         return hit
 
-    def keep_live(self, nodes: list[Field]) -> None:
-        """Drop every entry that is not a segment of nodes, freeing dead node arrays."""
-        live = set(zip(nodes, nodes[1:]))
-        self._crest = {key: v for key, v in self._crest.items() if key in live}
-        self._inner = {key: v for key, v in self._inner.items() if key in live}
-
 
 def _sampled_supremum(nodes: list[Field], energies: list[float], table: _SegmentTable):
     """Max of node energies and segment samples; returns (energy, seg, t).
@@ -309,89 +240,6 @@ def _sampled_supremum(nodes: list[Field], energies: list[float], table: _Segment
         if e > best_e:
             best_e, best_seg, best_t = e, i, t
     return best_e, best_seg, best_t
-
-
-def relax_path(path: PathState, sweeps: int) -> tuple[PathState, RelaxInfo]:
-    """Descend the dominant nodes of the path; endpoints stay pinned.
-
-    This is a locator: it brings the crest near the saddle for Newton to
-    polish.  Each sweep pulls the sampled crest of the path into the node
-    set, moves the top-energy node and its two neighbors by plain Armijo
-    steps (first trial step 2, then twice the last accepted one; a node with
-    no accepted step stays), and re-spaces by energy gaps if a node moved; a
-    sweep that moves no node is the last, so info.sweeps < sweeps shows that
-    case.  A re-spacing is accepted only if every new node energy and
-    segment crest stays below the max node, and abandoned at the first one
-    above, so the max-node energy cannot rise within a sweep
-    (ArithmeticError if it does).  A step may raise a crest inside a
-    neighboring segment; the next capture pulls it into the node set.  A
-    final capture of up to 4 crest points ends the call, and info reports
-    the returned path's sampled supremum (level), the point attaining it
-    (crest, where mountain_pass polishes) and the index of its max node
-    (top).
-
-    Gram entries and segment crests are read through one table for the
-    call (a segment is sampled once however many checks or sweeps read it),
-    pruned to the live segments after each sweep; the results are
-    bit-identical to sampling every segment afresh.
-    """
-    lam = path.lam
-    nodes = list(path.nodes)
-    energies = [energy_value(nd, lam) for nd in nodes]
-    info = RelaxInfo()
-    table = _SegmentTable(lam, nodes[0], nodes[-1])
-    step = 1.0
-
-    for _ in range(sweeps):
-        info.captured.append(_capture_insert(nodes, energies, table, rounds=3))
-        # the captured max is the sweep ceiling: Armijo steps lower node
-        # energies, and the re-spacing is guarded so it cannot raise it
-        ceiling0 = max(energies)
-        imax = int(np.argmax(energies))
-        targets = [i for i in (imax, imax - 1, imax + 1) if 0 < i < len(nodes) - 1]
-        moved = False
-        for i in targets:
-            taken = _armijo_step(nodes[i], energies[i], lam, step)
-            if taken is not None:
-                nodes[i], energies[i], step = taken
-                moved = True
-        if moved:
-            ceiling = max(energies) + 1e-12 * (1.0 + abs(max(energies)))
-            respaced = _respace(nodes, energies, table, ceiling)
-            if respaced is None:
-                info.respace_rejected += 1
-            else:
-                nodes, energies = respaced
-        if max(energies) > ceiling0 + 1e-9 * (1.0 + abs(ceiling0)):
-            raise ArithmeticError("descent raised the max-node energy within a sweep")
-        table.keep_live(nodes)
-        info.max_energies.append(max(energies))
-        if not moved:
-            break
-    info.captured.append(_capture_insert(nodes, energies, table, rounds=4))
-    info.top = int(np.argmax(energies))
-    level, seg, t = _sampled_supremum(nodes, energies, table)
-    info.level = float(level)
-    info.crest = nodes[info.top] if seg < 0 else lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
-    return PathState(lam=lam, nodes=nodes), info
-
-
-def _capture_insert(nodes: list[Field], energies: list[float], table: _SegmentTable,
-                    rounds: int) -> int:
-    """Insert sampled crest points as nodes (in place); returns how many.
-
-    Insertion refines the polyline without changing it as a set, so the
-    path supremum cannot increase; the max node just catches up to it.
-    """
-    captured = 0
-    for _ in range(rounds):
-        top_e, seg, t = _sampled_supremum(nodes, energies, table)
-        if seg < 0 or top_e <= max(energies) + 1e-9 * (1.0 + abs(top_e)):
-            break
-        nodes.insert(seg + 1, lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1]))
-        energies.insert(seg + 1, top_e)
-        captured += 1
-    return captured
 
 
 def _descend(u: Field, end: Field, table: _SegmentTable,
@@ -424,28 +272,59 @@ def _descend(u: Field, end: Field, table: _SegmentTable,
     return None
 
 
-def _saddle_path(captured: PathState, solve: SolveResult,
-                 top: int) -> tuple[PathState | None, float, float]:
+def _locate(u0: Field, lam: float) -> tuple[Field, Field, int, bool]:
+    """Min-mode following from the sampled crest of the straight path t -> t u0.
+
+    The start is the sampled maximum over _STRAIGHT_TS.  Each step is
+    x <- x - s (g - 2 <g, e> e / <e, e>) in H^m, with g = gradient_h(x) and
+    s = _LOCATOR_STEP.  e comes from _lowest_eigenpair at the step's x,
+    refreshed every _LOCATOR_REFRESH steps from the last e (the first start
+    is u0).  The locator stops once ||g|| < _LOCATOR_GTOL, or after
+    _LOCATOR_STEPS steps.  Returns (x, e, steps, kept).  kept is False when
+    a step would leave for a field whose energy is not finite or lies above
+    the straight path's sampled maximum.  x is then the last iterate below
+    it, and no such field reaches a later gradient or Newton.
+    """
+    es = _segment_energies(zero_field(u0.spec), u0, 0.0, lam, _STRAIGHT_TS)
+    j = int(np.argmax(es))
+    ceiling = float(es[j])
+    x, e = scaled(u0, _STRAIGHT_TS[j]), u0
+    for steps in range(_LOCATOR_STEPS):
+        g = gradient_h(x, lam)
+        if sobolev_norm_sq(g) < _LOCATOR_GTOL**2:
+            break
+        if steps % _LOCATOR_REFRESH == 0:
+            e = _lowest_eigenpair(x, lam, e)[1]
+        flip = 2.0 * sobolev_inner(g, e) / sobolev_norm_sq(e)
+        cand = lincomb(1.0, x, -_LOCATOR_STEP, lincomb(1.0, g, -flip, e))
+        if not energy_value(cand, lam) <= ceiling:  # also refuses NaN
+            return x, e, steps, False
+        x = cand
+    else:
+        steps = _LOCATOR_STEPS
+    return x, e, steps, True
+
+
+def _saddle_path(zero: Field, anchor: Field, solve: SolveResult,
+                 start: Field) -> tuple[PathState | None, float, float]:
     """The path 0 -> descent -> saddle -> descent -> anchor, its sampled supremum, and mu.
 
     mu and e are _lowest_eigenpair's at the saddle u* = solve.field, started
-    from the captured path's tangent at its max node top (relax_path's
-    info.top): e is the unstable direction.  u* is left by the steps +-eps e
-    with eps ||e|| = 1e-3 ||u*||, oriented so <e, u*> > 0; the - side
-    descends toward 0 and the + side toward the anchor.  The supremum is
-    read through a table of this call's own, and u* attains it when no
-    sample lies above solve.energy.  The path and supremum are None and NaN
-    when mu is not negative (or NaN), a descent stalls, or the supremum
-    exceeds solve.energy by more than 1e-9 relative.
+    from start (the locator's e): e is the unstable direction.  u* is left
+    by the steps +-eps e with eps ||e|| = _DESCENT_OFFSET ||u*||, oriented
+    so <e, u*> > 0; the - side descends toward 0 and the + side toward the
+    anchor.  The supremum is read through a table of this call's own, and
+    u* attains it when no sample lies above solve.energy.  The path and
+    supremum are None and NaN when mu is not negative (or NaN), a descent
+    stalls, or the supremum exceeds solve.energy by more than 1e-9 relative.
     """
-    lam, zero, anchor = captured.lam, captured.nodes[0], captured.nodes[-1]
-    saddle, level = solve.field, solve.energy
-    d = lincomb(1.0, captured.nodes[top + 1], -1.0, captured.nodes[top - 1])
-    mu, e = _lowest_eigenpair(saddle, lam, d)
+    lam, saddle, level = solve.lam, solve.field, solve.energy
+    mu, e = _lowest_eigenpair(saddle, lam, start)
     if not mu < 0:  # mu >= 0, or NaN: the eigen-solve did not converge
         return None, math.nan, mu
-    eps = math.copysign(1e-3 * math.sqrt(sobolev_norm_sq(saddle) / sobolev_norm_sq(e)),
-                        sobolev_inner(e, saddle))
+    eps = math.copysign(
+        _DESCENT_OFFSET * math.sqrt(sobolev_norm_sq(saddle) / sobolev_norm_sq(e)),
+        sobolev_inner(e, saddle))
     table = _SegmentTable(lam, zero, anchor)
     down = _descend(lincomb(1.0, saddle, -eps, e), zero, table, level)
     up = _descend(lincomb(1.0, saddle, eps, e), anchor, table, level)
@@ -461,39 +340,47 @@ def _saddle_path(captured: PathState, solve: SolveResult,
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
-    """Estimate the pass level and polish the maximizer into a solution.
+    """Estimate the pass level and polish the located saddle into a solution.
 
-    The path runs from 0 to find_u0's anchor below -1, or below -0.05 when
-    the search for -1 fails, on 16 segments.  It is relaxed _LOCATOR_SWEEPS
-    sweeps (iterations counts them), and Newton runs once from the crest
-    that relax_path's final capture located (info.crest); in every
-    measured case that polish converges in 4-7 Newton steps.
+    The anchor is find_u0's, below -1, or below -0.05 when the search for -1
+    fails.  _locate follows the min mode from the crest of the straight path
+    to the anchor (iterations counts its steps), and Newton runs once from
+    the located point x.
 
     When the polish converges to tol away from the trivial state u = 0 (H^m
     norm above 1e-6), the returned path is _saddle_path's descent path
     through the saddle, and c_estimate is that path's sampled supremum, the
-    saddle energy: origin "saddle".  When that path cannot be built (the
-    saddle has no negative eigenvalue, or a descent stalls), the captured
-    path is returned with the larger of its sampled supremum and
-    the saddle energy (it crossed the ridge next to the saddle): origin
-    "relaxed".  A polish that does not solve returns the captured path with
-    its sampled supremum, origin "relaxed", converged False and solve the
-    failed polish.  converged means: the polished field solves the equation
-    to tol (L^2 residual) and is non-constant.
+    saddle energy: origin "saddle".  Otherwise the path is 0 -> x -> anchor,
+    origin "located", and c_estimate its sampled supremum: raised to the
+    saddle energy when the descent path cannot be built (the saddle has no
+    negative eigenvalue, or a descent stalls), with converged False and
+    solve the failed polish when the polish does not solve.  When the
+    locator runs away (see _locate), Newton does not run: solve is x
+    unpolished, with converged False.  converged means: the polished field
+    solves the equation to tol (L^2 residual) and is non-constant.
     """
     u0, min_energy, failed_floor = _scan_anchor(lam, spec, -1.0, -0.05)
-    path, info = relax_path(init_path(u0, 16, lam), _LOCATOR_SWEEPS)
-    level = info.level
-    solve = newton_solve(info.crest, path.lam, tol=tol)
+    x, e, steps, kept = _locate(u0, lam)
+    if kept:
+        solve = newton_solve(x, lam, tol=tol)
+    else:
+        r = el_residual(x, lam)
+        solve = SolveResult(field=x, lam=lam, residual_l2=math.sqrt(l2_inner(r, r)),
+                            grad_norm=math.sqrt(sobolev_norm_sq(gradient_h(x, lam))),
+                            energy=energy_value(x, lam), iterations=0, converged=False,
+                            message="min-mode locator ran above the straight path's level")
     solved = solve.converged and math.sqrt(sobolev_norm_sq(solve.field)) > 1e-6
-    origin, mu = "relaxed", math.nan
+    zero = zero_field(spec)
+    path, mu, origin = None, math.nan, "saddle"
     if solved:
-        descent, sup, mu = _saddle_path(path, solve, info.top)
-        if descent is None:
+        path, level, mu = _saddle_path(zero, u0, solve, e)
+    if path is None:
+        path, origin = PathState(lam=lam, nodes=[zero, x, u0]), "located"
+        level, _, _ = _sampled_supremum(path.nodes, [energy_value(v, lam) for v in path.nodes],
+                                        _SegmentTable(lam, zero, u0))
+        if solved:
             level = max(level, solve.energy)
-        else:
-            path, level, origin = descent, sup, "saddle"
-    return MPResult(c_estimate=level, iterations=info.sweeps, converged=solved, solve=solve,
+    return MPResult(c_estimate=level, iterations=steps, converged=solved, solve=solve,
                     path=path, anchor_min_energy=min_energy, anchor_failed_floor=failed_floor,
                     path_origin=origin, unstable_eigenvalue=mu)
 
@@ -503,7 +390,8 @@ class LevelRow:
     """mountain_pass at one lam of a level sweep, without its path.
 
     energy and grad_norm belong to MPResult.solve, sweeps is
-    MPResult.iterations, and the other fields read as in MPResult.
+    MPResult.iterations (the locator's steps), and the other fields read as
+    in MPResult.
     """
 
     lam: float

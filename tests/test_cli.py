@@ -123,7 +123,7 @@ class TestParser:
     @pytest.mark.parametrize("argv,flag", [
         pytest.param(["constants", "--m", "1"], "--seed", id="--seed"),
         pytest.param(["constants", "--m", "1"], "--tol", id="--tol"),
-        # the sweep bounds are fixed: one locator run of 8 sweeps
+        # the locator's step cap is fixed: there is no sweep count to set
         pytest.param(["mp", "--n", "16", "--lambda", "14"], "--max-sweeps",
                      id="mp/--max-sweeps"),
         pytest.param(["continue", "--n", "16", "--lambda-start", "14", "--lambda-end", "13"],
@@ -220,7 +220,7 @@ class TestMpCmd:
         summary = (tmp_path / "mp" / "summary.csv").read_text().splitlines()
         values = dict(zip(summary[0].split(","), summary[1].split(",")))
         assert (values["converged"], values["path_origin"], values["sweeps"]) == (
-            "false", "relaxed", "8")
+            "false", "located", "2")
         assert math.isnan(float(values["unstable_eigenvalue"]))
         field = read_field(tmp_path / "mp" / "maximizer.pbfld")
         assert np.array_equal(field.values, failed[0].field.values)

@@ -1,4 +1,4 @@
-"""Min-max machinery: anchors, path relaxation, pass levels."""
+"""Min-max machinery: anchors, the min-mode locator, saddle paths, pass levels."""
 
 import math
 
@@ -14,13 +14,12 @@ from torusmf import (
     continuation,
     energy_value,
     find_u0,
-    init_path,
+    gradient_h,
     level_sweep,
     lincomb,
     make_spec,
     mountain_pass,
     newton_solve,
-    relax_path,
     scaled,
     smallest_hessian_eigenvalue,
     sobolev_inner,
@@ -83,15 +82,15 @@ class TestFindU0:
 
     def test_fallback_anchor_reuses_the_first_scan(self, monkeypatch):
         # lam = 13, n = 128 falls back to -0.05; the anchor search before the
-        # path is built evaluates each of the 160 amplitudes once (201 calls
+        # locator starts evaluates each of the 160 amplitudes once (201 calls
         # with a rescan up to the fallback anchor)
         mp = torusmf.mountainpass
         calls, scanned = [], []
-        energy, init = mp.energy_value, mp.init_path
+        energy, locate = mp.energy_value, mp._locate
         monkeypatch.setattr(mp, "energy_value",
                             lambda u, lam: calls.append(u.values.tobytes()) or energy(u, lam))
-        monkeypatch.setattr(mp, "init_path",
-                            lambda *args: scanned.extend(calls) or init(*args))
+        monkeypatch.setattr(mp, "_locate",
+                            lambda *args: scanned.extend(calls) or locate(*args))
         res = mountain_pass(13.0, make_spec(1, 128))
         assert res.anchor_min_energy == -0.05 and res.anchor_failed_floor > -1.0
         assert len(scanned) == 160
@@ -115,187 +114,96 @@ class TestFindU0:
         assert run_fresh(code) == "False"
 
 
-class TestInitPath:
-    def test_nodes_and_endpoints(self, anchor32):
-        path = init_path(anchor32, 8, 14.0)
-        assert len(path.nodes) == 9
-        assert np.max(np.abs(path.nodes[0].values)) == 0.0
-        assert np.array_equal(path.nodes[-1].values, anchor32.values)
-
-    def test_max_energy_node_interior(self, anchor32):
-        path = init_path(anchor32, 16, 14.0)
-        energies = [energy_value(nd, 14.0) for nd in path.nodes]
-        imax = int(np.argmax(energies))
-        assert 0 < imax < len(path.nodes) - 1
-        assert energies[imax] > 0.0
-
-    def test_rejects_few_segments(self, anchor32):
+class TestPathState:
+    def test_rejects_few_nodes(self, anchor32, spec32):
         # 0, one interior node and the anchor is the shortest path
-        assert len(init_path(anchor32, 2, 14.0).nodes) == 3
+        assert len(PathState(lam=14.0, nodes=[zero_field(spec32), anchor32, anchor32]).nodes) == 3
         with pytest.raises(ValueError, match="at least 3 nodes"):
-            init_path(anchor32, 1, 14.0)
+            PathState(lam=14.0, nodes=[zero_field(spec32), anchor32])
 
     def test_rejects_nonzero_start(self, anchor32, spec32):
         with pytest.raises(ValueError, match="zero field"):
             PathState(lam=14.0, nodes=[anchor32] * 10)
 
 
-class TestRelaxPath:
-    def test_max_energy_decreases(self, anchor32):
-        path = init_path(anchor32, 16, 14.0)
-        start = max(energy_value(nd, 14.0) for nd in path.nodes)
-        relaxed, info = relax_path(path, 5)
-        assert info.sweeps == 5
-        assert info.max_energies[-1] < start
-        assert all(b <= a + 1e-9 * (1 + abs(a))
-                   for a, b in zip(info.max_energies, info.max_energies[1:]))
+class TestLocator:
+    """Min-mode following from the crest of the straight path to the anchor."""
 
-    def test_endpoints_pinned(self, anchor32):
-        path = init_path(anchor32, 16, 14.0)
-        relaxed, _ = relax_path(path, 20)
-        assert np.max(np.abs(relaxed.nodes[0].values)) == 0.0
-        assert np.array_equal(relaxed.nodes[-1].values, anchor32.values)
+    # energies of the saddles mountain_pass reached with the path relaxation
+    # at tol 1e-10 (n = 64 and m = 2 are also in tests/golden.json)
+    SADDLES = [(1, 32, 14.0, 1.2027092781503956), (1, 32, 19.0, 0.0091359348556872),
+               (1, 64, 14.0, 1.202714405941645), (1, 64, 19.0, 0.009135934855688088),
+               (2, 16, 250.0, 16.70537372805599)]
 
-    def test_near_critical_path_barely_moves(self, spec32):
-        # nodes scaled along a tiny ray: gradients are small, so a sweep
-        # changes the max energy by a tiny amount only
-        u = smooth_field(spec32, 4, norm=1e-4)
-        nodes = [zero_field(spec32)] + [lincomb(0.0, u, (i + 1) / 16, u) for i in range(16)]
-        path = PathState(lam=14.0, nodes=nodes)
-        start = max(energy_value(nd, 14.0) for nd in path.nodes)
-        relaxed, info = relax_path(path, 1)
-        assert abs(info.max_energies[-1] - start) <= 1e-6
+    @pytest.mark.parametrize("m,n,lam,energy", SADDLES)
+    def test_newton_from_the_located_point_reaches_the_saddle(self, m, n, lam, energy):
+        # every scan run took 2-6 steps; the bound is the largest of them
+        u0 = find_u0(lam, make_spec(m, n))
+        x, e, steps, kept = torusmf.mountainpass._locate(u0, lam)
+        assert kept and 1 <= steps <= 6
+        assert sobolev_norm_sq(gradient_h(x, lam)) < 0.5**2
+        solve = newton_solve(x, lam, tol=1e-10)
+        assert solve.converged
+        assert solve.energy == pytest.approx(energy, rel=1e-8, abs=0.0)
 
-    def test_node_count_bookkeeping(self, spec32):
-        path = init_path(find_u0(19.0, spec32), 8, 19.0)
-        relaxed, info = relax_path(path, 30)
-        assert len(info.captured) == info.sweeps + 1  # the final capture counts too
-        assert len(relaxed.nodes) == len(path.nodes) + sum(info.captured)
-        assert 0 <= info.respace_rejected <= info.sweeps
-
-    @pytest.mark.parametrize("lam,rel", [(14.0, 0.0), (19.0, 1e-12)])
-    def test_reports_the_supremum_of_its_path(self, spec32, lam, rel):
-        # level is the returned path's sampled supremum, recomputed with a
-        # fresh table and fresh node energies, and crest attains it.  At
-        # lam = 19 the max node is one the final capture inserted, whose
-        # energy is the segment formula's: energy_value differs in the last
-        # bits; at lam = 14 the final capture inserts none
-        from torusmf.mountainpass import _SegmentTable, _sampled_supremum
-
-        relaxed, info = relax_path(init_path(find_u0(lam, spec32), 16, lam), 8)
-        assert (info.captured[-1] == 0) == (rel == 0.0)
-        nodes = relaxed.nodes
-        energies = [energy_value(node, lam) for node in nodes]
-        sup, seg, t = _sampled_supremum(nodes, energies, _SegmentTable(lam, nodes[0], nodes[-1]))
-        assert info.level == pytest.approx(sup, rel=rel, abs=0.0)
-        assert info.top == int(np.argmax(energies))
-        if seg < 0:
-            assert info.crest is nodes[info.top]
-        else:
-            want = lincomb(1.0 - t, nodes[seg], t, nodes[seg + 1])
-            assert np.array_equal(info.crest.values, want.values)
-
-
-def _eager_respace(nodes, energies, lam):
-    """The whole energy-gap re-spacing of the polyline, every node built first."""
-    from torusmf.mountainpass import _RESPACE_NORM_WEIGHT
-
-    p = len(nodes) - 1
-    weights = []
-    for a, b, ea, eb in zip(nodes, nodes[1:], energies, energies[1:]):
-        dsq = sobolev_norm_sq(a) + sobolev_norm_sq(b) - 2.0 * sobolev_inner(a, b)
-        weights.append(abs(eb - ea) + _RESPACE_NORM_WEIGHT * math.sqrt(max(dsq, 0.0)) + 1e-30)
-    cum = np.concatenate([[0.0], np.cumsum(weights)])
-    targets = np.linspace(0.0, cum[-1], p + 1)
-    new_nodes, new_energies = [nodes[0]], [energies[0]]
-    for j in range(1, p):
-        seg = min(int(np.searchsorted(cum, targets[j], side="right")) - 1, p - 1)
-        theta = (targets[j] - cum[seg]) / (cum[seg + 1] - cum[seg])
-        node = lincomb(1.0 - theta, nodes[seg], theta, nodes[seg + 1])
-        new_nodes.append(node)
-        new_energies.append(energy_value(node, lam))
-    return new_nodes + [nodes[-1]], new_energies + [energies[-1]]
-
-
-@pytest.fixture(scope="module")
-def respace_calls(spec32):
-    """(lam, nodes, energies, ceiling) of every re-spacing of 30 sweeps at lam = 14, 19, n = 32."""
-    mp = torusmf.mountainpass
-    calls = []
-    respace = mp._respace
-
-    def recorded(nodes, energies, table, ceiling):
-        calls.append((table.lam, list(nodes), list(energies), ceiling))
-        return respace(nodes, energies, table, ceiling)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mp, "_respace", recorded)
-        for lam in (14.0, 19.0):
-            relax_path(init_path(find_u0(lam, spec32), 16, lam), 30)
-    return calls
-
-
-class TestRespace:
-    """Early-exit re-spacing against the candidate built whole."""
-
-    def test_matches_eager_candidate(self, respace_calls):
-        from torusmf.mountainpass import _SegmentTable, _respace, _sampled_supremum
-
-        verdicts = set()
-        for lam, nodes, energies, ceiling in respace_calls:
-            cand_nodes, cand_energies = _eager_respace(nodes, energies, lam)
-            eager_table = _SegmentTable(lam, nodes[0], nodes[-1])
-            table = _SegmentTable(lam, nodes[0], nodes[-1])
-            top, _, _ = _sampled_supremum(cand_nodes, cand_energies, eager_table)
-            got = _respace(nodes, energies, table, ceiling)
-            assert (got is None) == (top > ceiling)
-            verdicts.add(got is None)
-            if got is not None:
-                assert got[1] == cand_energies
-                assert all(np.array_equal(a.values, b.values)
-                           for a, b in zip(got[0], cand_nodes))
-                # the accepted candidate's crests are in the table under the
-                # node pairs the next sweep reads
-                for i in range(len(nodes) - 1):
-                    assert (table._crest[(got[0][i], got[0][i + 1])]
-                            == eager_table.crest(cand_nodes[i], cand_nodes[i + 1]))
-        assert verdicts == {True, False}
-
-    def test_rejection_stops_early(self, monkeypatch, respace_calls):
+    def test_starts_at_the_crest_of_the_straight_path(self, monkeypatch, anchor32):
+        # with no step allowed, the located point is the sampled maximum of
+        # t -> t u0 over t = 1/32, ..., 31/32: interior, above the level 0
         mp = torusmf.mountainpass
-        segments = []
-        sample = mp._segment_energies
-        monkeypatch.setattr(mp, "_segment_energies",
-                            lambda *args: segments.append(args) or sample(*args))
-        def fresh():
-            return mp._SegmentTable(lam, nodes[0], nodes[-1])
+        monkeypatch.setattr(mp, "_LOCATOR_STEPS", 0)
+        x, e, steps, kept = mp._locate(anchor32, 14.0)
+        assert (steps, kept, e) == (0, True, anchor32)
+        ts = np.arange(1, 32) / 32
+        energies = [energy_value(scaled(anchor32, float(t)), 14.0) for t in ts]
+        t = ts[int(np.argmax(energies))]
+        assert 0.0 < t < 1.0 and max(energies) > 0.0
+        assert np.array_equal(x.values, scaled(anchor32, float(t)).values)
 
-        for lam, nodes, energies, ceiling in respace_calls:
-            candidate = _eager_respace(nodes, energies, lam)
-            if mp._sampled_supremum(*candidate, fresh())[0] > ceiling:
-                break
-        segments.clear()
-        assert mp._respace(nodes, energies, fresh(), ceiling) is None
-        assert 0 < len(segments) < len(nodes) - 1
-        # a first new node above the ceiling ends it before any segment is sampled
-        segments.clear()
-        assert mp._respace(nodes, energies, fresh(), -1e300) is None
-        assert not segments
+    def test_refreshes_the_unstable_direction_every_fourth_step(self, monkeypatch, spec32):
+        # the first eigen-solve starts from u0, each later one from the last e
+        mp = torusmf.mountainpass
+        eigenpair, starts, found = mp._lowest_eigenpair, [], []
 
-    @pytest.mark.parametrize("lam,rejected", [(14.0, 26), (19.0, 27)])
-    def test_rejection_counts(self, spec64, lam, rejected):
-        # 30 sweeps from mountain_pass's starting path at n = 64
-        _, info = relax_path(init_path(find_u0(lam, spec64), 16, lam), 30)
-        assert info.sweeps == 30
-        assert info.respace_rejected == rejected
+        def recorded(u, lam, start):
+            starts.append(start)
+            found.append(eigenpair(u, lam, start)[1])
+            return found[-1]
+
+        monkeypatch.setattr(mp, "_lowest_eigenpair", lambda *args: (math.nan, recorded(*args)))
+        u0 = find_u0(19.0, spec32)
+        _, e, steps, _ = mp._locate(u0, 19.0)
+        assert steps == 5
+        assert len(starts) == 2 and starts[0] is u0 and starts[1] is found[0] and e is found[1]
+
+    def test_a_runaway_iterate_reaches_no_newton(self, monkeypatch, spec32):
+        # the unstable direction is never refreshed: from the 9th step on the
+        # iterate would climb above the straight path's crest.  The locator
+        # stops there, Newton does not run, and the run returns 0 -> x -> u0
+        mp = torusmf.mountainpass
+        eigenpair, first = mp._lowest_eigenpair, []
+
+        def keep_first(u, lam, start):
+            if not first:
+                first.append(eigenpair(u, lam, start)[1])
+            return math.nan, first[0]
+
+        monkeypatch.setattr(mp, "_lowest_eigenpair", keep_first)
+        monkeypatch.setattr(mp, "newton_solve", lambda *args, **kwargs: pytest.fail("polished"))
+        res = mountain_pass(19.0, spec32)
+        assert (res.converged, res.path_origin, res.iterations) == (False, "located", 9)
+        assert res.solve.iterations == 0 and "ran above" in res.solve.message
+        assert res.path.nodes[1] is res.solve.field
+        u0 = res.path.nodes[-1]
+        crest = max(energy_value(scaled(u0, i / 32), 19.0) for i in range(1, 32))
+        assert res.solve.energy <= crest
+        assert_honest_path(res)
 
 
 class TestArmijoDescent:
     def test_line_search_stops_at_its_first_armijo_step(self, monkeypatch, spec32):
         # each line search draws candidates u - s g, s halving, and stops at
         # the first that passes the Armijo test: no candidate is drawn after
-        # an accepted one (a slack of 1e-12 covers node energies taken from
-        # segment samples rather than energy_value)
+        # an accepted one (up to a slack of 1e-12)
         mp = torusmf.mountainpass
         lam = 14.0
         searches = []
@@ -314,7 +222,9 @@ class TestArmijoDescent:
 
         monkeypatch.setattr(mp, "gradient_h", gradient_recorded)
         monkeypatch.setattr(mp, "lincomb", combine_recorded)
-        relax_path(init_path(find_u0(lam, spec32), 16, lam), 30)
+        assert mountain_pass(lam, spec32).path_origin == "saddle"
+        # the locator's gradients draw no line search
+        searches = [search for search in searches if search[2]]
         assert searches
         for e, g, candidates in searches:
             slack = 1e-12 * (1.0 + abs(e))
@@ -342,7 +252,7 @@ class TestSegmentCache:
 
         monkeypatch.setattr(mp, "_segment_energies", sample_counted)
         monkeypatch.setattr(mp, "sobolev_inner", inner_counted)
-        relax_path(init_path(anchor32, 16, 14.0), 10)
+        mountain_pass(14.0, anchor32.spec)
         # the lists keep every node alive, so no id is reused
         assert segments
         assert len({(id(a), id(b), ts) for a, b, ts in segments}) == len(segments)
@@ -352,8 +262,7 @@ class TestSegmentCache:
         from torusmf.mountainpass import _SegmentTable, _sampled_supremum
 
         lam = 14.0
-        relaxed, _ = relax_path(init_path(anchor32, 16, lam), 5)
-        nodes = list(relaxed.nodes)
+        nodes = list(mountain_pass(lam, anchor32.spec).path.nodes)
         energies = [energy_value(nd, lam) for nd in nodes]
         k = len(nodes) // 2
         mid = lincomb(0.5, nodes[k], 0.5, nodes[k + 1])
@@ -438,7 +347,7 @@ class TestMountainPass:
     def test_path_work_reuses_spectra(self, monkeypatch, spec32):
         # path nodes, candidates and gradients carry their spectra from the
         # fields they combine: this run took 343 forward (91 inverse)
-        # transforms when every energy transformed its field, and takes 65
+        # transforms when every energy transformed its field, and takes 56
         counts = count_transforms(monkeypatch, spec32)
         assert mountain_pass(14.0, spec32).converged
         assert counts["forward"] <= 343 // 2, counts
@@ -459,28 +368,22 @@ class TestMountainPass:
         assert res.anchor_min_energy == -0.05
         assert -1.0 < res.anchor_failed_floor < -0.05
 
-    def test_refinement_weakly_decreases_estimate(self, spec32):
-        # refine the SAME relaxed path by midpoint insertion (the polyline is
-        # unchanged, so its supremum cannot rise), then relax further: the
-        # sampled level estimates must weakly decrease through P = 8, 16, 32
+    def test_refinement_weakly_decreases_estimate(self, monkeypatch, spec32):
+        # each refinement of the path weakly lowers its sampled supremum: the
+        # straight path 0 -> u0, then 0 -> located point -> u0 (the run's
+        # c_estimate when no descent path is built), then the descent path
+        # through the polished saddle (c_estimate = its energy)
+        from torusmf.mountainpass import _SegmentTable, _sampled_supremum
+
         lam = 15.0
-        u0 = find_u0(lam, spec32)
-
-        def subdivide(path: PathState) -> PathState:
-            nodes = [path.nodes[0]]
-            for a, b in zip(path.nodes, path.nodes[1:]):
-                nodes.append(lincomb(0.5, a, 0.5, b))
-                nodes.append(b)
-            return PathState(lam=path.lam, nodes=nodes)
-
-        estimates = []
-        path = init_path(u0, 8, lam)
-        for _ in range(3):
-            path, info = relax_path(path, 200)
-            estimates.append(info.level)
-            path = subdivide(path)
-        assert estimates[1] <= estimates[0] * 1.02 + 1e-12
-        assert estimates[2] <= estimates[1] * 1.02 + 1e-12
+        saddle = mountain_pass(lam, spec32)
+        monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
+        located = mountain_pass(lam, spec32)
+        zero, u0 = located.path.nodes[0], located.path.nodes[-1]
+        straight, _, _ = _sampled_supremum([zero, u0], [0.0, energy_value(u0, lam)],
+                                           _SegmentTable(lam, zero, u0))
+        assert (saddle.path_origin, located.path_origin) == ("saddle", "located")
+        assert straight >= located.c_estimate >= saddle.c_estimate == saddle.solve.energy
 
 
 class TestOrderTwo:
@@ -491,7 +394,7 @@ class TestOrderTwo:
         assert mp250.solve.residual_l2 <= 1e-8
         assert mp250.solve.energy > 0.0
         # the pass level is the saddle's energy, whatever the BLAS thread count
-        assert (mp250.iterations, mp250.path_origin) == (8, "saddle")
+        assert (mp250.iterations, mp250.path_origin) == (5, "saddle")
         assert mp250.c_estimate == pytest.approx(mp250.solve.energy, rel=0.0, abs=1e-6)
 
     def test_solution_is_a_saddle(self, mp250):
@@ -542,28 +445,28 @@ def test_pass_and_sweep_refuse_the_same_lam(run, m, lam, want):
 
 
 def recorded_calls(monkeypatch) -> list[tuple]:
-    """Record ("relax_path", lam, sweeps), ("newton_solve", lam, from_crest) and
-    ("saddle_path", lam, built); from_crest: the guess is the last relax_path's info.crest."""
+    """Record ("locate", lam, steps), ("newton_solve", lam, from_located) and
+    ("saddle_path", lam, built); from_located: the guess is the last _locate's x."""
     mp = torusmf.mountainpass
-    calls, crests = [], []
-    relax, solve, assemble = mp.relax_path, mp.newton_solve, mp._saddle_path
+    calls, located = [], []
+    locate, solve, assemble = mp._locate, mp.newton_solve, mp._saddle_path
 
-    def relax_recorded(path, sweeps):
-        calls.append(("relax_path", path.lam, sweeps))
-        relaxed, info = relax(path, sweeps)
-        crests.append(info.crest)
-        return relaxed, info
+    def locate_recorded(u0, lam):
+        out = locate(u0, lam)
+        calls.append(("locate", lam, out[2]))
+        located.append(out[0])
+        return out
 
     def solve_recorded(guess, lam, **kwargs):
-        calls.append(("newton_solve", lam, guess is crests[-1]))
+        calls.append(("newton_solve", lam, guess is located[-1]))
         return solve(guess, lam, **kwargs)
 
-    def assemble_recorded(captured, solve, top):
-        built = assemble(captured, solve, top)
-        calls.append(("saddle_path", captured.lam, built[0] is not None))
+    def assemble_recorded(zero, anchor, solve, start):
+        built = assemble(zero, anchor, solve, start)
+        calls.append(("saddle_path", solve.lam, built[0] is not None))
         return built
 
-    monkeypatch.setattr(mp, "relax_path", relax_recorded)
+    monkeypatch.setattr(mp, "_locate", locate_recorded)
     monkeypatch.setattr(mp, "newton_solve", solve_recorded)
     monkeypatch.setattr(mp, "_saddle_path", assemble_recorded)
     return calls
@@ -572,34 +475,38 @@ def recorded_calls(monkeypatch) -> list[tuple]:
 def test_mountain_pass_locates_polishes_then_assembles(monkeypatch, spec32):
     calls = recorded_calls(monkeypatch)
     res = mountain_pass(14.0, spec32)
-    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0, True),
+    assert calls == [("locate", 14.0, 2), ("newton_solve", 14.0, True),
                      ("saddle_path", 14.0, True)]
-    assert (res.iterations, res.path_origin) == (8, "saddle")
+    assert (res.iterations, res.path_origin) == (2, "saddle")
+
+
+def _located_path_supremum(res) -> float:
+    """Sampled supremum of res.path, which must be 0 -> the polish's start -> anchor."""
+    from torusmf.mountainpass import _SegmentTable, _sampled_supremum
+
+    nodes = res.path.nodes
+    assert len(nodes) == 3
+    energies = [energy_value(node, res.path.lam) for node in nodes]
+    return _sampled_supremum(nodes, energies, _SegmentTable(res.path.lam, nodes[0], nodes[-1]))[0]
 
 
 def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32):
-    # no descent path: the locator's polish stands, and the captured relaxed
-    # path comes back at once with the level max(sup, E), sup its sampled
+    # no descent path: the polish stands, and the path 0 -> located point ->
+    # anchor comes back at once with the level max(sup, E), sup its sampled
     # supremum
-    from torusmf.mountainpass import _SegmentTable, _sampled_supremum
-
     monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
     calls = recorded_calls(monkeypatch)
     res = mountain_pass(14.0, spec32, tol=1e-8)
-    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0, True),
+    assert calls == [("locate", 14.0, 2), ("newton_solve", 14.0, True),
                      ("saddle_path", 14.0, False)]
-    assert (res.iterations, res.converged, res.path_origin) == (8, True, "relaxed")
-    nodes = res.path.nodes
-    energies = [energy_value(node, 14.0) for node in nodes]
-    sup, _, _ = _sampled_supremum(nodes, energies, _SegmentTable(14.0, nodes[0], nodes[-1]))
-    assert res.c_estimate == pytest.approx(max(sup, res.solve.energy), rel=1e-12, abs=0.0)
+    assert (res.iterations, res.converged, res.path_origin) == (2, True, "located")
+    assert res.c_estimate == max(_located_path_supremum(res), res.solve.energy)
+    assert_honest_path(res)
 
 
 def test_failing_polish_returns_the_captured_path(monkeypatch, spec32):
-    # the polish fails: one locator run, one polish, and the captured path
-    # comes back at once with its sampled supremum as the level
-    from torusmf.mountainpass import _SegmentTable, _sampled_supremum
-
+    # the polish fails: one locator run, one polish, and the path 0 -> located
+    # point -> anchor comes back at once with its sampled supremum as the level
     mp = torusmf.mountainpass
     failed = []
 
@@ -612,15 +519,12 @@ def test_failing_polish_returns_the_captured_path(monkeypatch, spec32):
     monkeypatch.setattr(mp, "newton_solve", no_solve)
     calls = recorded_calls(monkeypatch)
     res = mountain_pass(14.0, spec32, tol=1e-8)
-    assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0, True)]
+    assert calls == [("locate", 14.0, 2), ("newton_solve", 14.0, True)]
     assert len(failed) == 1 and res.solve is failed[0]
-    assert (res.iterations, res.converged, res.path_origin) == (8, False, "relaxed")
-    # captured nodes carry segment-formula energies, so a fresh recompute
-    # may differ in the last bits
-    nodes = res.path.nodes
-    energies = [energy_value(node, 14.0) for node in nodes]
-    sup, _, _ = _sampled_supremum(nodes, energies, _SegmentTable(14.0, nodes[0], nodes[-1]))
-    assert res.c_estimate == pytest.approx(sup, rel=1e-12, abs=0.0)
+    assert (res.iterations, res.converged, res.path_origin) == (2, False, "located")
+    assert res.path.nodes[1] is failed[0].field
+    assert res.c_estimate == _located_path_supremum(res)
+    assert_honest_path(res)
 
 
 @pytest.mark.parametrize("lam", [14.0, 19.0])
@@ -654,10 +558,11 @@ class TestUnstableDirection:
     """The saddle path leaves u* along the eigenvector of its one negative eigenvalue."""
 
     def test_flat_ridge_descends_in_few_steps(self, monkeypatch, spec32):
-        # at lam = 19 the ridge is flat; leaving along the captured tangent
-        # took 75 Armijo calls and kept 49 nodes.  The eigen-solve from that
-        # tangent takes at most 10 steps, one inverse transform each, after
-        # the one that gives M of the tangent
+        # at lam = 19 the ridge is flat; leaving along a tangent of the relaxed
+        # path took 75 Armijo calls and kept 49 nodes.  The saddle's eigen-solve
+        # starts from the locator's e (two earlier solves refreshed it) and
+        # takes 5 steps, one inverse transform each, after the one that gives
+        # M of its start
         mp = torusmf.mountainpass
         armijo, eigenpair, calls, inverse = mp._armijo_step, mp._lowest_eigenpair, [], []
         counts = count_transforms(monkeypatch, spec32)
@@ -677,7 +582,18 @@ class TestUnstableDirection:
         res = mountain_pass(19.0, spec32)
         assert res.path_origin == "saddle" and res.unstable_eigenvalue < 0.0
         assert len(res.path.nodes) <= 20 and len(calls) <= 40
-        assert len(inverse) == 1 and inverse[0] <= 11
+        assert len(inverse) == 3 and inverse[-1] <= 7
+        assert_honest_path(res)
+
+    def test_saddle_path_near_the_upper_threshold(self, spec64):
+        # at lam = 19.7 the unstable eigenvalue is -0.0039 and the escape from
+        # u* grows like exp(|mu| t): with the first step at 1e-3 ||u*|| the
+        # descents ran out of steps and the run ended "relaxed" with c_estimate
+        # 110 times the saddle energy.  At 3e-2 ||u*|| the path keeps 349 nodes
+        res = mountain_pass(19.7, spec64)
+        assert res.path_origin == "saddle" and res.converged
+        assert res.c_estimate == res.solve.energy
+        assert len(res.path.nodes) <= 360
         assert_honest_path(res)
 
     def test_reports_the_saddle_eigenvalue(self, spec32):
@@ -690,24 +606,21 @@ class TestUnstableDirection:
         # negative control: u = 0 at lam = 10 < threshold_high is a strict
         # local minimum, lowest eigenvalue 1 - 20/(4 pi^2) > 0
         mp = torusmf.mountainpass
-        path = init_path(scaled(concentration_direction(spec32), 5.0), 16, 10.0)
+        anchor = scaled(concentration_direction(spec32), 5.0)
         zero = SolveResult(field=zero_field(spec32), lam=10.0, residual_l2=0.0, grad_norm=0.0,
                            energy=0.0, iterations=0, converged=True)
-        descent, sup, mu = mp._saddle_path(path, zero, 8)
+        descent, sup, mu = mp._saddle_path(zero_field(spec32), anchor, zero, anchor)
         assert descent is None and math.isnan(sup)
         assert mu == pytest.approx(1 - 20 / (4 * PI**2), abs=1e-10)
 
     def test_nonnegative_eigenvalue_returns_the_captured_path(self, monkeypatch, spec32):
-        from torusmf.mountainpass import _SegmentTable, _sampled_supremum
-
+        # every eigen-solve reports mu = 0 and returns its start, so the
+        # locator keeps e = u0 (and still reaches the saddle at lam = 14)
         mp = torusmf.mountainpass
-        monkeypatch.setattr(mp, "_lowest_eigenpair", lambda u, lam, start: (0.0, None))
+        monkeypatch.setattr(mp, "_lowest_eigenpair", lambda u, lam, start: (0.0, start))
         res = mountain_pass(14.0, spec32, tol=1e-8)
-        assert (res.converged, res.path_origin, res.unstable_eigenvalue) == (True, "relaxed", 0.0)
-        nodes = res.path.nodes
-        energies = [energy_value(node, 14.0) for node in nodes]
-        sup, _, _ = _sampled_supremum(nodes, energies, _SegmentTable(14.0, nodes[0], nodes[-1]))
-        assert res.c_estimate == pytest.approx(max(sup, res.solve.energy), rel=1e-12, abs=0.0)
+        assert (res.converged, res.path_origin, res.unstable_eigenvalue) == (True, "located", 0.0)
+        assert res.c_estimate == max(_located_path_supremum(res), res.solve.energy)
 
     def test_failed_polish_has_no_eigenvalue(self, monkeypatch, spec32):
         def no_solve(guess, lam, **kwargs):
@@ -722,11 +635,11 @@ class TestLevelSweep:
     def test_locator_chunk_then_polish_then_assembly_per_lam(self, monkeypatch, spec32):
         calls = recorded_calls(monkeypatch)
         rep = level_sweep([14.0, 16.0], spec32, tol=1e-8)
-        assert calls == [("relax_path", 14.0, 8), ("newton_solve", 14.0, True),
+        assert calls == [("locate", 14.0, 2), ("newton_solve", 14.0, True),
                          ("saddle_path", 14.0, True),
-                         ("relax_path", 16.0, 8), ("newton_solve", 16.0, True),
+                         ("locate", 16.0, 3), ("newton_solve", 16.0, True),
                          ("saddle_path", 16.0, True)]
-        assert [(r.sweeps, r.path_origin) for r in rep.rows] == [(8, "saddle")] * 2
+        assert [(r.sweeps, r.path_origin) for r in rep.rows] == [(2, "saddle"), (3, "saddle")]
 
     def test_rows_are_mountain_pass_results(self, monkeypatch, spec32):
         # one mountain_pass call per lam, in increasing order, and each row

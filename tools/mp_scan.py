@@ -1,4 +1,4 @@
-"""Print every mountain-pass run of the locator scan grids, one line each.
+"""Print every mountain-pass run of the locator scan grids, one line each, or compare two scans.
 
 Run with the package to check on the import path, for example
 
@@ -7,16 +7,26 @@ Run with the package to check on the import path, for example
 Each grid runs at tol 1e-8 and 1e-10; then the criterion-6 level_sweep rows
 (m=1, n=128, lam = 13..19, tol 1e-8) follow.  Floats are printed by repr, so
 two versions of the code give the same numbers exactly when `diff` of their
-outputs is empty.
+outputs is empty.  Bit-identity stays the gate for a change that claims it.
+
+    python3 tools/mp_scan.py --compare OLD NEW
+
+reads two such outputs and prints, for each run, whether its origin and
+`converged` agree and the relative change of c_estimate and of the energy.
+A change that moves last bits passes when every anchored run keeps its
+polished energy within RTOL (the golden first-tier tolerance), keeps its
+c_estimate within RTOL where both runs end "saddle", no run that ended
+"saddle" or converged stops doing so, and the sweep's violation count does
+not rise; the exit status is 1 otherwise.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from torusmf import make_spec
-from torusmf.errors import ConvergenceError
-from torusmf.mountainpass import level_sweep, mountain_pass
+RTOL = 1e-8  # tests/test_golden.py's first-tier tolerance on pass levels and energies
 
 _M1_LAMS = [*np.arange(12.75, 19.5, 0.5).tolist(), *range(13, 20), 19.5, 19.6, 19.7]
 GRIDS = [
@@ -28,6 +38,10 @@ GRIDS = [
 
 
 def main() -> None:
+    from torusmf import make_spec
+    from torusmf.errors import ConvergenceError
+    from torusmf.mountainpass import level_sweep, mountain_pass
+
     for tol in (1e-8, 1e-10):
         for m, n, lams in GRIDS:
             spec = make_spec(m, n)
@@ -49,5 +63,61 @@ def main() -> None:
     print("sweep violations", report.monotonicity_violations)
 
 
+def _runs(path: str) -> tuple[dict[str, tuple], int]:
+    """(run key -> (origin, converged, c_estimate, energy), or ("noanchor",)) and the
+    sweep's violation count, from one scan output."""
+    runs, violations = {}, 0
+    with open(path, encoding="utf-8") as lines:
+        for line in lines:
+            words = line.split()
+            if words[:2] == ["sweep", "violations"]:
+                violations = int(words[2])
+            elif words[0] == "sweep":
+                runs[f"sweep lam={words[1]}"] = (words[2], words[3], float(words[4]),
+                                                 float(words[5]))
+            elif words[4] == "noanchor":
+                runs[" ".join(words[:4])] = ("noanchor",)
+            else:
+                runs[" ".join(words[:4])] = (words[4], words[5], float(words[6]),
+                                             float(words[7]))
+    return runs, violations
+
+
+def _rel(old: float, new: float) -> float:
+    return abs(new - old) / abs(old) if old else abs(new - old)
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print one line per run of old_path and a summary; return the number of failures."""
+    (old, old_violations), (new, new_violations) = _runs(old_path), _runs(new_path)
+    failures = 0
+    if old.keys() != new.keys():
+        print("runs differ:", sorted(old.keys() ^ new.keys()))
+        failures += 1
+    for key in (key for key in old if key in new):
+        a, b = old[key], new[key]
+        if a[0] == "noanchor" or b[0] == "noanchor":
+            ok = a == b
+            print(key, a[0], "->", b[0], "ok" if ok else "FAIL")
+            failures += not ok
+            continue
+        dc, de = _rel(a[2], b[2]), _rel(a[3], b[3])
+        ok = (de <= RTOL and not (a[0] == "saddle" != b[0])
+              and not (a[1] == "True" != b[1])
+              and (dc <= RTOL or not a[0] == b[0] == "saddle"))
+        print(key, f"origin {a[0]}->{b[0]}", f"converged {a[1]}->{b[1]}",
+              f"dc {dc:.2e}", f"de {de:.2e}", "ok" if ok else "FAIL")
+        failures += not ok
+    if new_violations > old_violations:
+        failures += 1
+    origins = [v[0] for v in new.values()]
+    print(f"{len(new)} runs: " + ", ".join(f"{origins.count(o)} {o}" for o in sorted(set(origins)))
+          + f"; sweep violations {old_violations}->{new_violations}; {failures} failures"
+          + f" (bound {RTOL:g})")
+    return failures
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"]:
+        sys.exit(1 if compare(*sys.argv[2:4]) else 0)
     main()
