@@ -20,6 +20,8 @@ criterion-6 c-estimates (again, to their rows' energies), their sweep
 counts (60 to 8) and mp's c-estimate at lam = 19 were re-pinned, and the m=2
 run's c-estimate, now its saddle energy and no longer moved by the BLAS
 thread count, joined the fixture in the first tier at the m=2 tolerance.
+When a min-mode locator replaced the path relaxation, the criterion-6 sweep
+counts, which now count its steps, were re-pinned (8 sweeps to 3-5 steps).
 Tolerances were fixed before any refactor ran: 1e-8 relative on pass levels,
 energies and norms, 1e-8 times the product of the H^m norms on inner
 products, exact equality on flags, counts, sweeps and continuation steps,
@@ -36,22 +38,22 @@ Re-pin rule.  Every leaf of the fixture (a value that is not a dict: a
 number, flag, string or list) belongs to exactly one of two tiers, declared
 in FIRST_TIER and SECOND_TIER below and checked by test_tiers_cover_the_fixture.
 
-- First tier: outputs that no discrete decision of the path relaxation
-  reaches: saddle energies, norms, eigenvalues, anchors, field values, the
-  continuation branch, the nonexistence counts, convergence flags, the lam
-  grid, quant, cutoff and radial energies.  A change reproduces them at
+- First tier: outputs that no discrete decision of the locator (the path
+  relaxation before it) reaches: saddle energies, norms, eigenvalues,
+  anchors, field values, the continuation branch, the nonexistence counts,
+  convergence flags, the lam grid, quant, cutoff and radial energies.  A change reproduces them at
   their tolerances, and no first-tier leaf is ever re-pinned.
-- Second tier: outputs of the discrete relaxation itself: mountain_pass's
-  c_estimate and the criterion-6 c-estimates and sweep counts.  A change
-  may re-pin them, one leaf at a time, with
+- Second tier: outputs of the discrete locator itself: mountain_pass's
+  c_estimate and the criterion-6 c-estimates and sweep counts (locator
+  steps).  A change may re-pin them, one leaf at a time, with
 
       PYTHONPATH=src python tests/test_golden.py --repin <leaf> [<leaf> ...]
 
   (leaf names join the keys with dots, e.g. level_sweep.c_estimates or
   mp.19.0.c_estimate), and only if its CHANGES.md entry gives the old and
-  new value of each re-pinned leaf, names the decision of the relaxation
-  that flipped and the first sweep where the paths diverge, and shows that
-  c_estimate >= the polished energy still holds on every row.
+  new value of each re-pinned leaf, names the decision of the locator that
+  flipped and the first step (or sweep) where the runs diverge, and shows
+  that c_estimate >= the polished energy still holds on every row.
 
 Tolerances and the acceptance criteria's bounds do not move under this rule.
 """
