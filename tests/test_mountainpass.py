@@ -176,9 +176,9 @@ class TestLocator:
         assert len(starts) == 2 and starts[0] is u0 and starts[1] is found[0] and e is found[1]
 
     def test_a_runaway_iterate_reaches_no_newton(self, monkeypatch, spec32):
-        # the unstable direction is never refreshed: from the 9th step on the
-        # iterate would climb above the straight path's crest.  The locator
-        # stops there, Newton does not run, and the run returns 0 -> x -> u0
+        # the unstable direction is never refreshed: after 9 steps the next
+        # one would climb above the straight path's crest.  The locator stops
+        # there, Newton does not run, and the run returns 0 -> x -> u0
         mp = torusmf.mountainpass
         eigenpair, first = mp._lowest_eigenpair, []
 
