@@ -114,8 +114,23 @@ class TestFindU0:
         assert run_fresh(code) == "False"
 
 
-class TestPathState:
-    def test_rejects_few_nodes(self, anchor32, spec32):
+class TestInitPath:
+    """The straight path t -> t u0 the locator starts on, and PathState's checks."""
+
+    def test_max_energy_node_interior(self, monkeypatch, anchor32):
+        # with no step allowed, the located point is the sampled maximum of
+        # t -> t u0 over t = 1/32, ..., 31/32: interior, above the level 0
+        mp = torusmf.mountainpass
+        monkeypatch.setattr(mp, "_LOCATOR_STEPS", 0)
+        x, e, steps, kept = mp._locate(anchor32, 14.0)
+        assert (steps, kept, e) == (0, True, anchor32)
+        ts = np.arange(1, 32) / 32
+        energies = [energy_value(scaled(anchor32, float(t)), 14.0) for t in ts]
+        t = ts[int(np.argmax(energies))]
+        assert 0.0 < t < 1.0 and max(energies) > 0.0
+        assert np.array_equal(x.values, scaled(anchor32, float(t)).values)
+
+    def test_rejects_few_segments(self, anchor32, spec32):
         # 0, one interior node and the anchor is the shortest path
         assert len(PathState(lam=14.0, nodes=[zero_field(spec32), anchor32, anchor32]).nodes) == 3
         with pytest.raises(ValueError, match="at least 3 nodes"):
@@ -145,19 +160,6 @@ class TestLocator:
         solve = newton_solve(x, lam, tol=1e-10)
         assert solve.converged
         assert solve.energy == pytest.approx(energy, rel=1e-8, abs=0.0)
-
-    def test_starts_at_the_crest_of_the_straight_path(self, monkeypatch, anchor32):
-        # with no step allowed, the located point is the sampled maximum of
-        # t -> t u0 over t = 1/32, ..., 31/32: interior, above the level 0
-        mp = torusmf.mountainpass
-        monkeypatch.setattr(mp, "_LOCATOR_STEPS", 0)
-        x, e, steps, kept = mp._locate(anchor32, 14.0)
-        assert (steps, kept, e) == (0, True, anchor32)
-        ts = np.arange(1, 32) / 32
-        energies = [energy_value(scaled(anchor32, float(t)), 14.0) for t in ts]
-        t = ts[int(np.argmax(energies))]
-        assert 0.0 < t < 1.0 and max(energies) > 0.0
-        assert np.array_equal(x.values, scaled(anchor32, float(t)).values)
 
     def test_refreshes_the_unstable_direction_every_fourth_step(self, monkeypatch, spec32):
         # the first eigen-solve starts from u0, each later one from the last e
