@@ -39,7 +39,6 @@ from .field import (
 from .functional import (
     Constants,
     constants,
-    directional_derivative,
     dual_lipschitz_gap,
     el_residual,
     energy_value,

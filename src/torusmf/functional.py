@@ -137,11 +137,6 @@ def gradient_h(u: Field, lam: float) -> Field:
     return solve_poisson_power(el_residual(u, lam), u.spec.m)
 
 
-def directional_derivative(u: Field, lam: float, v: Field) -> float:
-    """d/dt I(u + t v) at t = 0."""
-    return l2_inner(el_residual(u, lam), v)
-
-
 def hessian_action(u: Field, lam: float, v: Field) -> Field:
     """Linearization of el_residual at u, applied to v (mean-zero projected).
 
@@ -167,7 +162,7 @@ def expansion_gap(u: Field, v: Field, mu: float) -> float:
         raise ValueError("mu must be nonnegative")
     base = energy_value(u, mu)
     expanded = energy_value(lincomb(1.0, u, 1.0, v), mu)
-    gap = base + directional_derivative(u, mu, v) + 0.5 * sobolev_norm_sq(v) - expanded
+    gap = base + l2_inner(el_residual(u, mu), v) + 0.5 * sobolev_norm_sq(v) - expanded
     if gap < -1e-10 * (1.0 + abs(base)):
         raise ArithmeticError(f"expansion inequality violated: gap={gap:.3e}")
     return gap

@@ -184,77 +184,23 @@ def _segment_energies(a: Field, b: Field, ab: float, lam: float, ts) -> np.ndarr
     return dirichlet - lam / m2 * _log_mean_exp(vals)
 
 
-class _SegmentTable:
-    """Gram entries <a, b> and sampled crests of a path's segments at one lam, keyed on (a, b).
+def _crest(a: Field, b: Field, lam: float, ts) -> float:
+    """Max sampled energy on the segment from a to b, at the parameters ts."""
+    return float(np.max(_segment_energies(a, b, sobolev_inner(a, b), lam, ts)))
 
-    Sampling parameters follow from the endpoints: _FINE_TS when a segment
-    leaves the path's zero node, its mirror when it enters the anchor, and
-    _SEGMENT_TS otherwise (no path replaces either endpoint object).  Keys
-    are the node objects (a Field is immutable and hashes by identity; ids
-    would be reused after garbage collection), and entries are computed by
-    the same operations as without the table, so every energy and decision
-    taken from them is bit-identical.  A table lives only in the call that
-    builds it (mountain_pass's fallback path, _saddle_path).
+
+def _descend(u: Field, lam: float, level: float,
+             chord) -> tuple[list[Field], list[float], float] | None:
+    """Steepest-descent nodes from u until chord(node) samples below level.
+
+    chord(v) is the sampled crest of the straight segment from v to the
+    path's end, as the path samples it (_FINE_TS from 0, _TAIL_TS into the
+    anchor).  Each step is _armijo_step's, the next trial starting at twice
+    the last one.  Iterates not below level are left out, so the path joins
+    the saddle to the first one below it.  Returns the nodes kept, their
+    energies and the crest of the last one's chord, or None when the line
+    search finds no decrease or _DESCENT_STEPS run out.
     """
-
-    def __init__(self, lam: float, zero: Field, anchor: Field):
-        self.lam, self.zero, self.anchor = lam, zero, anchor
-        self._inner: dict[tuple[Field, Field], float] = {}
-        self._crest: dict[tuple[Field, Field], tuple[float, float]] = {}
-
-    def ts(self, a: Field, b: Field) -> tuple[float, ...]:
-        if a is self.zero:
-            return _FINE_TS
-        if b is self.anchor:
-            return _TAIL_TS
-        return _SEGMENT_TS
-
-    def inner(self, a: Field, b: Field) -> float:
-        ab = self._inner.get((a, b))
-        if ab is None:
-            ab = self._inner[(a, b)] = sobolev_inner(a, b)
-        return ab
-
-    def crest(self, a: Field, b: Field) -> tuple[float, float]:
-        """(max sampled energy, its t) on the segment from a to b."""
-        hit = self._crest.get((a, b))
-        if hit is None:
-            ts = self.ts(a, b)
-            es = _segment_energies(a, b, self.inner(a, b), self.lam, ts)
-            j = int(np.argmax(es))
-            hit = self._crest[(a, b)] = (float(es[j]), ts[j])
-        return hit
-
-
-def _sampled_supremum(nodes: list[Field], energies: list[float], table: _SegmentTable):
-    """Max of node energies and segment samples; returns (energy, seg, t).
-
-    seg is -1 when a node already attains the supremum; otherwise the sample
-    is (1 - t) nodes[seg] + t nodes[seg + 1].  Segment crests are read
-    through table, so a segment it has already sampled costs nothing.
-    """
-    best_e = max(energies)
-    best_seg, best_t = -1, 0.0
-    for i, (a, b) in enumerate(zip(nodes, nodes[1:])):
-        e, t = table.crest(a, b)
-        if e > best_e:
-            best_e, best_seg, best_t = e, i, t
-    return best_e, best_seg, best_t
-
-
-def _descend(u: Field, end: Field, table: _SegmentTable,
-             level: float) -> tuple[list[Field], list[float]] | None:
-    """Steepest-descent nodes from u until the straight segment to end samples below level.
-
-    end is the path's zero node or its anchor, and the segment is sampled as
-    table samples it on the path (_FINE_TS from 0, _TAIL_TS into the anchor).
-    Each step is _armijo_step's, the next trial starting at twice the last
-    one.  Iterates not below level are left out, so the path joins the
-    saddle to the first one below it.  Returns the nodes kept and their
-    energies, or None when the line search finds no decrease or
-    _DESCENT_STEPS run out.
-    """
-    lam = table.lam
     e, step = energy_value(u, lam), 1.0
     nodes: list[Field] = []
     energies: list[float] = []
@@ -262,9 +208,9 @@ def _descend(u: Field, end: Field, table: _SegmentTable,
         if e < level:
             nodes.append(u)
             energies.append(e)
-            chord = (end, u) if end is table.zero else (u, end)
-            if table.crest(*chord)[0] < level:
-                return nodes, energies
+            crest = chord(u)
+            if crest < level:
+                return nodes, energies, crest
         taken = _armijo_step(u, e, lam, step)
         if taken is None:
             return None
@@ -313,10 +259,12 @@ def _saddle_path(zero: Field, anchor: Field, solve: SolveResult,
     from start (the locator's e): e is the unstable direction.  u* is left
     by the steps +-eps e with eps ||e|| = _DESCENT_OFFSET ||u*||, oriented
     so <e, u*> > 0; the - side descends toward 0 and the + side toward the
-    anchor.  The supremum is read through a table of this call's own, and
-    u* attains it when no sample lies above solve.energy.  The path and
-    supremum are None and NaN when mu is not negative (or NaN), a descent
-    stalls, or the supremum exceeds solve.energy by more than 1e-9 relative.
+    anchor.  The supremum is the max of the node energies, the crests of the
+    two end chords that _descend returns, and the segments between them at
+    _SEGMENT_TS; u* attains it when no sample lies above solve.energy.  The
+    path and supremum are None and NaN when mu is not negative (or NaN), a
+    descent stalls, or the supremum exceeds solve.energy by more than 1e-9
+    relative.
     """
     lam, saddle, level = solve.lam, solve.field, solve.energy
     mu, e = _lowest_eigenpair(saddle, lam, start)
@@ -325,18 +273,19 @@ def _saddle_path(zero: Field, anchor: Field, solve: SolveResult,
     eps = math.copysign(
         _DESCENT_OFFSET * math.sqrt(sobolev_norm_sq(saddle) / sobolev_norm_sq(e)),
         sobolev_inner(e, saddle))
-    table = _SegmentTable(lam, zero, anchor)
-    down = _descend(lincomb(1.0, saddle, -eps, e), zero, table, level)
-    up = _descend(lincomb(1.0, saddle, eps, e), anchor, table, level)
+    down = _descend(lincomb(1.0, saddle, -eps, e), lam, level,
+                    lambda v: _crest(zero, v, lam, _FINE_TS))
+    up = _descend(lincomb(1.0, saddle, eps, e), lam, level,
+                  lambda v: _crest(v, anchor, lam, _TAIL_TS))
     if down is None or up is None:
         return None, math.nan, mu
-    nodes = [zero, *reversed(down[0]), saddle, *up[0], anchor]
-    energies = [energy_value(zero, lam), *reversed(down[1]), level, *up[1],
-                energy_value(anchor, lam)]
-    sup, _, _ = _sampled_supremum(nodes, energies, table)
+    inner = [*reversed(down[0]), saddle, *up[0]]
+    sup = max(energy_value(zero, lam), *reversed(down[1]), level, *up[1],
+              energy_value(anchor, lam), down[2],
+              *(_crest(a, b, lam, _SEGMENT_TS) for a, b in zip(inner, inner[1:])), up[2])
     if sup > level + 1e-9 * (1.0 + abs(level)):
         return None, math.nan, mu
-    return PathState(lam=lam, nodes=nodes), sup, mu
+    return PathState(lam=lam, nodes=[zero, *inner, anchor]), sup, mu
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
@@ -351,10 +300,11 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
     norm above 1e-6), the returned path is _saddle_path's descent path
     through the saddle, and c_estimate is that path's sampled supremum, the
     saddle energy: origin "saddle".  Otherwise the path is 0 -> x -> anchor,
-    origin "located", and c_estimate its sampled supremum: raised to the
-    saddle energy when the descent path cannot be built (the saddle has no
-    negative eigenvalue, or a descent stalls), with converged False and
-    solve the failed polish when the polish does not solve.  When the
+    origin "located", and c_estimate its sampled supremum (node energies,
+    0 -> x at _FINE_TS, x -> anchor at _TAIL_TS): raised to the saddle
+    energy when the descent path cannot be built (the saddle has no negative
+    eigenvalue, or a descent stalls), with converged False and solve the
+    failed polish when the polish does not solve.  When the
     locator runs away (see _locate), Newton does not run: solve is x
     unpolished, with converged False.  converged means: the polished field
     solves the equation to tol (L^2 residual) and is non-constant.
@@ -376,8 +326,8 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
         path, level, mu = _saddle_path(zero, u0, solve, e)
     if path is None:
         path, origin = PathState(lam=lam, nodes=[zero, x, u0]), "located"
-        level, _, _ = _sampled_supremum(path.nodes, [energy_value(v, lam) for v in path.nodes],
-                                        _SegmentTable(lam, zero, u0))
+        level = max(*(energy_value(v, lam) for v in path.nodes),
+                    _crest(zero, x, lam, _FINE_TS), _crest(x, u0, lam, _TAIL_TS))
         if solved:
             level = max(level, solve.energy)
     return MPResult(c_estimate=level, iterations=steps, converged=solved, solve=solve,

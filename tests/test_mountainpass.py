@@ -28,7 +28,13 @@ from torusmf import (
     zero_field,
 )
 
-from conftest import assert_honest_path, count_transforms, run_fresh, smooth_field
+from conftest import (
+    assert_honest_path,
+    count_transforms,
+    path_supremum,
+    run_fresh,
+    smooth_field,
+)
 
 PI = math.pi
 
@@ -237,7 +243,8 @@ class TestArmijoDescent:
 
 
 class TestSegmentCache:
-    """Each segment is sampled once per path at one lam, with unchanged results."""
+    """Each segment and Gram pair is evaluated once per run at one lam, on the
+    saddle path and on the located fallback path 0 -> x -> anchor."""
 
     def test_no_segment_or_gram_pair_evaluated_twice(self, monkeypatch, anchor32):
         mp = torusmf.mountainpass
@@ -254,28 +261,16 @@ class TestSegmentCache:
 
         monkeypatch.setattr(mp, "_segment_energies", sample_counted)
         monkeypatch.setattr(mp, "sobolev_inner", inner_counted)
-        mountain_pass(14.0, anchor32.spec)
-        # the lists keep every node alive, so no id is reused
-        assert segments
-        assert len({(id(a), id(b), ts) for a, b, ts in segments}) == len(segments)
-        assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
-
-    def test_cached_supremum_equals_uncached(self, anchor32):
-        from torusmf.mountainpass import _SegmentTable, _sampled_supremum
-
-        lam = 14.0
-        nodes = list(mountain_pass(lam, anchor32.spec).path.nodes)
-        energies = [energy_value(nd, lam) for nd in nodes]
-        k = len(nodes) // 2
-        mid = lincomb(0.5, nodes[k], 0.5, nodes[k + 1])
-        table = _SegmentTable(lam, nodes[0], nodes[-1])
-        # warm the table on a refinement sharing every segment but the split one
-        _sampled_supremum(nodes[:k + 1] + [mid] + nodes[k + 1:],
-                          energies[:k + 1] + [energy_value(mid, lam)] + energies[k + 1:], table)
-        cached = _sampled_supremum(nodes, energies, table)
-        fresh = _SegmentTable(lam, nodes[0], nodes[-1])
-        assert cached == _sampled_supremum(nodes, energies, fresh)
-        assert cached == _sampled_supremum(nodes, energies, table)
+        for origin in ("saddle", "located"):
+            if origin == "located":
+                monkeypatch.setattr(mp, "_descend", lambda *args: None)
+            segments.clear()
+            pairs.clear()
+            assert mountain_pass(14.0, anchor32.spec).path_origin == origin
+            # the lists keep every node alive, so no id is reused
+            assert segments
+            assert len({(id(a), id(b), ts) for a, b, ts in segments}) == len(segments)
+            assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
 
 
 class TestSegmentEnergies:
@@ -283,17 +278,15 @@ class TestSegmentEnergies:
 
     @pytest.mark.parametrize("m,n,lam", [(1, 64, 14.0), (2, 16, 250.0)])
     def test_matches_energy_value(self, m, n, lam):
-        from torusmf.mountainpass import _SegmentTable, _segment_energies
+        from torusmf.mountainpass import _FINE_TS, _SEGMENT_TS, _TAIL_TS, _segment_energies
 
         spec = make_spec(m, n)
         a, b = smooth_field(spec, 1, norm=2.0), smooth_field(spec, 2, norm=3.0)
         # three segments: the geometric tail at t -> 0 (from the zero field, as
         # a path starts), the interior samples, and the tail at t -> 1 (into
         # the anchor a)
-        ends = [(zero_field(spec), a), (a, b), (b, a)]
-        table = _SegmentTable(lam, ends[0][0], a)
-        for i, (left, right) in enumerate(ends):
-            ts = table.ts(left, right)
+        ends = [(zero_field(spec), a, _FINE_TS), (a, b, _SEGMENT_TS), (b, a, _TAIL_TS)]
+        for i, (left, right, ts) in enumerate(ends):
             got = _segment_energies(left, right, sobolev_inner(left, right), lam, ts)
             for t, e in zip(ts, got):
                 want = energy_value(lincomb(1.0 - t, left, t, right), lam)
@@ -302,14 +295,12 @@ class TestSegmentEnergies:
     @pytest.mark.parametrize("m,n,lam", [(1, 64, 14.0), (2, 16, 250.0)])
     def test_in_place_sampler_is_bit_exact(self, m, n, lam):
         # reference: the out-of-place formula, 2m applied after the sum
-        from torusmf.mountainpass import _SegmentTable, _segment_energies
+        from torusmf.mountainpass import _FINE_TS, _SEGMENT_TS, _TAIL_TS, _segment_energies
 
         spec = make_spec(m, n)
         a, b = smooth_field(spec, 1, norm=2.0), smooth_field(spec, 2, norm=3.0)
-        ends = [(zero_field(spec), a), (a, b), (b, a)]
-        table = _SegmentTable(lam, ends[0][0], a)
-        for i, (left, right) in enumerate(ends):
-            ts = table.ts(left, right)
+        ends = [(zero_field(spec), a, _FINE_TS), (a, b, _SEGMENT_TS), (b, a, _TAIL_TS)]
+        for i, (left, right, ts) in enumerate(ends):
             t = np.asarray(ts)
             s = 1.0 - t
             ab = sobolev_inner(left, right)
@@ -375,15 +366,12 @@ class TestMountainPass:
         # straight path 0 -> u0, then 0 -> located point -> u0 (the run's
         # c_estimate when no descent path is built), then the descent path
         # through the polished saddle (c_estimate = its energy)
-        from torusmf.mountainpass import _SegmentTable, _sampled_supremum
-
         lam = 15.0
         saddle = mountain_pass(lam, spec32)
         monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
         located = mountain_pass(lam, spec32)
         zero, u0 = located.path.nodes[0], located.path.nodes[-1]
-        straight, _, _ = _sampled_supremum([zero, u0], [0.0, energy_value(u0, lam)],
-                                           _SegmentTable(lam, zero, u0))
+        straight = path_supremum([zero, u0], lam)
         assert (saddle.path_origin, located.path_origin) == ("saddle", "located")
         assert straight >= located.c_estimate >= saddle.c_estimate == saddle.solve.energy
 
@@ -484,12 +472,8 @@ def test_mountain_pass_locates_polishes_then_assembles(monkeypatch, spec32):
 
 def _located_path_supremum(res) -> float:
     """Sampled supremum of res.path, which must be 0 -> the polish's start -> anchor."""
-    from torusmf.mountainpass import _SegmentTable, _sampled_supremum
-
-    nodes = res.path.nodes
-    assert len(nodes) == 3
-    energies = [energy_value(node, res.path.lam) for node in nodes]
-    return _sampled_supremum(nodes, energies, _SegmentTable(res.path.lam, nodes[0], nodes[-1]))[0]
+    assert len(res.path.nodes) == 3
+    return path_supremum(res.path.nodes, res.path.lam)
 
 
 def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32):
@@ -543,9 +527,9 @@ def test_short_saddle_path_is_not_padded(monkeypatch, spec32):
     kept = []
 
     def last_node(*args):
-        nodes, energies = descend(*args)
+        nodes, energies, crest = descend(*args)
         kept.append(nodes[-1])
-        return nodes[-1:], energies[-1:]
+        return nodes[-1:], energies[-1:], crest
 
     monkeypatch.setattr(torusmf.mountainpass, "_descend", last_node)
     res = mountain_pass(14.0, spec32, tol=1e-10)

@@ -5,9 +5,11 @@ Run with the package to check on the import path, for example
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/mp_scan.py > scan.txt
 
 Each grid runs at tol 1e-8 and 1e-10; then the criterion-6 level_sweep rows
-(m=1, n=128, lam = 13..19, tol 1e-8) follow.  Floats are printed by repr, so
-two versions of the code give the same numbers exactly when `diff` of their
-outputs is empty.  Bit-identity stays the gate for a change that claims it.
+(m=1, n=128, lam = 13..19, tol 1e-8) follow.  Floats are printed by repr,
+and each run line ends with the SHA-256 of its returned path's node values,
+so two versions of the code give the same numbers and the same paths
+exactly when `diff` of their outputs is empty.  Bit-identity stays the gate
+for a change that claims it.
 
     python3 tools/mp_scan.py --compare OLD NEW
 
@@ -22,6 +24,7 @@ not rise; the exit status is 1 otherwise.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import numpy as np
@@ -52,9 +55,12 @@ def main() -> None:
                 except ConvergenceError:
                     print(head, "noanchor", flush=True)
                     continue
+                digest = hashlib.sha256(b"".join(node.values.tobytes()
+                                                 for node in res.path.nodes)).hexdigest()
                 print(head, res.path_origin, res.converged, repr(res.c_estimate),
                       repr(res.solve.energy), repr(res.unstable_eigenvalue),
-                      res.iterations, res.solve.iterations, len(res.path.nodes), flush=True)
+                      res.iterations, res.solve.iterations, len(res.path.nodes), digest,
+                      flush=True)
     report = level_sweep(range(13, 20), make_spec(1, 128), tol=1e-8)
     for row in report.rows:
         print("sweep", repr(row.lam), row.path_origin, row.converged, repr(row.c_estimate),
