@@ -4,8 +4,14 @@ Run with the package to check on the import path, for example
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/mp_scan.py > scan.txt
 
-Each grid runs at tol 1e-8 and 1e-10; then the criterion-6 level_sweep rows
-(m=1, n=128, lam = 13..19, tol 1e-8) follow.  Floats are printed by repr,
+Each grid runs at tol 1e-8 and 1e-10.  Then, at tol 1e-8, runs forced into
+the "located" fallback follow, each line headed by the way it is forced:
+"fallback=descend" patches _descend to return None (the polish solves, but no
+saddle path is built), "fallback=polish" patches newton_solve to return an
+unconverged SolveResult (the polish fails), and "fallback=runaway" keeps the
+locator's first unstable direction, so that it runs away at m=1, n=32,
+lam=19.  Last come the criterion-6 level_sweep rows (m=1, n=128,
+lam = 13..19, tol 1e-8).  Floats are printed by repr,
 and each run line ends with the SHA-256 of its returned path's node values,
 so two versions of the code give the same numbers and the same paths
 exactly when `diff` of their outputs is empty.  Bit-identity stays the gate
@@ -25,7 +31,9 @@ not rise; the exit status is 1 otherwise.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -38,11 +46,45 @@ GRIDS = [
     (1, 256, [13.25, 14, 16, 18, 19]),
     (2, 8, [200, 250, 300, 350]),
 ]
+FALLBACK_RUNS = [(1, 32, 14), (1, 32, 19), (1, 64, 14), (1, 64, 19), (2, 16, 250)]
+
+
+def _fallback_patches():
+    """(name, the mountainpass attribute to replace, its replacement, runs)."""
+    from torusmf.functional import energy_value
+    from torusmf.mountainpass import _lowest_eigenpair
+    from torusmf.solver import SolveResult
+
+    def no_solve(guess, lam, **kwargs):
+        return SolveResult(field=guess, lam=lam, residual_l2=1.0, grad_norm=1.0,
+                           energy=energy_value(guess, lam), iterations=0, converged=False)
+
+    first = []
+
+    def keep_first(u, lam, start):
+        if not first:
+            first.append(_lowest_eigenpair(u, lam, start)[1])
+        return math.nan, first[0]
+
+    return [("descend", "_descend", lambda *args: None, FALLBACK_RUNS),
+            ("polish", "newton_solve", no_solve, FALLBACK_RUNS),
+            ("runaway", "_lowest_eigenpair", keep_first, [(1, 32, 19)])]
+
+
+def _run_line(head: str, res) -> str:
+    """One run's line: head, then its scalars and the SHA-256 of its path's node values."""
+    digest = hashlib.sha256(b"".join(node.values.tobytes()
+                                     for node in res.path.nodes)).hexdigest()
+    return " ".join(map(str, (head, res.path_origin, res.converged, repr(res.c_estimate),
+                              repr(res.solve.energy), repr(res.unstable_eigenvalue),
+                              res.iterations, res.solve.iterations, len(res.path.nodes),
+                              digest)))
 
 
 def main() -> None:
     from torusmf import make_spec
     from torusmf.errors import ConvergenceError
+    from torusmf import mountainpass
     from torusmf.mountainpass import level_sweep, mountain_pass
 
     for tol in (1e-8, 1e-10):
@@ -55,11 +97,12 @@ def main() -> None:
                 except ConvergenceError:
                     print(head, "noanchor", flush=True)
                     continue
-                digest = hashlib.sha256(b"".join(node.values.tobytes()
-                                                 for node in res.path.nodes)).hexdigest()
-                print(head, res.path_origin, res.converged, repr(res.c_estimate),
-                      repr(res.solve.energy), repr(res.unstable_eigenvalue),
-                      res.iterations, res.solve.iterations, len(res.path.nodes), digest,
+                print(_run_line(head, res), flush=True)
+    for name, attr, patch, runs in _fallback_patches():
+        with mock.patch.object(mountainpass, attr, patch):
+            for m, n, lam in runs:
+                head = f"fallback={name} m={m} n={n} tol=1e-08 lam={float(lam)!r}"
+                print(_run_line(head, mountain_pass(float(lam), make_spec(m, n), 1e-8)),
                       flush=True)
     report = level_sweep(range(13, 20), make_spec(1, 128), tol=1e-8)
     for row in report.rows:
@@ -81,11 +124,15 @@ def _runs(path: str) -> tuple[dict[str, tuple], int]:
             elif words[0] == "sweep":
                 runs[f"sweep lam={words[1]}"] = (words[2], words[3], float(words[4]),
                                                  float(words[5]))
-            elif words[4] == "noanchor":
-                runs[" ".join(words[:4])] = ("noanchor",)
             else:
-                runs[" ".join(words[:4])] = (words[4], words[5], float(words[6]),
-                                             float(words[7]))
+                # the key is the head: every word up to the first without "="
+                k = next(i for i, word in enumerate(words) if "=" not in word)
+                key = " ".join(words[:k])
+                if words[k] == "noanchor":
+                    runs[key] = ("noanchor",)
+                else:
+                    runs[key] = (words[k], words[k + 1], float(words[k + 2]),
+                                 float(words[k + 3]))
     return runs, violations
 
 
