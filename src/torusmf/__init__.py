@@ -68,7 +68,6 @@ from .mountainpass import (
     LevelRow,
     LevelSweepReport,
     MPResult,
-    PathState,
     find_u0,
     level_sweep,
     mountain_pass,

@@ -50,28 +50,15 @@ _DESCENT_OFFSET = 3e-2  # eps ||e|| / ||u*|| of the first step off the saddle
 _DESCENT_STEPS = 400  # cap on each steepest-descent leg of the saddle path
 
 
-@dataclass
-class PathState:
-    """Discrete path of mean-zero fields from 0 to the anchor u0, at one lam."""
-
-    lam: float
-    nodes: list[Field]
-
-    def __post_init__(self):
-        if len(self.nodes) < 3:
-            raise ValueError("path needs at least 3 nodes (2 segments)")
-        if float(np.max(np.abs(self.nodes[0].values))) != 0.0:
-            raise ValueError("path must start at the zero field")
-
-
 @dataclass(frozen=True)
 class MPResult:
     """Pass level, locator steps, the polish (solved or failed), returned path.
 
+    path is a tuple of nodes from the zero field to the anchor, at solve.lam.
     iterations counts the min-mode locator's steps.  path_origin is "saddle"
     when path is the descent path through the polished saddle and
-    c_estimate its sampled supremum, and "located" when path is 0 -> located
-    point -> anchor (see mountain_pass).  The anchor met
+    c_estimate its sampled supremum, and "located" when path is
+    (0, located point, anchor) (see mountain_pass).  The anchor met
     anchor_min_energy: -1, or -0.05 after the search for -1 stalled at
     anchor_failed_floor (NaN when it did not).  unstable_eigenvalue is the
     mu of _saddle_path, NaN when the polish did not solve.
@@ -81,7 +68,7 @@ class MPResult:
     iterations: int
     converged: bool
     solve: SolveResult
-    path: PathState
+    path: tuple[Field, ...]
     anchor_min_energy: float
     anchor_failed_floor: float
     path_origin: str
@@ -252,8 +239,8 @@ def _locate(u0: Field, lam: float) -> tuple[Field, Field, int, bool]:
 
 
 def _saddle_path(zero: Field, anchor: Field, solve: SolveResult,
-                 start: Field) -> tuple[PathState | None, float, float]:
-    """The path 0 -> descent -> saddle -> descent -> anchor, its sampled supremum, and mu.
+                 start: Field) -> tuple[tuple[Field, ...] | None, float, float]:
+    """The path (zero, *down, u*, *up, anchor), its sampled supremum, and mu.
 
     mu and e are _lowest_eigenpair's at the saddle u* = solve.field, started
     from start (the locator's e): e is the unstable direction.  u* is left
@@ -285,7 +272,7 @@ def _saddle_path(zero: Field, anchor: Field, solve: SolveResult,
               *(_crest(a, b, lam, _SEGMENT_TS) for a, b in zip(inner, inner[1:])), up[2])
     if sup > level + 1e-9 * (1.0 + abs(level)):
         return None, math.nan, mu
-    return PathState(lam=lam, nodes=[zero, *inner, anchor]), sup, mu
+    return (zero, *inner, anchor), sup, mu
 
 
 def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
@@ -325,8 +312,8 @@ def mountain_pass(lam: float, spec: TorusSpec, tol: float = 1e-8) -> MPResult:
     if solved:
         path, level, mu = _saddle_path(zero, u0, solve, e)
     if path is None:
-        path, origin = PathState(lam=lam, nodes=[zero, x, u0]), "located"
-        level = max(*(energy_value(v, lam) for v in path.nodes),
+        path, origin = (zero, x, u0), "located"
+        level = max(*(energy_value(v, lam) for v in path),
                     _crest(zero, x, lam, _FINE_TS), _crest(x, u0, lam, _TAIL_TS))
         if solved:
             level = max(level, solve.energy)

@@ -119,16 +119,19 @@ def path_supremum(nodes, lam: float) -> float:
 def assert_honest_path(res) -> None:
     """res.path runs from the zero field to find_u0's anchor, and c_estimate is its sampled max.
 
+    The path is a tuple of at least 3 nodes (2 segments) at res.solve.lam.
     The supremum is recomputed by path_supremum from fresh node energies and
     must equal c_estimate bit for bit; a path through the polished saddle
     must have the saddle's energy as that maximum.
     """
-    path = res.path
-    zero, anchor = path.nodes[0], path.nodes[-1]
+    path, lam = res.path, res.solve.lam
+    assert isinstance(path, tuple) and len(path) >= 3
+    assert all(isinstance(node, Field) for node in path)
+    zero, anchor = path[0], path[-1]
     assert float(np.max(np.abs(zero.values))) == 0.0
-    want = find_u0(path.lam, zero.spec, min_energy=res.anchor_min_energy)
+    want = find_u0(lam, zero.spec, min_energy=res.anchor_min_energy)
     assert np.array_equal(anchor.values, want.values)
-    assert path_supremum(path.nodes, path.lam) == res.c_estimate
+    assert path_supremum(path, lam) == res.c_estimate
     if res.path_origin == "saddle":
         assert res.c_estimate == res.solve.energy
 

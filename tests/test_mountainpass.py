@@ -8,7 +8,6 @@ import pytest
 import torusmf
 from torusmf import (
     ConvergenceError,
-    PathState,
     SolveResult,
     concentration_direction,
     continuation,
@@ -121,7 +120,7 @@ class TestFindU0:
 
 
 class TestInitPath:
-    """The straight path t -> t u0 the locator starts on, and PathState's checks."""
+    """The straight path t -> t u0 the locator starts on."""
 
     def test_max_energy_node_interior(self, monkeypatch, anchor32):
         # with no step allowed, the located point is the sampled maximum of
@@ -135,16 +134,6 @@ class TestInitPath:
         t = ts[int(np.argmax(energies))]
         assert 0.0 < t < 1.0 and max(energies) > 0.0
         assert np.array_equal(x.values, scaled(anchor32, float(t)).values)
-
-    def test_rejects_few_segments(self, anchor32, spec32):
-        # 0, one interior node and the anchor is the shortest path
-        assert len(PathState(lam=14.0, nodes=[zero_field(spec32), anchor32, anchor32]).nodes) == 3
-        with pytest.raises(ValueError, match="at least 3 nodes"):
-            PathState(lam=14.0, nodes=[zero_field(spec32), anchor32])
-
-    def test_rejects_nonzero_start(self, anchor32, spec32):
-        with pytest.raises(ValueError, match="zero field"):
-            PathState(lam=14.0, nodes=[anchor32] * 10)
 
 
 class TestLocator:
@@ -200,8 +189,8 @@ class TestLocator:
         res = mountain_pass(19.0, spec32)
         assert (res.converged, res.path_origin, res.iterations) == (False, "located", 9)
         assert res.solve.iterations == 0 and "ran above" in res.solve.message
-        assert res.path.nodes[1] is res.solve.field
-        u0 = res.path.nodes[-1]
+        assert res.path[1] is res.solve.field
+        u0 = res.path[-1]
         crest = max(energy_value(scaled(u0, i / 32), 19.0) for i in range(1, 32))
         assert res.solve.energy <= crest
         assert_honest_path(res)
@@ -370,7 +359,7 @@ class TestMountainPass:
         saddle = mountain_pass(lam, spec32)
         monkeypatch.setattr(torusmf.mountainpass, "_descend", lambda *args: None)
         located = mountain_pass(lam, spec32)
-        zero, u0 = located.path.nodes[0], located.path.nodes[-1]
+        zero, u0 = located.path[0], located.path[-1]
         straight = path_supremum([zero, u0], lam)
         assert (saddle.path_origin, located.path_origin) == ("saddle", "located")
         assert straight >= located.c_estimate >= saddle.c_estimate == saddle.solve.energy
@@ -403,7 +392,7 @@ class TestOrderTwo:
                 "import hashlib\n"
                 "import torusmf\n"
                 "res = torusmf.mountain_pass(250.0, torusmf.make_spec(2, 16))\n"
-                "nodes = b''.join(node.values.tobytes() for node in res.path.nodes)\n"
+                "nodes = b''.join(node.values.tobytes() for node in res.path)\n"
                 "print(repr(res.c_estimate), hashlib.md5(nodes).hexdigest())\n")
         one, two = (run_fresh(code.format(threads=threads)) for threads in (1, 2))
         assert one == two
@@ -472,8 +461,8 @@ def test_mountain_pass_locates_polishes_then_assembles(monkeypatch, spec32):
 
 def _located_path_supremum(res) -> float:
     """Sampled supremum of res.path, which must be 0 -> the polish's start -> anchor."""
-    assert len(res.path.nodes) == 3
-    return path_supremum(res.path.nodes, res.path.lam)
+    assert len(res.path) == 3
+    return path_supremum(res.path, res.solve.lam)
 
 
 def test_unbuilt_saddle_path_returns_the_captured_path(monkeypatch, spec32):
@@ -508,7 +497,7 @@ def test_failing_polish_returns_the_captured_path(monkeypatch, spec32):
     assert calls == [("locate", 14.0, 2), ("newton_solve", 14.0, True)]
     assert len(failed) == 1 and res.solve is failed[0]
     assert (res.iterations, res.converged, res.path_origin) == (2, False, "located")
-    assert res.path.nodes[1] is failed[0].field
+    assert res.path[1] is failed[0].field
     assert res.c_estimate == _located_path_supremum(res)
     assert_honest_path(res)
 
@@ -522,7 +511,8 @@ def test_returned_path_is_honest(spec32, lam):
 
 def test_short_saddle_path_is_not_padded(monkeypatch, spec32):
     # keep only each descent's last node: the path 0, down, u*, up, anchor
-    # has 5 nodes, above PathState's minimum of 3, and is returned as built
+    # has 5 nodes, two more than the located path 0 -> x -> anchor, and is
+    # returned as built
     descend = torusmf.mountainpass._descend
     kept = []
 
@@ -534,7 +524,7 @@ def test_short_saddle_path_is_not_padded(monkeypatch, spec32):
     monkeypatch.setattr(torusmf.mountainpass, "_descend", last_node)
     res = mountain_pass(14.0, spec32, tol=1e-10)
     assert res.path_origin == "saddle"
-    nodes = res.path.nodes
+    nodes = res.path
     assert len(nodes) == 5
     assert nodes[1] is kept[0] and nodes[2] is res.solve.field and nodes[3] is kept[1]
     assert_honest_path(res)
@@ -567,7 +557,7 @@ class TestUnstableDirection:
         monkeypatch.setattr(mp, "_lowest_eigenpair", solve_counted)
         res = mountain_pass(19.0, spec32)
         assert res.path_origin == "saddle" and res.unstable_eigenvalue < 0.0
-        assert len(res.path.nodes) <= 20 and len(calls) <= 40
+        assert len(res.path) <= 20 and len(calls) <= 40
         assert len(inverse) == 3 and inverse[-1] <= 7
         assert_honest_path(res)
 
@@ -579,7 +569,7 @@ class TestUnstableDirection:
         res = mountain_pass(19.7, spec64)
         assert res.path_origin == "saddle" and res.converged
         assert res.c_estimate == res.solve.energy
-        assert len(res.path.nodes) <= 360
+        assert len(res.path) <= 360
         assert_honest_path(res)
 
     def test_reports_the_saddle_eigenvalue(self, spec32):

@@ -74,10 +74,10 @@ def _fallback_patches():
 def _run_line(head: str, res) -> str:
     """One run's line: head, then its scalars and the SHA-256 of its path's node values."""
     digest = hashlib.sha256(b"".join(node.values.tobytes()
-                                     for node in res.path.nodes)).hexdigest()
+                                     for node in res.path)).hexdigest()
     return " ".join(map(str, (head, res.path_origin, res.converged, repr(res.c_estimate),
                               repr(res.solve.energy), repr(res.unstable_eigenvalue),
-                              res.iterations, res.solve.iterations, len(res.path.nodes),
+                              res.iterations, res.solve.iterations, len(res.path),
                               digest)))
 
 
