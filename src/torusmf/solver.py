@@ -346,7 +346,7 @@ def _newton(spec: TorusSpec, start: tuple, lam: float, tol: float) -> SolveResul
         if iterations == _MAX_ITER:
             message = f"max_iter={_MAX_ITER} exceeded (residual {res_l2:.3e})"
             break
-        rtol = min(1e-2, max(res_l2, 0.01 * tol / max(res_l2, tol)))
+        rtol = min(1e-2, max(res_l2, 0.01 * tol / res_l2))
         # the right-hand side -r at unit dual norm, in values and half spectrum
         residual *= -1.0 / grad_norm
         half *= -1.0 / grad_norm
