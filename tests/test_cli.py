@@ -259,6 +259,36 @@ class TestContinueCmd:
             assert not (tmp_path / "continue").exists()
 
 
+    def test_newton_failure_exits_3(self, tmp_path, monkeypatch):
+        # the pass converges, then every continuation solve fails
+        def no_solve(guess, lam, tol):
+            return torusmf.SolveResult(field=guess, lam=lam, residual_l2=1.0, grad_norm=1.0,
+                                       energy=0.0, iterations=0, converged=False)
+
+        monkeypatch.setattr(torusmf.solver, "newton_solve", no_solve)
+        rc = cli(tmp_path, "continue", "--m", "1", "--n", "16", "--lambda-start", "14",
+                 "--lambda-end", "16", "--tol", "1e-8")
+        assert rc == 3
+        summary = (tmp_path / "continue" / "summary.csv").read_text().splitlines()
+        assert summary[1].split(",")[:2] == ["newton_failure", "1"]
+        assert not (tmp_path / "continue" / "mass_curve.csv").exists()
+
+    def test_blow_up_writes_the_quantization(self, tmp_path):
+        # the first step's max|u| is above a cap of 0.1: the branch ends
+        # "blow_up" there, and its endpoint's mass curve is written
+        rc = cli(tmp_path, "continue", "--m", "1", "--n", "16", "--lambda-start", "14",
+                 "--lambda-end", "16", "--blowup-cap", "0.1", "--tol", "1e-8")
+        assert rc == 0
+        out = tmp_path / "continue"
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[1].split(",")[:2] == ["blow_up", "2"]
+        curve = (out / "mass_curve.csv").read_text().splitlines()
+        assert curve[0] == "radius,mass" and len(curve) > 2
+        quant = (out / "quant_summary.csv").read_text().splitlines()
+        assert quant[0] == "lambda,plateau_mass,nearest_N,deviation,peak_height,center"
+        assert float(quant[1].split(",")[0]) == float(summary[1].split(",")[2])
+
+
 class TestQuantCmd:
     def test_round_trip(self, tmp_path):
         spec = make_spec(1, 32)
@@ -329,6 +359,20 @@ class TestSweepCmd:
         assert all(float(r.split(",")[4]) > 0 for r in rows[1:])
         summary = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
         assert summary == ["monotonicity_violations,slack", "0,0.02"]
+
+
+    def test_unpolished_level_exits_3(self, tmp_path, monkeypatch, capsys):
+        def no_solve(guess, lam, **kwargs):
+            return torusmf.SolveResult(field=guess, lam=lam, residual_l2=1.0, grad_norm=1.0,
+                                       energy=torusmf.energy_value(guess, lam), iterations=0,
+                                       converged=False)
+
+        monkeypatch.setattr(torusmf.mountainpass, "newton_solve", no_solve)
+        rc = cli(tmp_path, "sweep", "--n", "16", "--lambda-grid", "14,16", "--tol", "1e-8")
+        assert rc == 3
+        assert "some levels did not polish" in capsys.readouterr().err
+        rows = (tmp_path / "sweep" / "levels.csv").read_text().splitlines()
+        assert [r.split(",")[5] for r in rows[1:]] == ["located", "located"]
 
 
 class TestGreenCmd:

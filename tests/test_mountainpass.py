@@ -1,5 +1,6 @@
 """Min-max machinery: anchors, the min-mode locator, saddle paths, pass levels."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -229,6 +230,46 @@ class TestArmijoDescent:
             drawn = [energy(cand, lam) for _, cand in candidates]
             assert all(ec > b - slack for ec, b in zip(drawn[:-1], bar[:-1]))
             assert drawn[-1] <= bar[-1] + slack or candidates[-1][0] <= 2e-14
+
+
+    def test_no_step_from_a_critical_point(self, spec32):
+        # the gradient vanishes at the zero field: the line search offers no
+        # step, and a descent from there stops with no path
+        mp = torusmf.mountainpass
+        zero = zero_field(spec32)
+        assert mp._armijo_step(zero, 0.0, 14.0, 1.0) is None
+        assert mp._descend(zero, 14.0, 1.0, lambda v: math.inf) is None
+
+    def test_no_candidate_passes_the_armijo_test(self, monkeypatch, anchor32):
+        # no candidate reaches a start energy of -inf: the trial steps halve
+        # from 2 down to 1e-14, one energy each, and the search gives up
+        mp = torusmf.mountainpass
+        calls = []
+        energy = mp.energy_value
+        monkeypatch.setattr(mp, "energy_value", lambda u, lam: calls.append(1) or energy(u, lam))
+        assert mp._armijo_step(scaled(anchor32, 0.5), -math.inf, 14.0, 1.0) is None
+        assert len(calls) == 48
+
+    def test_descent_gives_up_when_its_steps_run_out(self, monkeypatch, anchor32):
+        # a chord that never samples below the level: each of the
+        # _DESCENT_STEPS iterations takes one Armijo step, and then no path
+        mp = torusmf.mountainpass
+        armijo, calls = mp._armijo_step, []
+        monkeypatch.setattr(mp, "_DESCENT_STEPS", 5)
+        monkeypatch.setattr(mp, "_armijo_step", lambda *args: calls.append(1) or armijo(*args))
+        assert mp._descend(scaled(anchor32, 0.5), 14.0, math.inf, lambda v: math.inf) is None
+        assert len(calls) == 5
+
+    def test_short_descents_leave_the_located_path(self, monkeypatch, spec32):
+        # at lam = 19 the + side needs more than one step to pass under the
+        # level; with one step allowed, the polish stands and the path is
+        # 0 -> located point -> anchor
+        monkeypatch.setattr(torusmf.mountainpass, "_DESCENT_STEPS", 1)
+        res = mountain_pass(19.0, spec32)
+        assert (res.converged, res.path_origin) == (True, "located")
+        assert res.unstable_eigenvalue < 0.0
+        assert res.c_estimate == max(_located_path_supremum(res), res.solve.energy)
+        assert_honest_path(res)
 
 
 class TestSegmentCache:
@@ -597,6 +638,19 @@ class TestUnstableDirection:
         res = mountain_pass(14.0, spec32, tol=1e-8)
         assert (res.converged, res.path_origin, res.unstable_eigenvalue) == (True, "located", 0.0)
         assert res.c_estimate == max(_located_path_supremum(res), res.solve.energy)
+
+    def test_refuses_a_path_sampled_above_the_saddle_energy(self, spec32):
+        # told a saddle energy 0.1 below u*'s own, the descents still end
+        # below it, but the segments next to u* sample above it: no path
+        mp = torusmf.mountainpass
+        u0 = find_u0(14.0, spec32)
+        x, e, _, _ = mp._locate(u0, 14.0)
+        solve = newton_solve(x, 14.0, tol=1e-8)
+        path, sup, mu = mp._saddle_path(zero_field(spec32), u0, solve, e)
+        assert path is not None and sup == solve.energy and mu < 0.0
+        low = dataclasses.replace(solve, energy=solve.energy - 0.1)
+        path, sup, low_mu = mp._saddle_path(zero_field(spec32), u0, low, e)
+        assert path is None and math.isnan(sup) and low_mu == mu
 
     def test_failed_polish_has_no_eigenvalue(self, monkeypatch, spec32):
         def no_solve(guess, lam, **kwargs):

@@ -130,6 +130,44 @@ class TestNewton:
         assert out.residual_history == direct.residual_history
         assert np.array_equal(out.field.values, direct.field.values)
 
+    @pytest.mark.parametrize("fault,info", [("iteration_limit", 600), ("non_finite_step", 0)])
+    def test_linear_solve_breakdown(self, monkeypatch, spec32, fault, info):
+        # MINRES ends on its iteration limit, or leaves a non-finite step:
+        # the solve stops at once and returns its start
+        minres = torusmf.solver._minres
+
+        def faulty(*args, **kwargs):
+            out = minres(*args, **kwargs)
+            if fault == "non_finite_step":
+                args[5][0].flat[0] = math.nan
+                return out
+            return kwargs["maxiter"]
+
+        monkeypatch.setattr(torusmf.solver, "_minres", faulty)
+        guess = scaled(concentration_direction(spec32), 6.0)
+        out = newton_solve(guess, 14.0)
+        assert (out.converged, out.iterations) == (False, 0)
+        assert out.message == f"linear solve breakdown (minres info={info})"
+        assert len(out.residual_history) == 1
+        assert np.array_equal(out.field.values, guess.values)
+
+    def test_line_search_stall(self, monkeypatch, spec32):
+        # the Newton step reversed raises the residual at every damping, down
+        # to a step of 1e-12: the solve stops and returns its start
+        minres = torusmf.solver._minres
+
+        def uphill(*args, **kwargs):
+            out = minres(*args, **kwargs)
+            step = args[5]  # the step and its (-Lap)^m image
+            step *= -1.0
+            return out
+
+        monkeypatch.setattr(torusmf.solver, "_minres", uphill)
+        guess = scaled(concentration_direction(spec32), 6.0)
+        out = newton_solve(guess, 14.0)
+        assert (out.converged, out.iterations, out.message) == (False, 0, "line search stall")
+        assert np.array_equal(out.field.values, guess.values)
+
     def test_large_right_hand_side_start_converges(self):
         # the first MINRES right-hand side has norm ~1.6e3 here; the solve
         # must not stop on a stopping test that scales with that norm
@@ -531,6 +569,35 @@ class TestContinuation:
             assert float(np.max(np.abs(last.field.values))) > 4.0
             report = concentration(last.field, last.lam)
             assert report.nearest_N >= 1
+
+    def test_failed_solves_end_the_branch(self, saddle32, monkeypatch):
+        # every solve fails: the step halves after each, and the branch ends
+        # "newton_failure" once the step falls below dlam0/1024
+        tried = []
+
+        def no_solve(guess, lam, tol):
+            tried.append(lam)
+            return SolveResult(field=guess, lam=lam, residual_l2=1.0, grad_norm=1.0,
+                               energy=0.0, iterations=0, converged=False)
+
+        monkeypatch.setattr(torusmf.solver, "newton_solve", no_solve)
+        branch = continuation(saddle32, 19.0, 0.5)
+        assert branch.termination == "newton_failure"
+        assert len(branch.results) == 1 and branch.results[0] is saddle32
+        assert tried == [14.0 + 0.5 / 2**k for k in range(11)]
+
+    def test_step_cap_ends_the_branch(self, saddle32, monkeypatch):
+        # every solve accepts its guess; steps of at most 4 dlam0 cannot
+        # reach lam_end in 500 steps, and the branch ends "max_steps"
+        def accept(guess, lam, tol):
+            return SolveResult(field=guess, lam=lam, residual_l2=0.0, grad_norm=0.0,
+                               energy=0.0, iterations=0, converged=True)
+
+        monkeypatch.setattr(torusmf.solver, "newton_solve", accept)
+        branch = continuation(saddle32, 19.0, 1e-3)
+        assert branch.termination == "max_steps"
+        assert len(branch.results) == 501
+        assert 14.0 < branch.results[-1].lam <= 14.0 + 500 * 4e-3 < 19.0
 
     def test_invalid_step(self, saddle32):
         with pytest.raises(ValueError, match="invalid step"):
