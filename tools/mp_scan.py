@@ -82,9 +82,8 @@ def _run_line(head: str, res) -> str:
 
 
 def main() -> None:
-    from torusmf import make_spec
+    from torusmf import make_spec, mountainpass
     from torusmf.errors import ConvergenceError
-    from torusmf import mountainpass
     from torusmf.mountainpass import level_sweep, mountain_pass
 
     for tol in (1e-8, 1e-10):
